@@ -2,7 +2,8 @@
 
 A group's priority is the mean k-fold cross-validation accuracy of its
 classifier on the training set: an estimate of how well that feature group
-generalizes, used later to weight its votes in the ensemble.
+generalizes, used later to weight its votes in the ensemble. The same
+folds' held-out probabilities are the training rows of out-of-fold stacking.
 """
 
 from __future__ import annotations
@@ -90,6 +91,31 @@ def cross_val_accuracy(train_fn, X, y, plan: FoldPlan) -> float:
     return float(np.mean(accuracies))
 
 
+def cross_fit(
+    spec: classifiers.ClassifierSpec, X, y, labels: LabelSpace, plan: FoldPlan
+) -> tuple[np.ndarray, list[float]]:
+    """Fit ``spec`` once per fold of ``plan`` and predict the held-out rows.
+
+    Returns the (n, m) out-of-fold probability matrix, whose row i comes from
+    the fold model that never saw sample i, and the held-out top-1 accuracy
+    of each fold (argmax with ties to the lowest class, as ``predict``).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if len(y) != plan.n:
+        raise LengthMismatch(
+            f"fold plan covers {plan.n} samples, labels have {len(y)}"
+        )
+    oof = np.zeros((len(y), labels.m))
+    accuracies = []
+    for f in range(plan.k):
+        tr, te = plan.train_test_indices(f)
+        model = classifiers.train(spec, X[tr], y[tr], labels)
+        oof[te] = model.predict_proba(X[te])
+        accuracies.append(float((np.argmax(oof[te], axis=1) == y[te]).mean()))
+    return oof, accuracies
+
+
 def group_priority(
     spec: classifiers.ClassifierSpec,
     X,
@@ -99,10 +125,5 @@ def group_priority(
     group_name: str = "",
 ) -> GroupPriority:
     """Mean k-fold CV accuracy of ``spec`` trained on this group's features."""
-
-    def train_fn(X_tr, y_tr):
-        model = classifiers.train(spec, X_tr, y_tr, labels)
-        return model.predict
-
-    value = cross_val_accuracy(train_fn, X, y, plan)
-    return GroupPriority(group_name=group_name, value=value)
+    _, accuracies = cross_fit(spec, X, y, labels, plan)
+    return GroupPriority(group_name=group_name, value=float(np.mean(accuracies)))

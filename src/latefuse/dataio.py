@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import GroupView, LabelSpace, MultiViewDataset, validate_dataset
-from .errors import DataError, MisalignedGroup
+from .errors import DataError, MisalignedGroup, NonFiniteFeature
 from .pipeline import Prediction
 
 
@@ -95,10 +95,17 @@ def load_groups(group_paths: Sequence[tuple[str, str]]) -> tuple[list[GroupView]
         raise DataError("no feature groups configured")
     tables = [(name, path, read_feature_file(path)) for name, path in group_paths]
     ids = sorted(tables[0][2].keys())
-    groups = [
-        GroupView(name, _aligned_matrix(table, ids, path))
-        for name, path, table in tables
-    ]
+    groups = []
+    for name, path, table in tables:
+        features = _aligned_matrix(table, ids, path)
+        finite = np.isfinite(features)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise NonFiniteFeature(
+                f"feature file {path!r} (group {name!r}): non-finite value for "
+                f"sample id {ids[row]!r} in feature column {col}"
+            )
+        groups.append(GroupView(name, features))
     return groups, ids
 
 

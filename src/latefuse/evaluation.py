@@ -7,8 +7,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import classifiers, crossval, ensemble, pipeline
-from .core import MultiViewDataset, standardize_apply, standardize_fit, validate_dataset
+from . import classifiers, ensemble, pipeline
+from .core import MultiViewDataset, validate_dataset
+# Not called here; kept as module attributes because the traced benchmark
+# (perfbench/spans.py) wraps them by name.
+from .core import standardize_apply, standardize_fit  # noqa: F401
 from .errors import LengthMismatch, UnknownGroupName
 
 
@@ -88,50 +91,6 @@ def five_strategies(meta_spec: classifiers.ClassifierSpec) -> list[ensemble.Ense
     ]
 
 
-def _with_strategy(
-    base: pipeline.TrainedEnsemble,
-    strategy: ensemble.EnsembleStrategy,
-    train: MultiViewDataset,
-    spec: classifiers.ClassifierSpec,
-    k: int,
-    seed: int,
-) -> pipeline.TrainedEnsemble:
-    """Reuse the base's fitted groups and priorities under another strategy;
-    only stacking needs extra training (its meta-classifier)."""
-    meta = None
-    if strategy.kind == "stacking":
-        y = train.labels
-        feats = [
-            standardize_apply(gm.standardizer, g.features)
-            for gm, g in zip(base.per_group, train.groups)
-        ]
-        if strategy.stacking_mode == "naive":
-            probs = [
-                gm.classifier.predict_proba(X)
-                for gm, X in zip(base.per_group, feats)
-            ]
-        else:
-            probs = pipeline._out_of_fold_probs(
-                spec, feats, y, train.label_space, seed + 1
-            )
-        meta = ensemble.train_stacking(probs, y, strategy, train.label_space)
-    fingerprint = pipeline.config_fingerprint(
-        spec,
-        strategy,
-        k,
-        seed,
-        [(gm.name, gm.classifier.input_dim) for gm in base.per_group],
-    )
-    return pipeline.TrainedEnsemble(
-        per_group=base.per_group,
-        priorities=base.priorities,
-        strategy=strategy,
-        meta=meta,
-        label_space=base.label_space,
-        config_fingerprint=fingerprint,
-    )
-
-
 def compare_strategies(
     train: MultiViewDataset,
     test: MultiViewDataset,
@@ -144,13 +103,10 @@ def compare_strategies(
     classifiers and priorities."""
     validate_dataset(train)
     validate_dataset(test)
-    meta_spec = meta_spec or spec
-    base = pipeline.train_ensemble(
-        train, spec, ensemble.EnsembleStrategy("confidence_sum", weighted=True), k, seed
-    )
+    fits = pipeline.fit_groups(train, spec, k, seed)
     rows = []
-    for strategy in five_strategies(meta_spec):
-        e = _with_strategy(base, strategy, train, spec, k, seed)
+    for strategy in five_strategies(meta_spec or spec):
+        e = pipeline.assemble(fits, strategy, spec, train, k, seed)
         rows.append((strategy.label, evaluate_ensemble(e, test).accuracy))
     return rows
 
@@ -210,42 +166,24 @@ def ablate(
     first), and the full set is always evaluated.
 
     Training is deterministic and groups train independently, so a group's
-    fitted classifier and priority are identical in every subset containing
-    it; they are computed once and reused.
+    fitted classifier, priority and out-of-fold rows are identical in every
+    subset containing it; they are computed once and reused.
     """
     validate_dataset(train)
     validate_dataset(test)
     names = train.group_names
-    y = train.labels
-    labels = train.label_space
-    fold_plan = crossval.make_folds(y, k, seed)
-
-    cache: dict[str, tuple] = {}
-
-    def fitted(name: str):
-        if name not in cache:
-            g = train.group(name)
-            s = standardize_fit(g.features)
-            X = standardize_apply(s, g.features)
-            model = classifiers.train(spec, X, y, labels)
-            pr = crossval.group_priority(spec, X, y, labels, fold_plan, group_name=name)
-            cache[name] = (pipeline.GroupModel(name, s, model), pr, X)
-        return cache[name]
-
-    if subset_plan is None:
-        order = sorted(
-            range(len(names)), key=lambda i: (-fitted(names[i])[1].value, names[i])
-        )
-        subset_plan = nested_subsets([names[i] for i in order])
-    plan: list[tuple[str, ...]] = []
-    for subset in subset_plan:
-        subset = tuple(subset)
+    for subset in subset_plan or []:
         if len(subset) == 0:
             raise UnknownGroupName("empty group subset")
         for g in subset:
             if g not in names:
                 raise UnknownGroupName(f"unknown group {g!r} in subset plan")
-        plan.append(subset)
+    fits = dict(zip(names, pipeline.fit_groups(train, spec, k, seed)))
+    if subset_plan is None:
+        subset_plan = nested_subsets(
+            sorted(names, key=lambda n: (-fits[n].priority.value, n))
+        )
+    plan = [tuple(subset) for subset in subset_plan]
     full = tuple(sorted(names))
     if not any(tuple(sorted(s)) == full for s in plan):
         plan.append(names)
@@ -253,29 +191,9 @@ def ablate(
     entries = []
     for subset in plan:
         sub_test = test.subset_groups(subset)
-        group_models = tuple(fitted(n)[0] for n in subset)
-        priorities = tuple(fitted(n)[1] for n in subset)
+        group_fits = [fits[n] for n in subset]
         for strategy in strategies:
-            meta = None
-            if strategy.kind == "stacking":
-                feats = [fitted(n)[2] for n in subset]
-                if strategy.stacking_mode == "naive":
-                    probs = [gm.classifier.predict_proba(X)
-                             for gm, X in zip(group_models, feats)]
-                else:
-                    probs = pipeline._out_of_fold_probs(spec, feats, y, labels, seed + 1)
-                meta = ensemble.train_stacking(probs, y, strategy, labels)
-            e = pipeline.TrainedEnsemble(
-                per_group=group_models,
-                priorities=priorities,
-                strategy=strategy,
-                meta=meta,
-                label_space=labels,
-                config_fingerprint=pipeline.config_fingerprint(
-                    spec, strategy, k, seed,
-                    [(gm.name, gm.classifier.input_dim) for gm in group_models],
-                ),
-            )
+            e = pipeline.assemble(group_fits, strategy, spec, train, k, seed)
             acc = evaluate_ensemble(e, sub_test).accuracy
             entries.append((subset, strategy.label, acc))
     # normalize the recorded full subset to the dataset's group order

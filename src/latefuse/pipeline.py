@@ -2,8 +2,9 @@
 
 Training fits one standardizer and one classifier per feature group, scores
 each group by k-fold CV accuracy (its priority), and optionally trains a
-stacking meta-classifier. Prediction standardizes each group with the
-training statistics, collects per-group probability vectors, and combines
+stacking meta-classifier (out-of-fold stacking learns from the held-out
+probabilities of those same k folds). Prediction standardizes each group with
+the training statistics, collects per-group probability vectors, and combines
 them with the configured strategy. Also provides the single-classifier
 feature-concatenation baseline and versioned, checksummed model persistence.
 """
@@ -32,7 +33,6 @@ from .core import (
 from .errors import CorruptModel, GroupSchemaMismatch, IoFailure, VersionMismatch
 
 MODEL_FORMAT_VERSION = 1
-STACKING_FOLDS = 5
 
 
 @dataclass(frozen=True)
@@ -99,31 +99,63 @@ def config_fingerprint(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _standardized_features(train: MultiViewDataset):
-    fitted = []
+@dataclass(frozen=True)
+class GroupFit:
+    """One group's training-time fit: its deployable model and priority, plus
+    the standardized training features and their out-of-fold probabilities
+    that stacking's meta-classifier may train on."""
+
+    model: GroupModel
+    priority: crossval.GroupPriority
+    X: np.ndarray
+    oof: np.ndarray
+
+
+def fit_groups(
+    train: MultiViewDataset, spec: classifiers.ClassifierSpec, k: int, seed: int
+) -> list[GroupFit]:
+    """Per group: standardize, fit on every row, then cross-fit on the k
+    stratified folds that give both its priority and its out-of-fold rows."""
+    y, labels = train.labels, train.label_space
+    plan = crossval.make_folds(y, k, seed)
+    fits = []
     for g in train.groups:
         s = standardize_fit(g.features)
-        fitted.append((g.name, s, standardize_apply(s, g.features)))
-    return fitted
+        X = standardize_apply(s, g.features)
+        model = classifiers.train(spec, X, y, labels)
+        oof, accuracies = crossval.cross_fit(spec, X, y, labels, plan)
+        priority = crossval.GroupPriority(g.name, float(np.mean(accuracies)))
+        fits.append(GroupFit(GroupModel(g.name, s, model), priority, X, oof))
+    return fits
 
 
-def _out_of_fold_probs(
+def assemble(
+    fits: Sequence[GroupFit],
+    strategy: ensemble.EnsembleStrategy,
     spec: classifiers.ClassifierSpec,
-    group_features: Sequence[np.ndarray],
-    y: np.ndarray,
-    labels: LabelSpace,
+    train: MultiViewDataset,
+    k: int,
     seed: int,
-) -> list[np.ndarray]:
-    """Per group, an (n, m) matrix where row i comes from a model that never
-    saw sample i."""
-    plan = crossval.make_folds(y, STACKING_FOLDS, seed)
-    out = [np.zeros((len(y), labels.m)) for _ in group_features]
-    for f in range(plan.k):
-        tr, te = plan.train_test_indices(f)
-        for gi, X in enumerate(group_features):
-            model = classifiers.train(spec, X[tr], y[tr], labels)
-            out[gi][te] = model.predict_proba(X[te])
-    return out
+) -> TrainedEnsemble:
+    """Combine fitted groups under one strategy. Only stacking trains more:
+    its meta-classifier learns from the full models' training-set
+    probabilities (naive) or from the out-of-fold matrices."""
+    meta = None
+    if strategy.kind == "stacking":
+        if strategy.stacking_mode == "naive":
+            probs = [f.model.classifier.predict_proba(f.X) for f in fits]
+        else:
+            probs = [f.oof for f in fits]
+        meta = ensemble.train_stacking(probs, train.labels, strategy, train.label_space)
+    schema = [(f.model.name, f.model.classifier.input_dim) for f in fits]
+    return TrainedEnsemble(
+        per_group=tuple(f.model for f in fits),
+        priorities=tuple(f.priority for f in fits),
+        strategy=strategy,
+        meta=meta,
+        label_space=train.label_space,
+        config_fingerprint=config_fingerprint(spec, strategy, k, seed, schema),
+    )
 
 
 def train_ensemble(
@@ -135,40 +167,7 @@ def train_ensemble(
 ) -> TrainedEnsemble:
     """Fit the whole ensemble on the training set; test data never enters."""
     validate_dataset(train)
-    labels = train.label_space
-    y = train.labels
-    fitted = _standardized_features(train)
-
-    plan = crossval.make_folds(y, k, seed)
-    per_group, priorities = [], []
-    for name, s, X in fitted:
-        model = classifiers.train(spec, X, y, labels)
-        per_group.append(GroupModel(name=name, standardizer=s, classifier=model))
-        priorities.append(
-            crossval.group_priority(spec, X, y, labels, plan, group_name=name)
-        )
-
-    meta = None
-    if strategy.kind == "stacking":
-        if strategy.stacking_mode == "naive":
-            probs = [gm.classifier.predict_proba(X) for gm, (_, _, X) in zip(per_group, fitted)]
-        else:
-            probs = _out_of_fold_probs(
-                spec, [X for _, _, X in fitted], y, labels, seed + 1
-            )
-        meta = ensemble.train_stacking(probs, y, strategy, labels)
-
-    fingerprint = config_fingerprint(
-        spec, strategy, k, seed, [(g.name, g.dim) for g in train.groups]
-    )
-    return TrainedEnsemble(
-        per_group=tuple(per_group),
-        priorities=tuple(priorities),
-        strategy=strategy,
-        meta=meta,
-        label_space=labels,
-        config_fingerprint=fingerprint,
-    )
+    return assemble(fit_groups(train, spec, k, seed), strategy, spec, train, k, seed)
 
 
 def check_group_schema(e: TrainedEnsemble, groups: Sequence[GroupView]) -> None:
@@ -269,12 +268,14 @@ def train_concat_baseline(
     """The classical alternative to late fusion: concatenate all groups
     horizontally (after per-group standardization) and train one classifier."""
     validate_dataset(train)
-    fitted = _standardized_features(train)
-    X = np.hstack([X for _, _, X in fitted])
+    standardizers = tuple(standardize_fit(g.features) for g in train.groups)
+    X = np.hstack(
+        [standardize_apply(s, g.features) for s, g in zip(standardizers, train.groups)]
+    )
     model = classifiers.train(spec, X, train.labels, train.label_space)
     return ConcatBaseline(
-        group_names=tuple(name for name, _, _ in fitted),
-        standardizers=tuple(s for _, s, _ in fitted),
+        group_names=train.group_names,
+        standardizers=standardizers,
         classifier=model,
     )
 
@@ -358,6 +359,13 @@ def load_ensemble(path: str) -> TrainedEnsemble:
     if payload is None or document.get("checksum") != _checksum(payload):
         raise CorruptModel(f"model file {path!r} fails its checksum")
 
+    try:
+        return _ensemble_from_payload(payload)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise CorruptModel(f"model file {path!r} has a malformed payload: {exc!r}") from exc
+
+
+def _ensemble_from_payload(payload: dict) -> TrainedEnsemble:
     labels = LabelSpace(tuple(payload["label_space"]))
     strategy = ensemble.EnsembleStrategy.from_dict(payload["strategy"])
     per_group, priorities = [], []

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from latefuse import pipeline
 from latefuse.cli import main
 
 SMALL_SPEC = {
@@ -122,6 +123,34 @@ class TestTrainPredictEvaluate:
         rc = main(["predict", "--model", str(model),
                    "--config", str(pcfg), "--out", str(workdir / "p.csv")])
         assert rc == 1
+
+    def test_checksummed_malformed_model_exit_1(self, workdir, capsys):
+        cfg = write_config(workdir)
+        assert main(["train", "--config", str(cfg)]) == 0
+        model = workdir / "model.json"
+        doc = json.loads(model.read_text())
+        del doc["payload"]["groups"][0]["standardizer"]
+        doc["checksum"] = pipeline._checksum(doc["payload"])
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(model),
+                   "--config", str(predict_config(workdir)), "--out", str(workdir / "p.csv")])
+        assert rc == 1
+        assert str(model) in capsys.readouterr().err
+
+    def test_non_finite_predict_feature_names_file_and_id_exit_1(self, workdir, capsys):
+        cfg = write_config(workdir)
+        assert main(["train", "--config", str(cfg)]) == 0
+        sig = workdir / "data/test/sig.csv"
+        header, first, *rest = sig.read_text().strip().splitlines()
+        sid, _, *values = first.split(",")
+        sig.write_text("\n".join([header, ",".join([sid, "nan", *values]), *rest]) + "\n")
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(workdir / "model.json"),
+                   "--config", str(predict_config(workdir)), "--out", str(workdir / "p.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(sig) in err and repr(sid) in err
 
     def test_perfect_predictions_print_1_0000(self, workdir, capsys, tmp_path):
         labels = workdir / "data/test/labels.csv"

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from latefuse import classifiers
 from latefuse.classifiers import ClassifierSpec
 from latefuse.core import LabelSpace
 from latefuse.crossval import (
     GroupPriority,
+    cross_fit,
     cross_val_accuracy,
     group_priority,
     make_folds,
@@ -110,3 +112,29 @@ class TestCrossValAccuracy:
     def test_priority_range_validated(self):
         with pytest.raises(ValueError):
             GroupPriority("g", 1.5)
+
+
+class TestCrossFit:
+    def test_each_row_comes_from_the_fold_model_that_excluded_it(self, rng):
+        X, y = gaussian_blobs(rng, 12, [[0, 0], [1, 1], [2, 0]])
+        labels = LabelSpace(("a", "b", "c"))
+        spec = ClassifierSpec("logreg")
+        plan = make_folds(y, 4, seed=3)
+        oof, accuracies = cross_fit(spec, X, y, labels, plan)
+        assert oof.shape == (36, 3) and len(accuracies) == 4
+        for f in range(plan.k):
+            held = plan.assignments == f
+            model = classifiers.train(spec, X[~held], y[~held], labels)
+            np.testing.assert_array_equal(oof[held], model.predict_proba(X[held]))
+            assert accuracies[f] == float((model.predict(X[held]) == y[held]).mean())
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ClassifierSpec("logreg"), ClassifierSpec("adaboost_stumps", rounds=10)],
+    )
+    def test_priority_is_the_mean_fold_accuracy(self, rng, spec):
+        X, y = gaussian_blobs(rng, 15, [[0, 0], [1, 1], [2, 0]])
+        labels = LabelSpace(("a", "b", "c"))
+        plan = make_folds(y, 5, seed=7)
+        _, accuracies = cross_fit(spec, X, y, labels, plan)
+        assert float(np.mean(accuracies)) == group_priority(spec, X, y, labels, plan).value

@@ -264,9 +264,13 @@ class TestStacking:
     def test_out_of_fold_meta_matrix_row_count(self, rng):
         y = np.tile(np.arange(3), 20)
         feats = [rng.standard_normal((60, 4)) for _ in range(2)]
-        probs = pipeline._out_of_fold_probs(
-            ClassifierSpec("logreg"), feats, y, LabelSpace(("a", "b", "c")), seed=0
-        )
+        plan = crossval.make_folds(y, 5, 0)
+        probs = [
+            crossval.cross_fit(
+                ClassifierSpec("logreg"), X, y, LabelSpace(("a", "b", "c")), plan
+            )[0]
+            for X in feats
+        ]
         meta_X = stack_meta_features(probs)
         assert meta_X.shape == (60, 6)
         # every row was filled by some fold model
@@ -290,9 +294,11 @@ class TestStacking:
                 model = classifiers.train(spec, X, y, labels)
                 fitted.append((g.name, s, model, X))
             naive_probs = [model.predict_proba(X) for _, _, model, X in fitted]
-            oof_probs = pipeline._out_of_fold_probs(
-                spec, [X for _, _, _, X in fitted], y, labels, seed + 1
-            )
+            plan = crossval.make_folds(y, 5, seed)
+            oof_probs = [
+                crossval.cross_fit(spec, X, y, labels, plan)[0]
+                for _, _, _, X in fitted
+            ]
             accs = {}
             for mode, probs in (("naive", naive_probs), ("out_of_fold", oof_probs)):
                 strategy = EnsembleStrategy(

@@ -3,6 +3,7 @@ import pytest
 
 from latefuse.classifiers import ClassifierSpec
 from latefuse.ensemble import EnsembleStrategy
+from latefuse.pipeline import train_ensemble
 from latefuse.errors import LengthMismatch, UnknownGroupName
 from latefuse.evaluation import (
     AblationReport,
@@ -10,6 +11,8 @@ from latefuse.evaluation import (
     compare_classifiers,
     compare_strategies,
     evaluate,
+    evaluate_ensemble,
+    five_strategies,
     format_rows,
     nested_subsets,
 )
@@ -22,6 +25,20 @@ def two_view_data(rng, n_per_class=12, m=3):
     Xa, y = gaussian_blobs(rng, n_per_class, centers)
     Xb, _ = gaussian_blobs(rng, n_per_class, rng.standard_normal((m, 3)) * 5)
     return make_dataset([("a", Xa), ("b", Xb)], y)
+
+
+def hard_three_view_data(seed, n_per_class=12, m=3):
+    """Overlapping classes, so accuracies differ between strategies."""
+    rng = np.random.default_rng(seed)
+    Xa, y = gaussian_blobs(rng, n_per_class, rng.standard_normal((m, 4)))
+    Xb, _ = gaussian_blobs(rng, n_per_class, rng.standard_normal((m, 3)) * 1.5)
+    Xc = rng.standard_normal((m * n_per_class, 2))
+    return make_dataset([("a", Xa), ("b", Xb), ("noise", Xc)], y)
+
+
+OUT_OF_FOLD = EnsembleStrategy(
+    "stacking", stacking_mode="out_of_fold", stacking_meta_spec=ClassifierSpec("logreg")
+)
 
 
 class TestEvaluate:
@@ -112,7 +129,31 @@ class TestCompare:
         assert r1 == r2
 
 
+    def test_rows_equal_train_ensemble(self):
+        train, test = hard_three_view_data(1), hard_three_view_data(2)
+        spec = ClassifierSpec("logreg")
+        rows = compare_strategies(train, test, spec, 3, 4)
+        want = [
+            (st.label, evaluate_ensemble(train_ensemble(train, spec, st, 3, 4), test).accuracy)
+            for st in five_strategies(spec)
+        ]
+        assert rows == want
+
+
 class TestAblate:
+    def test_full_subset_rows_equal_train_ensemble(self):
+        train, test = hard_three_view_data(3), hard_three_view_data(4)
+        spec = ClassifierSpec("logreg")
+        strategies = five_strategies(spec) + [OUT_OF_FOLD]
+        rep = ablate(train, test, spec, strategies, None, 3, 4)
+        e = train_ensemble(train, spec, strategies[0], 3, 4)
+        priority = dict(zip(e.group_names, e.priority_values))
+        order = sorted(e.group_names, key=lambda n: (-priority[n], n))
+        full = {label: acc for s, label, acc in rep.entries if s == train.group_names}
+        for st in strategies:
+            sub = train_ensemble(train.subset_groups(order), spec, st, 3, 4)
+            assert full[st.label] == evaluate_ensemble(sub, test.subset_groups(order)).accuracy
+
     def test_structural(self, rng):
         train = two_view_data(rng)
         test = two_view_data(np.random.default_rng(12))

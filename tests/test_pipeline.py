@@ -272,3 +272,15 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(VersionMismatch):
             load_ensemble(str(path))
+
+    def test_checksummed_malformed_payload_is_corrupt(self, tmp_path, rng):
+        d = small_dataset(rng)
+        e = train_ensemble(d, ClassifierSpec("logreg"), EnsembleStrategy("confidence_sum"), 3, 0)
+        path = tmp_path / "model.json"
+        save_ensemble(e, str(path))
+        doc = json.loads(path.read_text())
+        del doc["payload"]["groups"][0]["standardizer"]
+        doc["checksum"] = pipeline._checksum(doc["payload"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptModel, match="model.json"):
+            load_ensemble(str(path))
