@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import LabelSpace
-from .base import ClassifierSpec, FittedClassifier, check_training_data
+from .base import ClassifierSpec, FittedClassifier, check_training_data, state_index
 from .logreg import softmax
 from .stumps import DecisionStump, train_stump
 
@@ -64,10 +64,18 @@ class AdaBoostModel(FittedClassifier):
 
     @classmethod
     def from_state(cls, spec, label_space, input_dim, state: dict):
+        m = label_space.m
         stumps = [
-            DecisionStump(int(f), float(t), int(lc), int(rc))
+            DecisionStump(
+                state_index(f, input_dim, "stump feature"),
+                float(t),
+                state_index(lc, m, "stump class"),
+                state_index(rc, m, "stump class"),
+            )
             for f, t, lc, rc in state["stumps"]
         ]
+        if len(state["alphas"]) != len(stumps):
+            raise ValueError(f"{len(state['alphas'])} alphas for {len(stumps)} stumps")
         return cls(spec, label_space, input_dim, stumps, state["alphas"])
 
 

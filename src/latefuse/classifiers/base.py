@@ -8,6 +8,7 @@ and safe to use concurrently.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,25 +113,36 @@ class FittedClassifier:
         return X, one_row
 
     def predict_proba(self, x) -> np.ndarray:
-        """Per-class probabilities; 1-D input gives a vector, 2-D a matrix."""
+        """Validated, read-only per-class probabilities; 1-D input gives a
+        vector, 2-D a matrix."""
         X, one_row = self._check_input(x)
-        P = self._proba_matrix(X)
-        if one_row:
-            return probability_vector(P[0])
-        for row in P:
-            probability_vector(row)
-        P = np.ascontiguousarray(P)
-        P.setflags(write=False)
-        return P
+        P = probability_vector(self._proba_matrix(X))
+        return P[0] if one_row else P
 
     def predict(self, x):
-        X, one_row = self._check_input(x)
-        pred = np.argmax(self._proba_matrix(X), axis=1)
-        return int(pred[0]) if one_row else pred
+        P = self.predict_proba(x)
+        pred = np.argmax(P, axis=-1)
+        return int(pred) if P.ndim == 1 else pred
 
     # persistence hooks; subclasses return/accept plain-JSON state
     def state(self) -> dict:
         raise NotImplementedError
+
+
+def state_array(state: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Read a persisted array that must have ``shape``; ValueError otherwise."""
+    a = np.array(state[key], dtype=np.float64)
+    if a.shape != shape:
+        raise ValueError(f"{key} has shape {a.shape}, expected {shape}")
+    return a
+
+
+def state_index(value, bound: int, what: str) -> int:
+    """Read a persisted index that must lie in [0, bound); ValueError otherwise."""
+    i = operator.index(value)
+    if not 0 <= i < bound:
+        raise ValueError(f"{what} {i} outside [0, {bound})")
+    return i
 
 
 def check_training_data(X, y, labels: LabelSpace) -> tuple[np.ndarray, np.ndarray]:

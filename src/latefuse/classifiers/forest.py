@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import LabelSpace
-from .base import ClassifierSpec, FittedClassifier, check_training_data
+from .base import ClassifierSpec, FittedClassifier, check_training_data, state_index
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -115,6 +115,15 @@ class RandomForestModel(FittedClassifier):
 
     @classmethod
     def from_state(cls, spec, label_space, input_dim, state: dict):
+        nodes = list(state["trees"])
+        while nodes:
+            node = nodes.pop()
+            if "leaf" in node:
+                state_index(node["leaf"], label_space.m, "leaf class")
+            else:
+                state_index(node["f"], input_dim, "split feature")
+                float(node["t"])  # the threshold must be a number
+                nodes += [node["l"], node["r"]]
         return cls(spec, label_space, input_dim, state["trees"])
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..core import LabelSpace
 from ..errors import DimensionMismatch
-from .base import ClassifierSpec, FittedClassifier, check_training_data
+from .base import ClassifierSpec, FittedClassifier, check_training_data, state_array
 
 MAX_ITERS = 500
 REL_TOL = 1e-8
@@ -106,7 +106,8 @@ class LogisticModel(FittedClassifier):
 
     @classmethod
     def from_state(cls, spec, label_space, input_dim, state: dict):
-        return cls(spec, label_space, input_dim, np.array(state["weights"]))
+        weights = state_array(state, "weights", (input_dim + 1, label_space.m))
+        return cls(spec, label_space, input_dim, weights)
 
 
 def train_logreg(

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from ..core import LabelSpace
-from .base import ClassifierSpec, FittedClassifier, check_training_data
+from .base import ClassifierSpec, FittedClassifier, check_training_data, state_array
 from .logreg import softmax
 
 MAX_EPOCHS = 500
@@ -169,7 +169,7 @@ class LinearSvmOvrModel(FittedClassifier):
             spec,
             label_space,
             input_dim,
-            np.array(state["hyperplanes"]),
+            state_array(state, "hyperplanes", (label_space.m, input_dim + 1)),
             state["temperature"],
             state["chosen_c"],
         )

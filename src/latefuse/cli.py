@@ -33,7 +33,6 @@ class RunConfig:
     model_path: Optional[str] = None
     out_path: Optional[str] = None
     subsets: Optional[list[list[str]]] = None
-    threads: int = 1
 
 
 def _data_block(block: dict, where: str) -> tuple[Optional[str], list[tuple[str, str]]]:
@@ -52,16 +51,21 @@ def _data_block(block: dict, where: str) -> tuple[Optional[str], list[tuple[str,
     return block.get("labels"), group_paths
 
 
-def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
+def _read_json_object(path: str, what: str) -> dict:
     try:
         with open(path, "r") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # covers JSON and UTF-8 decode errors
+        raise ConfigError(f"{what} {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"config {path!r} must be a JSON object")
+        raise ConfigError(f"{what} {path!r} must be a JSON object")
+    return raw
+
+
+def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
+    raw = _read_json_object(path, "config")
     try:
         spec = classifiers.ClassifierSpec.from_dict(raw.get("classifier", {"kind": "logreg"}))
         strategy = ensemble.EnsembleStrategy.from_dict(
@@ -235,15 +239,7 @@ def _synth_spec_from_json(raw: dict) -> tuple[synthdata.SynthSpec, SplitSpec]:
 
 
 def cmd_gendata(args) -> int:
-    try:
-        with open(args.spec, "r") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read spec {args.spec!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"spec {args.spec!r} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"spec {args.spec!r} must be a JSON object")
+    raw = _read_json_object(args.spec, "spec")
     seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
     if raw.get("benchmark") == "default":
         train, test = synthdata.default_benchmark(seed)

@@ -249,16 +249,22 @@ def standardize_apply(s: Standardizer, features: np.ndarray) -> np.ndarray:
 
 
 def probability_vector(p) -> np.ndarray:
-    """Validate a per-class confidence vector: nonnegative entries summing to
-    1 within PROB_SUM_TOL. Returns a read-only float64 array."""
+    """Validate a per-class confidence vector, or each row of an (n, m)
+    matrix: nonnegative entries summing to 1 within PROB_SUM_TOL. A failure
+    names the first bad row of a matrix. Returns a read-only float64 array."""
     v = np.asarray(p, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("probability vector must be 1-D")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("probability vector has non-finite entries")
-    if np.any(v < 0):
-        raise ValueError(f"negative probability {v.min()}")
-    total = float(v.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"probabilities sum to {total}, expected 1")
+    if v.ndim not in (1, 2):
+        raise ValueError("probabilities must be a vector or an (n, m) matrix")
+    rows = np.atleast_2d(v)
+    finite = np.isfinite(rows).all(axis=1)
+    totals = rows.sum(axis=1)
+    bad = ~finite | (rows < 0).any(axis=1) | (np.abs(totals - 1.0) > PROB_SUM_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = f"row {i}: " if v.ndim == 2 else ""
+        if not finite[i]:
+            raise ValueError(f"{where}probability vector has non-finite entries")
+        if np.any(rows[i] < 0):
+            raise ValueError(f"{where}negative probability {rows[i].min()}")
+        raise ValueError(f"{where}probabilities sum to {totals[i]}, expected 1")
     return _frozen_array(v)

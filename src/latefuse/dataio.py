@@ -26,6 +26,8 @@ def _read_rows(path: str) -> list[list[str]]:
             return [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise DataError(f"cannot read {path!r}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path!r} is not a readable CSV text file: {exc}") from exc
 
 
 def read_labels(path: str) -> dict[str, str]:

@@ -5,7 +5,8 @@ priority weighting, plus a two-layer (stacking) meta-classifier trained on
 the concatenated first-layer probability outputs. The final decision is the
 argmax of the combined score vector with ties broken to the lowest class
 index, which makes every strategy invariant to positive rescaling of the
-priorities.
+priorities. The sums and the decision take one (m,) vector per group, or an
+(n, m) matrix per group that holds a whole batch, one row per sample.
 """
 
 from __future__ import annotations
@@ -78,12 +79,13 @@ class EnsembleStrategy:
 
 
 def assign_ranks(p) -> np.ndarray:
-    """Fractional ranks of a confidence vector: the highest probability gets
-    rank m, the lowest gets 1, and ties share the mean of the ranks they
-    jointly occupy, so the rank sum is always m(m+1)/2."""
+    """Fractional ranks of a confidence vector, or of each row of an (n, m)
+    matrix: the highest probability gets rank m, the lowest gets 1, and ties
+    share the mean of the ranks they jointly occupy, so the rank sum is
+    always m(m+1)/2."""
     p = np.asarray(p, dtype=np.float64)
-    below = (p[:, None] > p[None, :]).sum(axis=1)  # entries strictly below p[i]
-    equal = (p[:, None] == p[None, :]).sum(axis=1) - 1  # ties excluding self
+    below = (p[..., :, None] > p[..., None, :]).sum(axis=-1)  # entries strictly below p[i]
+    equal = (p[..., :, None] == p[..., None, :]).sum(axis=-1) - 1  # ties excluding self
     return 1.0 + below + 0.5 * equal
 
 
@@ -120,12 +122,14 @@ def rank_sum(probs, priorities, weighted: bool) -> np.ndarray:
     return _combine(assign_ranks, probs, priorities, weighted)
 
 
-def decide(scores) -> int:
-    """Highest combined score wins; ties go to the lowest class index."""
+def decide(scores):
+    """Highest combined score wins; ties go to the lowest class index. A
+    score vector gives an int, an (n, m) matrix an array of n decisions."""
     s = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(s)):
         raise ValueError("scores must be finite")
-    return int(np.argmax(s))
+    best = np.argmax(s, axis=-1)
+    return int(best) if s.ndim == 1 else best
 
 
 def stack_meta_features(groups_probs: Sequence[np.ndarray]) -> np.ndarray:

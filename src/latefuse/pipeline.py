@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import classifiers, crossval, ensemble
+from .classifiers.base import state_array
 from .core import (
     GroupView,
     LabelSpace,
@@ -196,37 +197,31 @@ def predict_groups(
 ) -> list[Prediction]:
     """Predict from raw feature groups (labels not required)."""
     check_group_schema(e, groups)
-    n = len(sample_ids)
     group_probs = []
     for gm, g in zip(e.per_group, groups):
         X = standardize_apply(gm.standardizer, g.features)
-        group_probs.append(np.atleast_2d(gm.classifier.predict_proba(X)))
+        group_probs.append(gm.classifier.predict_proba(X))
 
     if e.strategy.kind == "stacking":
         meta_X = ensemble.stack_meta_features(group_probs)
-        scores = np.atleast_2d(e.meta.predict_proba(meta_X))
+        scores = e.meta.predict_proba(meta_X)
     else:
         combine = (
             ensemble.confidence_sum
             if e.strategy.kind == "confidence_sum"
             else ensemble.rank_sum
         )
-        w = e.priority_values
-        scores = np.stack(
-            [
-                combine([P[i] for P in group_probs], w, e.strategy.weighted)
-                for i in range(n)
-            ]
-        )
+        scores = combine(group_probs, e.priority_values, e.strategy.weighted)
+    decided = ensemble.decide(scores).tolist()
 
     return [
         Prediction(
             sample_id=str(sample_ids[i]),
             scores=scores[i],
-            decided=ensemble.decide(scores[i]),
+            decided=decided[i],
             per_group_probs=tuple(P[i] for P in group_probs),
         )
-        for i in range(n)
+        for i in range(len(sample_ids))
     ]
 
 
@@ -344,9 +339,11 @@ def load_ensemble(path: str) -> TrainedEnsemble:
             raw = fh.read()
     except OSError as exc:
         raise IoFailure(f"cannot read model file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorruptModel(f"model file {path!r} is not UTF-8 text: {exc}") from exc
     try:
         document = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CorruptModel(f"model file {path!r} is not parseable: {exc}") from exc
     if not isinstance(document, dict) or "format_version" not in document:
         raise CorruptModel(f"model file {path!r} has no format_version")
@@ -371,11 +368,12 @@ def _ensemble_from_payload(payload: dict) -> TrainedEnsemble:
     per_group, priorities = [], []
     for g in payload["groups"]:
         spec = classifiers.ClassifierSpec.from_dict(g["spec"])
+        dim = g["input_dim"]
         s = Standardizer(
-            mean=np.array(g["standardizer"]["mean"]),
-            scale=np.array(g["standardizer"]["scale"]),
+            mean=state_array(g["standardizer"], "mean", (dim,)),
+            scale=state_array(g["standardizer"], "scale", (dim,)),
         )
-        model = classifiers.model_from_state(spec, labels, g["input_dim"], g["state"])
+        model = classifiers.model_from_state(spec, labels, dim, g["state"])
         per_group.append(GroupModel(name=g["name"], standardizer=s, classifier=model))
         priorities.append(
             crossval.GroupPriority(group_name=g["name"], value=g["priority"])
@@ -383,9 +381,12 @@ def _ensemble_from_payload(payload: dict) -> TrainedEnsemble:
     meta = None
     if payload["meta"] is not None:
         mspec = classifiers.ClassifierSpec.from_dict(payload["meta"]["spec"])
-        meta = classifiers.model_from_state(
-            mspec, labels, payload["meta"]["input_dim"], payload["meta"]["state"]
-        )
+        mdim = payload["meta"]["input_dim"]
+        if mdim != len(per_group) * labels.m:
+            raise ValueError(
+                f"meta input_dim {mdim}, expected {len(per_group)} groups x {labels.m} classes"
+            )
+        meta = classifiers.model_from_state(mspec, labels, mdim, payload["meta"]["state"])
     return TrainedEnsemble(
         per_group=tuple(per_group),
         priorities=tuple(priorities),

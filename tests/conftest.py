@@ -26,6 +26,18 @@ def make_dataset(groups, labels, class_names=None):
     )
 
 
+def drop_last_weight_column(group):
+    """Model-file edit: one column fewer in a logreg group's weights."""
+    for row in group["state"]["weights"]:
+        row.pop()
+
+
+def shorten_standardizer(group):
+    """Model-file edit: a group standardizer one entry short."""
+    group["standardizer"]["mean"].pop()
+    group["standardizer"]["scale"].pop()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)

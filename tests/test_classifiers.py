@@ -216,3 +216,7 @@ class TestProbabilityContract:
             np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-9)
             single = model.predict_proba(probe[0])
             assert single.shape == (m,) and abs(single.sum() - 1) <= 1e-9
+            assert not P.flags.writeable and not single.flags.writeable
+            np.testing.assert_array_equal(single, model.predict_proba(probe[:1])[0])
+            assert model.predict(probe[0]) == int(np.argmax(single))
+            np.testing.assert_array_equal(model.predict(probe), np.argmax(P, axis=1))

@@ -6,6 +6,8 @@ import pytest
 from latefuse import pipeline
 from latefuse.cli import main
 
+from conftest import drop_last_weight_column, shorten_standardizer
+
 SMALL_SPEC = {
     "m": 3,
     "n_per_class": 30,
@@ -138,6 +140,42 @@ class TestTrainPredictEvaluate:
         assert rc == 1
         assert str(model) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [drop_last_weight_column, shorten_standardizer])
+    def test_checksummed_misshaped_model_exit_1(self, workdir, capsys, edit):
+        cfg = write_config(workdir)
+        assert main(["train", "--config", str(cfg)]) == 0
+        model = workdir / "model.json"
+        doc = json.loads(model.read_text())
+        edit(doc["payload"]["groups"][0])
+        doc["checksum"] = pipeline._checksum(doc["payload"])
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(model),
+                   "--config", str(predict_config(workdir)), "--out", str(workdir / "p.csv")])
+        assert rc == 1
+        assert str(model) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["features", "labels", "model"])
+    def test_undecodable_input_file_exit_1(self, workdir, capsys, target):
+        cfg = write_config(workdir)
+        assert main(["train", "--config", str(cfg)]) == 0
+        preds = workdir / "preds.csv"
+        pcfg = predict_config(workdir)
+        predict_args = ["predict", "--model", str(workdir / "model.json"),
+                        "--config", str(pcfg), "--out", str(preds)]
+        assert main(predict_args) == 0
+        labels = workdir / "data/test/labels.csv"
+        bad, argv = {
+            "features": (workdir / "data/test/sig.csv", predict_args),
+            "labels": (labels, ["evaluate", "--predictions", str(preds), "--labels", str(labels)]),
+            "model": (workdir / "model.json", predict_args),
+        }[target]
+        data = bad.read_bytes()
+        bad.write_bytes(data[:40] + b"\xff\xfe\x80" + data[40:])
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert str(bad) in capsys.readouterr().err
+
     def test_non_finite_predict_feature_names_file_and_id_exit_1(self, workdir, capsys):
         cfg = write_config(workdir)
         assert main(["train", "--config", str(cfg)]) == 0
@@ -237,6 +275,19 @@ class TestGenData:
         assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "bench")]) == 0
         train_labels = (tmp_path / "bench/train/labels.csv").read_text().strip().splitlines()
         assert len(train_labels) == 1 + 360
+
+    @pytest.mark.parametrize("verb", ["train", "gen-data"])
+    def test_undecodable_config_exit_2(self, workdir, capsys, verb):
+        if verb == "train":
+            bad = write_config(workdir)
+            argv = ["train", "--config", str(bad)]
+        else:
+            bad = workdir / "synth.json"
+            argv = ["gen-data", "--spec", str(bad), "--out", str(workdir / "again")]
+        bad.write_bytes(b'{"seed": "\xff\xfe"}')
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert str(bad) in capsys.readouterr().err
 
     def test_bad_spec_exit_2(self, tmp_path, capsys):
         spec = tmp_path / "s.json"

@@ -186,12 +186,25 @@ class TestProbabilityVector:
     def test_valid(self):
         v = probability_vector([0.25, 0.25, 0.5])
         assert not v.flags.writeable
+        P = probability_vector([[0.25, 0.25, 0.5], [1.0, 0.0, 0.0]])
+        assert P.shape == (2, 3) and not P.flags.writeable
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             probability_vector([1.1, -0.1])
+        with pytest.raises(ValueError, match="row 1"):
+            probability_vector([[0.5, 0.5], [1.1, -0.1], [1.2, -0.2]])
 
     def test_sum_tolerance(self):
         probability_vector([0.5, 0.5 + 5e-10])
+        probability_vector([[0.5, 0.5], [0.5, 0.5 + 5e-10]])
         with pytest.raises(ValueError):
             probability_vector([0.5, 0.6])
+        with pytest.raises(ValueError, match="row 2"):
+            probability_vector([[0.5, 0.5], [0.5, 0.5], [0.5, 0.6]])
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            probability_vector([np.nan, 1.0])
+        with pytest.raises(ValueError, match="row 1.*non-finite"):
+            probability_vector([[0.5, 0.5], [np.inf, 0.0]])

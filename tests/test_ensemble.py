@@ -93,8 +93,11 @@ class TestAssignRanks:
     def test_matches_oracle(self, rng):
         for _ in range(200):
             m = int(rng.integers(2, 7))
-            p = np.round(rng.dirichlet(np.ones(m)), 1)
-            np.testing.assert_array_equal(assign_ranks(p), oracle_ranks(p.tolist()))
+            P = np.round(rng.dirichlet(np.ones(m), size=5), 1)  # rounding makes ties
+            np.testing.assert_array_equal(assign_ranks(P[0]), oracle_ranks(P[0].tolist()))
+            np.testing.assert_array_equal(
+                assign_ranks(P), [oracle_ranks(p) for p in P.tolist()]
+            )
 
 
 class TestConfidenceSum:
@@ -145,6 +148,9 @@ class TestDecide:
     def test_tie_to_lowest_index(self):
         assert decide([0.2, 0.9, 0.9]) == 1
         assert decide([3.0, -1.0]) == 0
+        S = [[0.2, 0.9, 0.9], [3.0, -1.0, 3.0], [0.5, 0.5, 0.5]]
+        np.testing.assert_array_equal(decide(S), [1, 0, 0])
+        assert decide(S).tolist() == [decide(s) for s in S]
 
     def test_positive_scaling_invariance(self, rng):
         for _ in range(100):
@@ -155,6 +161,8 @@ class TestDecide:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             decide([np.nan, 1.0])
+        with pytest.raises(ValueError):
+            decide([[0.0, 1.0], [np.inf, 1.0]])
 
 
 class TestOracleEquivalence:
@@ -162,17 +170,26 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(1234)
         for _ in range(500):
             probs, priorities = random_instance(rng)
+            # the same groups as a 2-sample batch; row 1 rolls each vector
+            rolled = [np.roll(p, 1) for p in probs]
+            batch = [np.stack(rows) for rows in zip(probs, rolled)]
             for weighted in (False, True):
                 w = priorities if weighted else [1.0] * len(probs)
-                got = confidence_sum(probs, priorities, weighted)
-                want = oracle_combine([p.tolist() for p in probs], w)
-                np.testing.assert_array_equal(got, want)
-                assert decide(got) == oracle_decide(want)
+                for fn, oracle_scores in ((confidence_sum, list), (rank_sum, oracle_ranks)):
+                    got = fn(probs, priorities, weighted)
+                    want = oracle_combine([oracle_scores(p.tolist()) for p in probs], w)
+                    np.testing.assert_array_equal(got, want)
+                    assert decide(got) == oracle_decide(want)
 
-                got_r = rank_sum(probs, priorities, weighted)
-                want_r = oracle_combine([oracle_ranks(p.tolist()) for p in probs], w)
-                np.testing.assert_array_equal(got_r, want_r)
-                assert decide(got_r) == oracle_decide(want_r)
+                    want_rolled = oracle_combine(
+                        [oracle_scores(p.tolist()) for p in rolled], w
+                    )
+                    got_batch = fn(batch, priorities, weighted)
+                    np.testing.assert_array_equal(got_batch, [want, want_rolled])
+                    assert decide(got_batch).tolist() == [
+                        oracle_decide(want),
+                        oracle_decide(want_rolled),
+                    ]
 
 
 class TestWeightingInvariances:

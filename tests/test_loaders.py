@@ -1,0 +1,38 @@
+"""Any bytes given to a file loader either load or raise a LateFuseError."""
+
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latefuse.dataio import read_feature_file, read_labels, read_predictions
+from latefuse.errors import LateFuseError
+from latefuse.pipeline import load_ensemble
+
+LOADERS = (load_ensemble, read_feature_file, read_labels, read_predictions)
+
+# a header that gets past each loader's first check, then raw bytes or text
+# built from the characters the formats use
+HEADERS = st.sampled_from(
+    [b"", b"sample_id,f0,f1\n", b"sample_id,label\n", b"sample_id,predicted\n",
+     b'{"format_version": 1, "payload": ']
+)
+BODIES = st.one_of(
+    st.binary(max_size=120),
+    st.text(alphabet='sample_id,lbe\n\r" -.0123456789naif{}[]:', max_size=120).map(str.encode),
+)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(header=HEADERS, body=BODIES)
+def test_any_bytes_load_or_raise_latefuse_error(header, body):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as fh:
+            fh.write(header + body)
+        for load in LOADERS:
+            try:
+                load(path)
+            except LateFuseError:
+                pass

@@ -17,7 +17,12 @@ from latefuse.pipeline import (
     train_ensemble,
 )
 
-from conftest import gaussian_blobs, make_dataset
+from conftest import (
+    drop_last_weight_column,
+    gaussian_blobs,
+    make_dataset,
+    shorten_standardizer,
+)
 
 
 def small_dataset(rng, n_per_class=15, m=3, dims=(4, 3)):
@@ -40,6 +45,42 @@ class ConstantClassifier(FittedClassifier):
 
 def identity_standardizer(dim):
     return Standardizer(mean=np.zeros(dim), scale=np.ones(dim))
+
+
+def widen_hyperplanes(group):
+    for row in group["state"]["hyperplanes"]:
+        row.append(0.0)
+
+
+def stump_feature_out_of_range(group):
+    group["state"]["stumps"][0][0] = group["input_dim"]
+
+
+def tree_leaf_class_out_of_range(group):
+    node = group["state"]["trees"][0]
+    while "leaf" not in node:
+        node = node["l"]
+    node["leaf"] = 99
+
+
+# (kind, spec settings, edit to the first group of a saved model): each edit
+# keeps the file well-formed JSON but breaks its shapes or indices
+MISSHAPED_STATES = [
+    ("logreg", {}, drop_last_weight_column),
+    ("logreg", {}, shorten_standardizer),
+    ("linear_svm_ovr", {"c_grid": (1.0,)}, widen_hyperplanes),
+    ("adaboost_stumps", {"rounds": 5}, stump_feature_out_of_range),
+    ("random_forest", {"trees": 3}, tree_leaf_class_out_of_range),
+]
+
+
+def save_misshaped_model(path, d, kind, kw, edit):
+    e = train_ensemble(d, ClassifierSpec(kind, seed=1, **kw), EnsembleStrategy("confidence_sum"), 3, 0)
+    save_ensemble(e, str(path))
+    doc = json.loads(path.read_text())
+    edit(doc["payload"]["groups"][0])
+    doc["checksum"] = pipeline._checksum(doc["payload"])
+    path.write_text(json.dumps(doc))
 
 
 class TestTrainEnsemble:
@@ -280,6 +321,28 @@ class TestPersistence:
         save_ensemble(e, str(path))
         doc = json.loads(path.read_text())
         del doc["payload"]["groups"][0]["standardizer"]
+        doc["checksum"] = pipeline._checksum(doc["payload"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptModel, match="model.json"):
+            load_ensemble(str(path))
+
+    @pytest.mark.parametrize(
+        "kind,kw,edit", MISSHAPED_STATES, ids=[e.__name__ for _, _, e in MISSHAPED_STATES]
+    )
+    def test_checksummed_misshaped_state_is_corrupt(self, tmp_path, rng, kind, kw, edit):
+        path = tmp_path / "model.json"
+        save_misshaped_model(path, small_dataset(rng), kind, kw, edit)
+        with pytest.raises(CorruptModel, match="model.json"):
+            load_ensemble(str(path))
+
+    def test_checksummed_meta_width_mismatch_is_corrupt(self, tmp_path, rng):
+        d = small_dataset(rng)
+        meta = ClassifierSpec("logreg")
+        strategy = EnsembleStrategy("stacking", stacking_mode="naive", stacking_meta_spec=meta)
+        path = tmp_path / "model.json"
+        save_ensemble(train_ensemble(d, meta, strategy, 3, 0), str(path))
+        doc = json.loads(path.read_text())
+        doc["payload"]["groups"].pop()
         doc["checksum"] = pipeline._checksum(doc["payload"])
         path.write_text(json.dumps(doc))
         with pytest.raises(CorruptModel, match="model.json"):
