@@ -1,6 +1,7 @@
 """Multiclass boosting of decision stumps (SAMME-style round weights).
 
-Per round: fit a stump on the current sample weights, compute its weighted
+The feature columns are sorted once per fit. Per round: fit a stump on the
+current sample weights (one scan over every feature), compute its weighted
 error err_t, and keep the round with weight
 
     alpha_t = ln((1 - err_t) / err_t) + ln(m - 1)
@@ -20,9 +21,16 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import LabelSpace
-from .base import ClassifierSpec, FittedClassifier, check_training_data, state_index
+from .base import (
+    ClassifierSpec,
+    FittedClassifier,
+    check_training_data,
+    state_array,
+    state_float,
+    state_index,
+)
 from .logreg import softmax
-from .stumps import DecisionStump, train_stump
+from .stumps import DecisionStump, sorted_columns, train_stump
 
 ERR_FLOOR = 1e-12
 
@@ -68,15 +76,14 @@ class AdaBoostModel(FittedClassifier):
         stumps = [
             DecisionStump(
                 state_index(f, input_dim, "stump feature"),
-                float(t),
+                state_float(t, "stump threshold"),
                 state_index(lc, m, "stump class"),
                 state_index(rc, m, "stump class"),
             )
             for f, t, lc, rc in state["stumps"]
         ]
-        if len(state["alphas"]) != len(stumps):
-            raise ValueError(f"{len(state['alphas'])} alphas for {len(stumps)} stumps")
-        return cls(spec, label_space, input_dim, stumps, state["alphas"])
+        alphas = state_array(state, "alphas", (len(stumps),))
+        return cls(spec, label_space, input_dim, stumps, alphas)
 
 
 def train_adaboost(
@@ -86,10 +93,11 @@ def train_adaboost(
     n = X.shape[0]
     m = labels.m
     w = np.full(n, 1.0 / n)
+    columns = sorted_columns(X)  # the sort order does not depend on the weights
     stumps, alphas = [], []
     reject_at = (m - 1) / m
     for _ in range(spec.rounds):
-        stump = train_stump(X, y, w)
+        stump = train_stump(X, y, w, columns)
         miss = stump.predict(X) != y
         err = float(w[miss].sum())
         if err >= reject_at:

@@ -8,6 +8,7 @@ and safe to use concurrently.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -130,11 +131,22 @@ class FittedClassifier:
 
 
 def state_array(state: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Read a persisted array that must have ``shape``; ValueError otherwise."""
+    """Read a persisted array that must have ``shape`` and finite entries;
+    ValueError otherwise."""
     a = np.array(state[key], dtype=np.float64)
     if a.shape != shape:
         raise ValueError(f"{key} has shape {a.shape}, expected {shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{key} has non-finite entries")
     return a
+
+
+def state_float(value, what: str) -> float:
+    """Read a persisted number that must be finite; ValueError otherwise."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} {x} is not finite")
+    return x
 
 
 def state_index(value, bound: int, what: str) -> int:

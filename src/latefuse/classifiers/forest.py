@@ -1,11 +1,12 @@
 """Random forest of Gini-split decision trees on bootstrap resamples.
 
-Each node draws ceil(sqrt(d)) candidate features without replacement and
-splits at the midpoint threshold maximizing Gini impurity reduction; growth
-stops when a node is pure, has min_leaf or fewer samples, or no candidate
-split reduces impurity. Every tree votes the majority class of the reached
-leaf and the forest's probabilities are vote fractions, so they are exact
-multiples of 1/trees.
+Each node draws ceil(sqrt(d)) candidate features without replacement, sorts
+their columns and scans a block of them per cumulative class-count pass (the
+stumps' kernel), and splits at the midpoint threshold maximizing Gini
+impurity reduction; growth stops when a node is pure, has min_leaf or fewer
+samples, or no candidate split reduces impurity. Every tree votes the
+majority class of the reached leaf and the forest's probabilities are vote
+fractions, so they are exact multiples of 1/trees.
 
 Each tree's RNG stream is derived from (seed, tree_index), never from
 scheduling order, so a fixed seed reproduces the forest bit for bit.
@@ -16,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import LabelSpace
-from .base import ClassifierSpec, FittedClassifier, check_training_data, state_index
+from .base import ClassifierSpec, FittedClassifier, check_training_data, state_float, state_index
+from .stumps import column_blocks, left_class_weights, sorted_columns
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -28,38 +30,33 @@ def _gini(counts: np.ndarray) -> float:
 
 
 def _best_split(X, y, idx, feature_ids, m, min_leaf):
-    """Best (feature, threshold) by Gini reduction among the sampled features;
-    returns None when nothing improves on the parent node."""
+    """Best (feature, threshold) by Gini reduction among the sampled features,
+    scanned a block of columns at a time; returns None when nothing improves
+    on the parent."""
     n = len(idx)
-    parent_counts = np.bincount(y[idx], minlength=m)
+    parent_counts = np.bincount(y[idx], minlength=m).astype(np.float64)
     parent_gini = _gini(parent_counts)
-    best = None
-    for f in feature_ids:
-        xs_order = idx[np.argsort(X[idx, f], kind="stable")]
-        xs = X[xs_order, f]
-        boundaries = np.flatnonzero(xs[:-1] < xs[1:]) + 1  # left side size
-        boundaries = boundaries[(boundaries >= min_leaf) & (n - boundaries >= min_leaf)]
-        if len(boundaries) == 0:
-            continue
-        onehot = np.zeros((n, m))
-        onehot[np.arange(n), y[xs_order]] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        left = cum[boundaries - 1]
-        right = parent_counts - left
-        n_left = boundaries.astype(np.float64)
-        n_right = n - n_left
-        gini_left = 1.0 - (left * left).sum(axis=1) / (n_left * n_left)
-        gini_right = 1.0 - (right * right).sum(axis=1) / (n_right * n_right)
-        child = (n_left * gini_left + n_right * gini_right) / n
-        reduction = parent_gini - child
-        j = int(np.argmax(reduction))
-        if reduction[j] <= 1e-12:
-            continue
-        if best is None or reduction[j] > best[0]:
-            pos = boundaries[j]
-            thr = 0.5 * (xs[pos - 1] + xs[pos])
-            best = (float(reduction[j]), int(f), float(thr))
-    return best
+    n_left = np.arange(1, n, dtype=np.float64)[:, None]  # left side size per cut
+    n_right = n - n_left
+    too_small = (n_left < min_leaf) | (n_right < min_leaf)
+    best = (-np.inf, 0, 0.0)  # (reduction, feature, threshold)
+    for cols in column_blocks(m, n, len(feature_ids)):
+        order, xs, cuts = sorted_columns(X[np.ix_(idx, feature_ids[cols])])
+        left = left_class_weights(order, y[idx], np.ones(n), m)
+        left_sq = (left * left).sum(axis=0)
+        # sum_k (P_k - L_k)^2 without building the right side; exact for integer counts
+        cross = (parent_counts @ left.reshape(m, -1)).reshape(left_sq.shape)
+        right_sq = parent_counts @ parent_counts - 2.0 * cross + left_sq
+        gini_left = 1.0 - left_sq / (n_left * n_left)
+        gini_right = 1.0 - right_sq / (n_right * n_right)
+        reduction = parent_gini - (n_left * gini_left + n_right * gini_right) / n
+        reduction[~cuts | too_small] = -np.inf
+        # first maximum in feature-major order: lowest feature, then lowest threshold
+        j, i = np.unravel_index(int(np.argmax(reduction.T)), reduction.T.shape)
+        if reduction[i, j] > best[0]:  # strict: a tie keeps the earlier block's feature
+            thr = float(0.5 * (xs[i, j] + xs[i + 1, j]))
+            best = (float(reduction[i, j]), int(feature_ids[cols][j]), thr)
+    return best if best[0] > 1e-12 else None
 
 
 def _grow_tree(X, y, idx, m, min_leaf, rng):
@@ -122,7 +119,7 @@ class RandomForestModel(FittedClassifier):
                 state_index(node["leaf"], label_space.m, "leaf class")
             else:
                 state_index(node["f"], input_dim, "split feature")
-                float(node["t"])  # the threshold must be a number
+                state_float(node["t"], "split threshold")
                 nodes += [node["l"], node["r"]]
         return cls(spec, label_space, input_dim, state["trees"])
 

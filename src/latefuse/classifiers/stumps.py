@@ -1,4 +1,5 @@
-"""Depth-1 decision stumps trained on weighted data.
+"""Depth-1 decision stumps trained on weighted data, and the sorted-column
+scan they share with the forest's splits.
 
 A stump assigns one class to each side of a single-feature threshold.
 Thresholds are midpoints between consecutive distinct sorted values; the best
@@ -6,6 +7,11 @@ class for each side is the weighted majority there, so the search minimizes
 weighted 0/1 error over every (feature, threshold, class-pair) candidate.
 Ties break to the lowest feature index, then the lowest threshold, then the
 lowest class index.
+
+The columns are sorted once per fit (the order does not depend on the
+weights), and one cumulative sum of class weights scans a whole block of
+candidate features at once; blocks are as wide as SCAN_BYTES allows, so
+the scan's memory does not grow with the number of features.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SingleClassData
+
+SCAN_BYTES = 1 << 21  # bytes of float64 class weights one block's scan may hold
 
 
 @dataclass(frozen=True)
@@ -29,8 +37,34 @@ class DecisionStump:
         return np.where(col <= self.threshold, self.left_class, self.right_class)
 
 
-def train_stump(X: np.ndarray, y: np.ndarray, sample_weights: np.ndarray) -> DecisionStump:
-    """Exact weighted-error-minimizing stump via per-feature cumulative scans."""
+def sorted_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort all columns of X at once: the (n, d) stable order, the sorted
+    values, and the (n-1, d) mask of cuts between distinct neighbours."""
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    return order, xs, xs[:-1] < xs[1:]
+
+
+def column_blocks(m: int, n: int, d: int) -> list[slice]:
+    """Consecutive column slices whose (m, n-1, width) scan fits SCAN_BYTES."""
+    width = max(1, SCAN_BYTES // (8 * m * n))
+    return [slice(lo, min(lo + width, d)) for lo in range(0, d, width)]
+
+
+def left_class_weights(order: np.ndarray, y: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
+    """left[k, i, f]: weight of class k among the i+1 smallest values of
+    column f, for every cut position i < n-1 (class axis first)."""
+    n, d = order.shape
+    left = np.zeros((m, n - 1, d))
+    left[y[order[:-1]], np.arange(n - 1)[:, None], np.arange(d)] = w[order[:-1]]
+    return np.cumsum(left, axis=1, out=left)
+
+
+def train_stump(
+    X: np.ndarray, y: np.ndarray, sample_weights: np.ndarray, columns=None
+) -> DecisionStump:
+    """Exact weighted-error-minimizing stump from one scan of every feature;
+    ``columns`` is ``sorted_columns(X)``, computed here when not given."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     w = np.asarray(sample_weights, dtype=np.float64)
@@ -39,47 +73,37 @@ def train_stump(X: np.ndarray, y: np.ndarray, sample_weights: np.ndarray) -> Dec
     if len(np.unique(y)) < 2:
         raise SingleClassData("stump training needs at least two classes")
 
-    n, d = X.shape
+    order, xs, cuts = sorted_columns(X) if columns is None else columns
     m = int(y.max()) + 1
     total_w = w.sum()
     class_totals = np.zeros(m)
     np.add.at(class_totals, y, w)
-
-    best = None  # (error, feature, threshold, left_class, right_class)
-    for f in range(d):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        boundaries = np.flatnonzero(xs[:-1] < xs[1:])
-        if len(boundaries) == 0:
-            continue
-        # cum[i, k] = weight of class k among the first i+1 sorted samples
-        onehot_w = np.zeros((n, m))
-        onehot_w[np.arange(n), y[order]] = w[order]
-        cum = np.cumsum(onehot_w, axis=0)
-        left = cum[boundaries]
-        right = class_totals - left
-        left_best = left.max(axis=1)
-        right_best = right.max(axis=1)
-        errors = total_w - left_best - right_best
-        i = int(np.argmin(errors))  # first minimum: lowest threshold wins ties
-        err = float(errors[i])
-        if best is None or err < best[0]:
-            pos = boundaries[i]
-            thr = 0.5 * (xs[pos] + xs[pos + 1])
-            best = (
-                err,
-                f,
-                float(thr),
-                int(np.argmax(left[i])),
-                int(np.argmax(right[i])),
-            )
-
-    if best is None:
+    if not cuts.any():
         # every feature is constant; fall back to a majority-vote stump
         majority = int(np.argmax(class_totals))
         return DecisionStump(0, float(X[0, 0]), majority, majority)
-    _, f, thr, lc, rc = best
-    return DecisionStump(f, thr, lc, rc)
+
+    best = (np.inf, 0, 0, 0, 0)  # (error, feature, cut, left class, right class)
+    for cols in column_blocks(m, *order.shape):
+        left = left_class_weights(order[:, cols], y, w, m)
+        # best right-side weight one class at a time: no second (m, n-1, width) array
+        right_best = class_totals[0] - left[0]
+        for k in range(1, m):
+            np.maximum(right_best, class_totals[k] - left[k], out=right_best)
+        errors = total_w - left.max(axis=0) - right_best
+        errors[~cuts[:, cols]] = np.inf
+        # first minimum in feature-major order: lowest feature, then lowest threshold
+        f, i = np.unravel_index(int(np.argmin(errors.T)), errors.T.shape)
+        if errors[i, f] < best[0]:  # strict: a tie keeps the earlier block's feature
+            best = (
+                errors[i, f],
+                cols.start + int(f),
+                int(i),
+                int(np.argmax(left[:, i, f])),
+                int(np.argmax(class_totals - left[:, i, f])),
+            )
+    _, f, i, lc, rc = best
+    return DecisionStump(f, float(0.5 * (xs[i, f] + xs[i + 1, f])), lc, rc)
 
 
 def stump_weighted_error(stump: DecisionStump, X, y, w) -> float:

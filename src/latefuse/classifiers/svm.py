@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from ..core import LabelSpace
-from .base import ClassifierSpec, FittedClassifier, check_training_data, state_array
+from .base import ClassifierSpec, FittedClassifier, check_training_data, state_array, state_float
 from .logreg import softmax
 
 MAX_EPOCHS = 500
@@ -165,12 +165,15 @@ class LinearSvmOvrModel(FittedClassifier):
 
     @classmethod
     def from_state(cls, spec, label_space, input_dim, state: dict):
+        temperature = state_float(state["temperature"], "temperature")
+        if temperature <= 0.0:
+            raise ValueError(f"temperature {temperature} is not positive")
         return cls(
             spec,
             label_space,
             input_dim,
             state_array(state, "hyperplanes", (label_space.m, input_dim + 1)),
-            state["temperature"],
+            temperature,
             state["chosen_c"],
         )
 

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from latefuse.core import GroupView, LabelSpace, MultiViewDataset
+
+# property tests draw the same examples on every run, so CI cannot flake
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+DETERMINISTIC = settings.get_profile("deterministic")
 
 
 def gaussian_blobs(rng, n_per_class, centers):
@@ -36,6 +41,21 @@ def shorten_standardizer(group):
     """Model-file edit: a group standardizer one entry short."""
     group["standardizer"]["mean"].pop()
     group["standardizer"]["scale"].pop()
+
+
+def inf_logreg_weight(group):
+    """Model-file edit: an infinite logreg weight."""
+    group["state"]["weights"][0][0] = float("inf")
+
+
+def nan_adaboost_alpha(group):
+    """Model-file edit: a NaN round weight in an adaboost group."""
+    group["state"]["alphas"][0] = float("nan")
+
+
+def nan_standardizer_mean(group):
+    """Model-file edit: a NaN in a group standardizer's mean."""
+    group["standardizer"]["mean"][0] = float("nan")
 
 
 @pytest.fixture

@@ -1,5 +1,10 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latefuse.classifiers import (
     ClassifierSpec,
@@ -9,12 +14,17 @@ from latefuse.classifiers import (
     train_adaboost,
     train_stump,
 )
+from latefuse.classifiers.forest import _best_split
+from latefuse.classifiers import stumps
+from latefuse.classifiers.stumps import sorted_columns
 from latefuse.core import LabelSpace
 from latefuse.errors import SingleClassData
 
-from conftest import gaussian_blobs
+from conftest import DETERMINISTIC, gaussian_blobs
 
 LABELS2 = LabelSpace(("c0", "c1"))
+# feature values rounded to one decimal, so columns repeat values
+ROUNDED = st.floats(-2.0, 2.0, allow_nan=False).map(lambda v: round(v, 1))
 
 
 def brute_force_stump(X, y, w):
@@ -35,7 +45,38 @@ def brute_force_stump(X, y, w):
     return best
 
 
+@st.composite
+def stump_problems(draw):
+    """Small X with repeated values and one constant column, labels with at
+    least two of m classes, integer weights with some zeros."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(4, 12))
+    d = draw(st.integers(1, 3))
+    X = np.array(draw(st.lists(st.lists(ROUNDED, min_size=d, max_size=d), min_size=n, max_size=n)))
+    const_at = draw(st.integers(0, d))
+    X = np.insert(X, const_at, draw(ROUNDED), axis=1)
+    y = np.array(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), dtype=np.float64)
+    assume(len(np.unique(y)) >= 2 and w.sum() > 0)
+    return X, y, w
+
+
 class TestStump:
+    @settings(DETERMINISTIC, max_examples=200)
+    @given(stump_problems())
+    def test_matches_oracle_property(self, problem):
+        X, y, w = problem
+        s = train_stump(X, y, w)
+        assert train_stump(X, y, w, sorted_columns(X)) == s
+        best = brute_force_stump(X, y, w)
+        if best is None:  # every column constant: majority-vote stump
+            majority = int(np.argmax(np.bincount(y, weights=w)))
+            assert s.left_class == s.right_class == majority
+            return
+        err, f, t, lc, rc = best
+        assert (s.feature_index, s.threshold, s.left_class, s.right_class) == (f, t, lc, rc)
+        assert stump_weighted_error(s, X, y, w) * w.sum() == pytest.approx(err)
+
     def test_separable_midpoint(self):
         X = np.array([[0.0], [0.1], [1.0], [1.1]])
         y = np.array([0, 0, 1, 1])
@@ -73,6 +114,41 @@ class TestStump:
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassData):
             train_stump(np.zeros((4, 1)), np.zeros(4, dtype=int), np.ones(4))
+
+    def test_column_blocks_match_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        col = np.round(rng.standard_normal(40), 1)
+        X = np.round(rng.standard_normal((40, 7)), 1)
+        X[:, 2] = 0.5  # a constant column
+        X[:, 4] = X[:, 6] = col  # the best feature twice, in different blocks
+        y = (col > 0.2).astype(np.int64) + 2 * (col > 0.9)
+        w = rng.integers(0, 4, size=40).astype(np.float64)
+        problems = [(X, y, w), (X[:, :4], rng.integers(0, 4, size=40), w)]
+        one_pass = [train_stump(*p) for p in problems]
+        assert one_pass[0].feature_index == 4
+        for width in (1, 2, 3):
+            monkeypatch.setattr(stumps, "SCAN_BYTES", 8 * 4 * 40 * width)
+            assert len(stumps.column_blocks(4, 40, 7)) == -(-7 // width)
+            for problem, expected in zip(problems, one_pass):
+                s = train_stump(*problem)
+                assert s == expected
+                _, f, t, lc, rc = brute_force_stump(*problem)
+                assert (s.feature_index, s.threshold, s.left_class, s.right_class) == (f, t, lc, rc)
+
+    def test_scan_memory_does_not_grow_with_features(self):
+        rng = np.random.default_rng(4)
+        n, m, d = 200, 20, 1000
+        X = rng.standard_normal((n, d))
+        y = rng.integers(0, m, size=n)
+        one_pass_bytes = 8 * m * (n - 1) * d  # the (m, n-1, d) scan of every feature
+        tracemalloc.start()
+        try:
+            train_stump(X, y, np.ones(n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the sorted columns (3.4 MB) and one block's scan, not 32 MB
+        assert peak < one_pass_bytes / 3
 
 
 class TestAdaBoost:
@@ -128,6 +204,107 @@ def best_single_stump_accuracy(X, y):
     """Exhaustive stump optimum (oracle for the forest comparison)."""
     err, *_ = brute_force_stump(X, y, np.ones(len(y)))
     return 1.0 - err / len(y)
+
+
+def brute_force_split(X, y, idx, feature_ids, m, min_leaf):
+    """Independent oracle: every sampled feature and every midpoint, with the
+    Gini reduction computed exactly from the class counts on each side;
+    returns the first best (reduction, feature, threshold) or None."""
+    labels = y[idx]
+    n = len(idx)
+
+    def weighted_gini(side):  # len(side) * Gini(side)
+        counts = np.bincount(side, minlength=m)
+        return Fraction(len(side)) - Fraction(int((counts * counts).sum()), len(side))
+
+    parent = weighted_gini(labels) / n
+    best = None
+    for f in feature_ids:
+        col = X[idx, f]
+        values = np.unique(col)
+        for t in 0.5 * (values[:-1] + values[1:]):
+            left = col <= t
+            if min(left.sum(), n - left.sum()) < min_leaf:
+                continue
+            reduction = parent - (weighted_gini(labels[left]) + weighted_gini(labels[~left])) / n
+            if reduction > 0 and (best is None or reduction > best[0]):
+                best = (reduction, int(f), float(t))
+    return best
+
+
+@st.composite
+def split_problems(draw):
+    """A bootstrap node (repeated rows) over rounded features, a sorted
+    feature sample and a leaf size."""
+    m = draw(st.integers(2, 4))
+    n, d = draw(st.integers(3, 14)), draw(st.integers(1, 4))
+    X = np.array(draw(st.lists(st.lists(ROUNDED, min_size=d, max_size=d), min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+    idx = np.array(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2 * n)))
+    features = draw(st.sets(st.integers(0, d - 1), min_size=1))
+    min_leaf = draw(st.integers(1, 4))
+    return X, y, idx, np.array(sorted(features)), m, min_leaf
+
+
+def assert_split_matches_oracle(X, y, idx, feature_ids, m, min_leaf):
+    found = _best_split(X, y, idx, feature_ids, m, min_leaf)
+    expected = brute_force_split(X, y, idx, feature_ids, m, min_leaf)
+    if expected is None:
+        assert found is None
+        return
+    assert found is not None
+    assert found[1:] == expected[1:]
+    assert found[0] == pytest.approx(float(expected[0]), abs=1e-12)
+
+
+class TestBestSplit:
+    @settings(DETERMINISTIC, max_examples=200)
+    @given(split_problems())
+    def test_matches_oracle_property(self, problem):
+        assert_split_matches_oracle(*problem)
+
+    def test_min_leaf_blocks_the_best_cut(self):
+        # the clean cut isolates one sample; min_leaf=2 forces a worse one
+        X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0]])
+        y = np.array([0, 1, 1, 1, 1])
+        idx = np.arange(5)
+        assert _best_split(X, y, idx, np.array([0]), 2, 1)[1:] == (0, 0.5)
+        assert _best_split(X, y, idx, np.array([0]), 2, 2)[1:] == (0, 1.5)
+        for min_leaf in (1, 2, 3):
+            assert_split_matches_oracle(X, y, idx, np.array([0]), 2, min_leaf)
+
+    def test_tie_between_features_goes_to_lowest(self):
+        rng = np.random.default_rng(5)
+        col = rng.standard_normal(12)
+        X = np.column_stack([rng.standard_normal(12), col, col, col])
+        y = (col > 0).astype(np.int64)
+        idx = np.arange(12)
+        found = _best_split(X, y, idx, np.array([1, 2, 3]), 2, 1)
+        assert found[1] == 1
+        assert_split_matches_oracle(X, y, idx, np.array([1, 2, 3]), 2, 1)
+
+    def test_column_blocks_match_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        col = rng.standard_normal(30)
+        X = np.column_stack([rng.standard_normal((30, 2)), col, col, rng.standard_normal(30), col])
+        y = (col > 0.3).astype(np.int64) + (col > 1.0)
+        idx = rng.integers(0, 30, size=30)
+        features = np.array([0, 1, 2, 3, 4, 5])
+        one_pass = _best_split(X, y, idx, features, 3, 2)
+        assert one_pass[1] == 2
+        for width in (1, 2, 4):
+            monkeypatch.setattr(stumps, "SCAN_BYTES", 8 * 3 * 30 * width)
+            assert len(stumps.column_blocks(3, 30, 6)) == -(-6 // width)
+            assert _best_split(X, y, idx, features, 3, 2) == one_pass
+            assert_split_matches_oracle(X, y, idx, features, 3, 2)
+
+    def test_no_improving_split_returns_none(self):
+        # constant feature, then a cut that leaves both sides' mix unchanged
+        idx, features, y = np.arange(4), np.array([0]), np.array([0, 1, 0, 1])
+        assert _best_split(np.zeros((4, 1)), y, idx, features, 2, 1) is None
+        X = np.array([[0.0], [0.0], [1.0], [1.0]])
+        assert _best_split(X, y, idx, features, 2, 1) is None
+        assert brute_force_split(X, y, idx, features, 2, 1) is None
 
 
 class TestRandomForest:

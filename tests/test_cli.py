@@ -6,7 +6,13 @@ import pytest
 from latefuse import pipeline
 from latefuse.cli import main
 
-from conftest import drop_last_weight_column, shorten_standardizer
+from conftest import (
+    drop_last_weight_column,
+    inf_logreg_weight,
+    nan_adaboost_alpha,
+    nan_standardizer_mean,
+    shorten_standardizer,
+)
 
 SMALL_SPEC = {
     "m": 3,
@@ -52,6 +58,21 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def predict_with_edited_model(workdir, capsys, edit, **overrides):
+    """Train, apply ``edit`` to the first group of the saved model, re-checksum
+    it, then predict; returns the exit code and stderr."""
+    assert main(["train", "--config", str(write_config(workdir, **overrides))]) == 0
+    model = workdir / "model.json"
+    doc = json.loads(model.read_text())
+    edit(doc["payload"]["groups"][0])
+    doc["checksum"] = pipeline._checksum(doc["payload"])
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["predict", "--model", str(model),
+               "--config", str(predict_config(workdir)), "--out", str(workdir / "p.csv")])
+    return rc, capsys.readouterr().err
 
 
 def predict_config(tmp_path, split="test", groups=("sig", "noise")):
@@ -142,18 +163,23 @@ class TestTrainPredictEvaluate:
 
     @pytest.mark.parametrize("edit", [drop_last_weight_column, shorten_standardizer])
     def test_checksummed_misshaped_model_exit_1(self, workdir, capsys, edit):
-        cfg = write_config(workdir)
-        assert main(["train", "--config", str(cfg)]) == 0
-        model = workdir / "model.json"
-        doc = json.loads(model.read_text())
-        edit(doc["payload"]["groups"][0])
-        doc["checksum"] = pipeline._checksum(doc["payload"])
-        model.write_text(json.dumps(doc))
-        capsys.readouterr()
-        rc = main(["predict", "--model", str(model),
-                   "--config", str(predict_config(workdir)), "--out", str(workdir / "p.csv")])
+        rc, err = predict_with_edited_model(workdir, capsys, edit)
         assert rc == 1
-        assert str(model) in capsys.readouterr().err
+        assert str(workdir / "model.json") in err
+
+    @pytest.mark.parametrize(
+        "classifier,edit",
+        [
+            ({"kind": "logreg", "seed": 0}, inf_logreg_weight),
+            ({"kind": "adaboost_stumps", "seed": 0, "rounds": 5}, nan_adaboost_alpha),
+            ({"kind": "logreg", "seed": 0}, nan_standardizer_mean),
+        ],
+        ids=["inf_logreg_weight", "nan_adaboost_alpha", "nan_standardizer_mean"],
+    )
+    def test_checksummed_non_finite_model_exit_1(self, workdir, capsys, classifier, edit):
+        rc, err = predict_with_edited_model(workdir, capsys, edit, classifier=classifier)
+        assert rc == 1
+        assert str(workdir / "model.json") in err
 
     @pytest.mark.parametrize("target", ["features", "labels", "model"])
     def test_undecodable_input_file_exit_1(self, workdir, capsys, target):

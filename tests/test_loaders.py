@@ -10,6 +10,8 @@ from latefuse.dataio import read_feature_file, read_labels, read_predictions
 from latefuse.errors import LateFuseError
 from latefuse.pipeline import load_ensemble
 
+from conftest import DETERMINISTIC
+
 LOADERS = (load_ensemble, read_feature_file, read_labels, read_predictions)
 
 # a header that gets past each loader's first check, then raw bytes or text
@@ -24,7 +26,7 @@ BODIES = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None, database=None)
+@settings(DETERMINISTIC, max_examples=60)
 @given(header=HEADERS, body=BODIES)
 def test_any_bytes_load_or_raise_latefuse_error(header, body):
     with tempfile.TemporaryDirectory() as tmp:

@@ -20,7 +20,10 @@ from latefuse.pipeline import (
 from conftest import (
     drop_last_weight_column,
     gaussian_blobs,
+    inf_logreg_weight,
     make_dataset,
+    nan_adaboost_alpha,
+    nan_standardizer_mean,
     shorten_standardizer,
 )
 
@@ -71,6 +74,35 @@ MISSHAPED_STATES = [
     ("linear_svm_ovr", {"c_grid": (1.0,)}, widen_hyperplanes),
     ("adaboost_stumps", {"rounds": 5}, stump_feature_out_of_range),
     ("random_forest", {"trees": 3}, tree_leaf_class_out_of_range),
+]
+
+
+def inf_stump_threshold(group):
+    group["state"]["stumps"][0][1] = float("inf")
+
+
+def nan_tree_threshold(group):
+    group["state"]["trees"][0]["t"] = float("nan")
+
+
+def inf_svm_temperature(group):
+    group["state"]["temperature"] = float("inf")
+
+
+def zero_svm_temperature(group):
+    group["state"]["temperature"] = 0.0
+
+
+# the same, for edits that put a non-finite number (or a zero temperature)
+# into an otherwise well-shaped model state
+NON_FINITE_STATES = [
+    ("logreg", {}, inf_logreg_weight),
+    ("logreg", {}, nan_standardizer_mean),
+    ("linear_svm_ovr", {"c_grid": (1.0,)}, inf_svm_temperature),
+    ("linear_svm_ovr", {"c_grid": (1.0,)}, zero_svm_temperature),
+    ("adaboost_stumps", {"rounds": 5}, nan_adaboost_alpha),
+    ("adaboost_stumps", {"rounds": 5}, inf_stump_threshold),
+    ("random_forest", {"trees": 3}, nan_tree_threshold),
 ]
 
 
@@ -330,6 +362,15 @@ class TestPersistence:
         "kind,kw,edit", MISSHAPED_STATES, ids=[e.__name__ for _, _, e in MISSHAPED_STATES]
     )
     def test_checksummed_misshaped_state_is_corrupt(self, tmp_path, rng, kind, kw, edit):
+        path = tmp_path / "model.json"
+        save_misshaped_model(path, small_dataset(rng), kind, kw, edit)
+        with pytest.raises(CorruptModel, match="model.json"):
+            load_ensemble(str(path))
+
+    @pytest.mark.parametrize(
+        "kind,kw,edit", NON_FINITE_STATES, ids=[e.__name__ for _, _, e in NON_FINITE_STATES]
+    )
+    def test_checksummed_non_finite_state_is_corrupt(self, tmp_path, rng, kind, kw, edit):
         path = tmp_path / "model.json"
         save_misshaped_model(path, small_dataset(rng), kind, kw, edit)
         with pytest.raises(CorruptModel, match="model.json"):
