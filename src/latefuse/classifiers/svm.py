@@ -100,6 +100,8 @@ def _stratified_indices(y: np.ndarray, fraction: float, rng) -> np.ndarray:
         take = int(round(fraction * len(members)))
         take = min(max(take, 1), len(members) - 1)
         held.append(rng.permutation(members)[:take])
+    if not held:
+        return np.empty(0, dtype=np.int64)
     return np.sort(np.concatenate(held))
 
 

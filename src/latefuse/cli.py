@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import classifiers, dataio, ensemble, evaluation, pipeline, synthdata
-from .core import LabelSpace, SplitSpec, stratified_split
-from .errors import ConfigError, DataError, LateFuseError
+from .core import SplitSpec, stratified_split
+from .errors import ConfigError, LateFuseError
 
 
 @dataclass
@@ -158,22 +158,13 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     pred_by_id = dataio.read_predictions(args.predictions)
     label_by_id = dataio.read_labels(args.labels)
-    missing = sorted(set(pred_by_id) - set(label_by_id))
-    if missing:
-        raise DataError(
-            f"labels file {args.labels!r} is missing ids (first: {missing[0]!r})"
-        )
-    extra = sorted(set(label_by_id) - set(pred_by_id))
-    if extra:
-        raise DataError(
-            f"predictions file {args.predictions!r} is missing ids "
-            f"(first: {extra[0]!r})"
-        )
-    names = sorted(set(label_by_id.values()) | set(pred_by_id.values()))
-    space = LabelSpace(tuple(names))
     ids = sorted(label_by_id)
+    predicted = dataio.join_ids(
+        pred_by_id, ids, f"predictions file {args.predictions!r}", "without labels"
+    )
+    space = dataio.label_space_of(args.labels, [*label_by_id.values(), *predicted])
     truth = [space.index(label_by_id[i]) for i in ids]
-    decided = [space.index(pred_by_id[i]) for i in ids]
+    decided = [space.index(name) for name in predicted]
     report = evaluation.evaluate(decided, truth, m=space.m)
     for line in report.lines(space.class_names):
         print(line)

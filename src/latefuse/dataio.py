@@ -2,22 +2,28 @@
 predictions CSV.
 
 Feature files carry a ``sample_id,f0,f1,...`` header; the labels file is
-``sample_id,label``. Files are joined on sample_id, so row order never
-matters, but missing or extra ids are hard errors rather than a silent inner
-join. The canonical dataset order is lexicographic by sample_id.
+``sample_id,label`` and the predictions file ``sample_id,predicted,...``.
+One table reader parses every format with the same checks: the header, the
+header's field count on every row, unique non-blank ids and at least one
+data row, each error naming the file and row. ``join_ids`` joins files on
+sample_id, so row order never matters, but missing or extra ids are hard
+errors rather than a silent inner join. The canonical dataset order is
+lexicographic by sample_id.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .core import GroupView, LabelSpace, MultiViewDataset, validate_dataset
 from .errors import DataError, MisalignedGroup, NonFiniteFeature
 from .pipeline import Prediction
+
+T = TypeVar("T")
 
 
 def _read_rows(path: str) -> list[list[str]]:
@@ -30,64 +36,79 @@ def _read_rows(path: str) -> list[list[str]]:
         raise DataError(f"{path!r} is not a readable CSV text file: {exc}") from exc
 
 
-def read_labels(path: str) -> dict[str, str]:
-    rows = _read_rows(path)
-    if not rows or [c.strip() for c in rows[0][:2]] != ["sample_id", "label"]:
-        raise DataError(f"labels file {path!r} must start with 'sample_id,label'")
-    out: dict[str, str] = {}
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise DataError(f"labels file {path!r} row {i}: expected 2 fields")
-        sid, label = row[0].strip(), row[1].strip()
-        if sid in out:
-            raise DataError(f"labels file {path!r} row {i}: duplicate id {sid!r}")
-        out[sid] = label
-    if not out:
-        raise DataError(f"labels file {path!r} has no data rows")
-    return out
+def _read_table(path: str, what: str, header: Sequence[str]) -> tuple[list[str], list[list[str]]]:
+    """The stripped sample ids and the other fields of every data row.
 
-
-def read_feature_file(path: str) -> dict[str, np.ndarray]:
+    Checks, once for every format: the header starts with ``header``, each
+    row has as many fields as the header, ids are non-blank and unique, and
+    there is at least one data row. Errors name the file and the row.
+    """
     rows = _read_rows(path)
-    if not rows or rows[0][0].strip() != "sample_id":
-        raise DataError(f"feature file {path!r} must start with a 'sample_id' header")
-    width = len(rows[0]) - 1
-    if width < 1:
-        raise DataError(f"feature file {path!r} has no feature columns")
-    out: dict[str, np.ndarray] = {}
+    if not rows or [c.strip() for c in rows[0][: len(header)]] != list(header):
+        wanted = f"'{','.join(header)}'" if len(header) > 1 else f"a '{header[0]}' header"
+        raise DataError(f"{what} {path!r} must start with {wanted}")
+    width = len(rows[0])
+    ids: list[str] = []
+    seen: set[str] = set()
     for i, row in enumerate(rows[1:], start=2):
-        if len(row) != width + 1:
-            raise DataError(
-                f"feature file {path!r} row {i}: expected {width + 1} fields, "
-                f"got {len(row)}"
-            )
+        if len(row) != width:
+            raise DataError(f"{what} {path!r} row {i}: expected {width} fields, got {len(row)}")
         sid = row[0].strip()
-        if sid in out:
-            raise DataError(f"feature file {path!r} row {i}: duplicate id {sid!r}")
-        try:
-            out[sid] = np.array([float(v) for v in row[1:]], dtype=np.float64)
-        except ValueError as exc:
-            raise DataError(f"feature file {path!r} row {i}: {exc}") from exc
-    if not out:
-        raise DataError(f"feature file {path!r} has no data rows")
-    return out
+        if not sid:
+            raise DataError(f"{what} {path!r} row {i}: blank sample_id")
+        if sid in seen:
+            raise DataError(f"{what} {path!r} row {i}: duplicate id {sid!r}")
+        seen.add(sid)
+        ids.append(sid)
+    if not ids:
+        raise DataError(f"{what} {path!r} has no data rows")
+    return ids, [row[1:] for row in rows[1:]]
 
 
-def _aligned_matrix(
-    per_id: dict[str, np.ndarray], ids: Sequence[str], path: str
-) -> np.ndarray:
-    missing = [i for i in ids if i not in per_id]
-    if missing:
-        raise MisalignedGroup(
-            f"feature file {path!r} is missing ids (first: {missing[0]!r})"
-        )
-    extra = set(per_id) - set(ids)
-    if extra:
-        raise MisalignedGroup(
-            f"feature file {path!r} has ids absent elsewhere "
-            f"(first: {sorted(extra)[0]!r})"
-        )
-    return np.stack([per_id[i] for i in ids])
+def join_ids(by_id: Mapping[str, T], ids: Sequence[str], where: str, lacking: str) -> list[T]:
+    """The values of ``by_id`` in the order of the unique ``ids``.
+
+    Raises MisalignedGroup naming ``where`` and the first id of ``ids`` it
+    lacks, or else its smallest id outside ``ids`` ("has ids <lacking>").
+    """
+    missing = next((sid for sid in ids if sid not in by_id), None)
+    if missing is not None:
+        raise MisalignedGroup(f"{where} is missing ids (first: {missing!r})")
+    if len(by_id) != len(ids):
+        extra = min(set(by_id).difference(ids))
+        raise MisalignedGroup(f"{where} has ids {lacking} (first: {extra!r})")
+    return [by_id[sid] for sid in ids]
+
+
+def label_space_of(labels_path: str, names: Iterable[str]) -> LabelSpace:
+    """The lexicographic label space of ``names``, which came from (or
+    with) the labels file; too few classes is a DataError naming it."""
+    try:
+        return LabelSpace.from_names(names)
+    except ValueError as exc:
+        raise DataError(f"labels file {labels_path!r}: {exc}") from exc
+
+
+def read_labels(path: str) -> dict[str, str]:
+    ids, fields = _read_table(path, "labels file", ("sample_id", "label"))
+    return {sid: row[0].strip() for sid, row in zip(ids, fields)}
+
+
+def read_feature_file(path: str) -> tuple[list[str], np.ndarray]:
+    """The file's ids and its (n, d) float64 feature matrix, in file order."""
+    ids, fields = _read_table(path, "feature file", ("sample_id",))
+    if not fields[0]:
+        raise DataError(f"feature file {path!r} has no feature columns")
+    try:
+        return ids, np.array(fields, dtype=np.float64)
+    except ValueError:
+        # numpy parses each value with float, so some row fails the same way
+        for i, row in enumerate(fields, start=2):
+            try:
+                [float(v) for v in row]
+            except ValueError as exc:
+                raise DataError(f"feature file {path!r} row {i}: {exc}") from exc
+        raise
 
 
 def load_groups(group_paths: Sequence[tuple[str, str]]) -> tuple[list[GroupView], list[str]]:
@@ -95,11 +116,12 @@ def load_groups(group_paths: Sequence[tuple[str, str]]) -> tuple[list[GroupView]
     lexicographic id order."""
     if not group_paths:
         raise DataError("no feature groups configured")
-    tables = [(name, path, read_feature_file(path)) for name, path in group_paths]
-    ids = sorted(tables[0][2].keys())
+    tables = [(name, path, *read_feature_file(path)) for name, path in group_paths]
+    ids = sorted(tables[0][2])
     groups = []
-    for name, path, table in tables:
-        features = _aligned_matrix(table, ids, path)
+    for name, path, file_ids, matrix in tables:
+        row_of = {sid: i for i, sid in enumerate(file_ids)}
+        features = matrix[join_ids(row_of, ids, f"feature file {path!r}", "absent elsewhere")]
         finite = np.isfinite(features)
         if not finite.all():
             row, col = np.argwhere(~finite)[0]
@@ -117,22 +139,12 @@ def load_dataset(
     """Assemble a validated dataset from a labels file and feature files."""
     label_by_id = read_labels(labels_path)
     groups, ids = load_groups(group_paths)
-    missing = [i for i in ids if i not in label_by_id]
-    if missing:
-        raise MisalignedGroup(
-            f"labels file {labels_path!r} is missing ids (first: {missing[0]!r})"
-        )
-    extra = set(label_by_id) - set(ids)
-    if extra:
-        raise MisalignedGroup(
-            f"labels file {labels_path!r} has ids without features "
-            f"(first: {sorted(extra)[0]!r})"
-        )
-    label_space = LabelSpace.from_names(label_by_id.values())
-    y = np.array([label_space.index(label_by_id[i]) for i in ids], dtype=np.int64)
+    names = join_ids(label_by_id, ids, f"labels file {labels_path!r}", "without features")
+    space = label_space_of(labels_path, names)
+    y = np.array([space.index(name) for name in names], dtype=np.int64)
     return validate_dataset(
         MultiViewDataset(
-            label_space=label_space,
+            label_space=space,
             labels=y,
             groups=tuple(groups),
             sample_ids=tuple(ids),
@@ -173,19 +185,5 @@ def write_predictions(
 
 def read_predictions(path: str) -> dict[str, str]:
     """Map sample_id to the decided class name from a predictions file."""
-    rows = _read_rows(path)
-    if not rows or [c.strip() for c in rows[0][:2]] != ["sample_id", "predicted"]:
-        raise DataError(
-            f"predictions file {path!r} must start with 'sample_id,predicted'"
-        )
-    out: dict[str, str] = {}
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) < 2:
-            raise DataError(f"predictions file {path!r} row {i}: too few fields")
-        sid = row[0].strip()
-        if sid in out:
-            raise DataError(f"predictions file {path!r} row {i}: duplicate id {sid!r}")
-        out[sid] = row[1].strip()
-    if not out:
-        raise DataError(f"predictions file {path!r} has no data rows")
-    return out
+    ids, fields = _read_table(path, "predictions file", ("sample_id", "predicted"))
+    return {sid: row[0].strip() for sid, row in zip(ids, fields)}

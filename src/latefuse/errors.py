@@ -23,7 +23,7 @@ class ConfigError(LateFuseError):
 # --- dataset validation ---------------------------------------------------
 
 class MisalignedGroup(DataError):
-    """A feature group's row count disagrees with the dataset."""
+    """Files or feature groups disagree on their rows or sample ids."""
 
 
 class NonFiniteFeature(DataError):

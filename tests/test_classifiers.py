@@ -167,6 +167,12 @@ class TestLinearSvm:
         np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-9)
         assert model.temperature > 0
 
+    def test_one_sample_per_class_calibrates_in_sample(self):
+        X = np.array([[0.0, 1.0], [2.0, 0.0], [1.0, 3.0]])
+        model = train(ClassifierSpec("linear_svm_ovr", seed=0), X, np.arange(3), LABELS3)
+        assert model.temperature == 1.0
+        np.testing.assert_allclose(model.predict_proba(X).sum(axis=1), 1.0)
+
     def test_temperature_preserves_argmax(self, rng):
         X, y = gaussian_blobs(rng, 30, [[0, 0], [5, 0], [0, 5]])
         model = train(ClassifierSpec("linear_svm_ovr", seed=1), X, y, LABELS3)

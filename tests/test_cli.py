@@ -89,6 +89,27 @@ def predict_config(tmp_path, split="test", groups=("sig", "noise")):
     return path
 
 
+def tiny_config(tmp_path, labels, classifier=None, k=2):
+    """A config over one feature group with one row per entry of ``labels``."""
+    ids = [f"s{i}" for i in range(len(labels))]
+    (tmp_path / "labels.csv").write_text(
+        "sample_id,label\n" + "".join(f"{s},{c}\n" for s, c in zip(ids, labels))
+    )
+    (tmp_path / "g.csv").write_text(
+        "sample_id,f0,f1\n" + "".join(f"{s},{i},{i % 2}\n" for i, s in enumerate(ids))
+    )
+    cfg = {
+        "classifier": classifier or {"kind": "logreg", "seed": 0},
+        "k": k,
+        "data": {"labels": str(tmp_path / "labels.csv"),
+                 "groups": [{"name": "g", "path": str(tmp_path / "g.csv")}]},
+        "model": str(tmp_path / "model.json"),
+    }
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 class TestTrainPredictEvaluate:
     def test_full_round_trip(self, workdir, capsys):
         cfg = write_config(workdir)
@@ -227,6 +248,24 @@ class TestTrainPredictEvaluate:
         preds.write_text("\n".join(body) + "\n")
         assert main(["evaluate", "--predictions", str(preds), "--labels", str(labels)]) == 0
         assert "accuracy 1.0000" in capsys.readouterr().out
+
+    def test_single_class_labels_exit_1(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path, ["x"] * 4)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert str(tmp_path / "labels.csv") in capsys.readouterr().err
+
+    def test_single_class_evaluate_exit_1(self, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("sample_id,label\na,x\nb,x\n")
+        preds = tmp_path / "preds.csv"
+        preds.write_text("sample_id,predicted\na,x\nb,x\n")
+        assert main(["evaluate", "--predictions", str(preds), "--labels", str(labels)]) == 1
+        assert str(labels) in capsys.readouterr().err
+
+    def test_svm_with_one_sample_per_class_per_fold(self, tmp_path):
+        cfg = tiny_config(tmp_path, ["x", "y", "x", "y"],
+                          classifier={"kind": "linear_svm_ovr", "seed": 0}, k=2)
+        assert main(["train", "--config", str(cfg)]) == 0
 
 
 class TestCompareAndAblate:

@@ -6,13 +6,35 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latefuse.dataio import read_feature_file, read_labels, read_predictions
+from latefuse.dataio import (
+    load_dataset,
+    load_groups,
+    read_feature_file,
+    read_labels,
+    read_predictions,
+)
 from latefuse.errors import LateFuseError
 from latefuse.pipeline import load_ensemble
 
 from conftest import DETERMINISTIC
 
-LOADERS = (load_ensemble, read_feature_file, read_labels, read_predictions)
+
+def load_one_group(path):
+    return load_groups([("g", path)])
+
+
+def load_one_group_dataset(path):
+    return load_dataset(path, [("g", path)])
+
+
+LOADERS = (
+    load_ensemble,
+    read_feature_file,
+    read_labels,
+    read_predictions,
+    load_one_group,
+    load_one_group_dataset,
+)
 
 # a header that gets past each loader's first check, then raw bytes or text
 # built from the characters the formats use
