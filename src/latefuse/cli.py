@@ -35,20 +35,61 @@ class RunConfig:
     subsets: Optional[list[list[str]]] = None
 
 
-def _data_block(block: dict, where: str) -> tuple[Optional[str], list[tuple[str, str]]]:
-    if not isinstance(block, dict):
-        raise ConfigError(f"config field {where!r} must be an object")
+# Field readers for the config and the gen-data spec. ``where`` names the
+# file ("config 'run.json'"); every error names it and the field.
+
+
+def _object(value, where: str, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: {field} must be a JSON object, got {value!r}")
+    return value
+
+
+def _string(block: dict, key: str, where: str, field: str) -> Optional[str]:
+    """``block[key]``, a non-empty string, or None when the key is absent."""
+    if key not in block:
+        return None
+    value = block[key]
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{where}: {field} must be a non-empty string, got {value!r}")
+    return value
+
+
+def _seed(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{where}: seed must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def _file_name(value, where: str, field: str) -> str:
+    """A name that becomes ``<name>.csv`` beside labels.csv: no directory
+    part, and not ``labels``."""
+    if (
+        not isinstance(value, str)
+        or value in ("", ".", "..", "labels")
+        or os.path.basename(value) != value
+        or "\0" in value
+    ):
+        raise ConfigError(
+            f"{where}: {field} must be a plain file name other than 'labels', got {value!r}"
+        )
+    return value
+
+
+def _data_block(block, where: str, field: str) -> tuple[Optional[str], list[tuple[str, str]]]:
+    block = _object(block, where, field)
     groups = block.get("groups")
     if not isinstance(groups, list) or not groups:
-        raise ConfigError(f"config field {where}.groups must be a non-empty list")
+        raise ConfigError(f"{where}: {field}.groups must be a non-empty list")
     group_paths = []
     for i, g in enumerate(groups):
+        item = f"{field}.groups[{i}]"
         if not isinstance(g, dict) or "name" not in g or "path" not in g:
-            raise ConfigError(
-                f"config field {where}.groups[{i}] needs 'name' and 'path'"
-            )
-        group_paths.append((str(g["name"]), str(g["path"])))
-    return block.get("labels"), group_paths
+            raise ConfigError(f"{where}: {item} needs 'name' and 'path'")
+        group_paths.append(
+            (_string(g, "name", where, f"{item}.name"), _string(g, "path", where, f"{item}.path"))
+        )
+    return _string(block, "labels", where, f"{field}.labels"), group_paths
 
 
 def _read_json_object(path: str, what: str) -> dict:
@@ -66,33 +107,36 @@ def _read_json_object(path: str, what: str) -> dict:
 
 def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     raw = _read_json_object(path, "config")
+    where = f"config {path!r}"
     try:
-        spec = classifiers.ClassifierSpec.from_dict(raw.get("classifier", {"kind": "logreg"}))
+        spec = classifiers.ClassifierSpec.from_dict(
+            _object(raw.get("classifier", {"kind": "logreg"}), where, "classifier")
+        )
         strategy = ensemble.EnsembleStrategy.from_dict(
-            raw.get("strategy", {"kind": "confidence_sum", "weighted": True})
+            _object(
+                raw.get("strategy", {"kind": "confidence_sum", "weighted": True}),
+                where,
+                "strategy",
+            )
         )
     except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"config {path!r}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
     k = raw.get("k", 5)
     if not isinstance(k, int) or k < 2:
-        raise ConfigError(f"config {path!r}: k must be an integer >= 2, got {k!r}")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"config {path!r}: seed must be a nonnegative integer")
-    if seed_override is not None:
-        seed = seed_override
+        raise ConfigError(f"{where}: k must be an integer >= 2, got {k!r}")
+    seed = _seed(raw.get("seed", 0) if seed_override is None else seed_override, where)
     labels_path, group_paths = (None, [])
     if "data" in raw:
-        labels_path, group_paths = _data_block(raw["data"], "data")
+        labels_path, group_paths = _data_block(raw["data"], where, "data")
     test_labels, test_groups = (None, [])
     if "test_data" in raw:
-        test_labels, test_groups = _data_block(raw["test_data"], "test_data")
+        test_labels, test_groups = _data_block(raw["test_data"], where, "test_data")
     subsets = raw.get("subsets")
     if subsets is not None:
         if not isinstance(subsets, list) or not all(
             isinstance(s, list) and all(isinstance(g, str) for g in s) for s in subsets
         ):
-            raise ConfigError(f"config {path!r}: subsets must be a list of name lists")
+            raise ConfigError(f"{where}: subsets must be a list of name lists")
     return RunConfig(
         spec=spec,
         strategy=strategy,
@@ -102,8 +146,8 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
         group_paths=group_paths,
         test_labels_path=test_labels,
         test_group_paths=test_groups,
-        model_path=raw.get("model"),
-        out_path=raw.get("out"),
+        model_path=_string(raw, "model", where, "model"),
+        out_path=_string(raw, "out", where, "out"),
         subsets=subsets,
     )
 
@@ -198,46 +242,47 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _synth_spec_from_json(raw: dict) -> tuple[synthdata.SynthSpec, SplitSpec]:
+def _synth_spec_from_json(
+    raw: dict, where: str, seed: int
+) -> tuple[synthdata.SynthSpec, SplitSpec]:
     views = raw.get("views")
     if not isinstance(views, list) or not views:
-        raise ConfigError("gen-data spec needs a non-empty 'views' list")
+        raise ConfigError(f"{where}: views must be a non-empty list")
     try:
         view_specs = tuple(
             synthdata.ViewSpec(
-                name=str(v["name"]),
+                name=_file_name(v["name"], where, f"views[{i}].name"),
                 dim=int(v["dim"]),
                 informativeness=float(v["informativeness"]),
                 scale=float(v.get("scale", 1.0)),
             )
-            for v in views
+            for i, v in enumerate(views)
         )
         spec = synthdata.SynthSpec(
             m=int(raw["m"]),
             n_per_class=int(raw["n_per_class"]),
             views=view_specs,
             separation=float(raw.get("separation", synthdata.DEFAULT_SEPARATION)),
-            seed=int(raw.get("seed", 0)),
+            seed=seed,
         )
         split = SplitSpec(
             train_per_class=int(raw["train_per_class"]),
             test_per_class=int(raw["test_per_class"]),
-            seed=int(raw.get("seed", 0)),
+            seed=seed,
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad gen-data spec: {exc}") from exc
+        raise ConfigError(f"{where}: bad gen-data spec: {exc}") from exc
     return spec, split
 
 
 def cmd_gendata(args) -> int:
     raw = _read_json_object(args.spec, "spec")
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
+    where = f"spec {args.spec!r}"
+    seed = _seed(raw.get("seed", 0) if args.seed is None else args.seed, where)
     if raw.get("benchmark") == "default":
         train, test = synthdata.default_benchmark(seed)
     else:
-        raw = dict(raw)
-        raw["seed"] = seed
-        spec, split = _synth_spec_from_json(raw)
+        spec, split = _synth_spec_from_json(raw, where, seed)
         train, test = stratified_split(synthdata.generate(spec), split)
     dataio.write_dataset(train, os.path.join(args.out, "train"))
     dataio.write_dataset(test, os.path.join(args.out, "test"))

@@ -5,7 +5,11 @@ Feature files carry a ``sample_id,f0,f1,...`` header; the labels file is
 ``sample_id,label`` and the predictions file ``sample_id,predicted,...``.
 One table reader parses every format with the same checks: the header, the
 header's field count on every row, unique non-blank ids and at least one
-data row, each error naming the file and row. ``join_ids`` joins files on
+data row, each error naming the file and row. A plain feature file (no
+quoting, LF or CRLF, every row well formed) is parsed in C by np.loadtxt
+instead, behind guards under which both give the same ids and bits; any
+other file, and every error, goes through the table reader. Writers print
+whole columns at a time. ``join_ids`` joins files on
 sample_id, so row order never matters, but missing or extra ids are hard
 errors rather than a silent inner join. The canonical dataset order is
 lexicographic by sample_id.
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import os
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -94,8 +98,8 @@ def read_labels(path: str) -> dict[str, str]:
     return {sid: row[0].strip() for sid, row in zip(ids, fields)}
 
 
-def read_feature_file(path: str) -> tuple[list[str], np.ndarray]:
-    """The file's ids and its (n, d) float64 feature matrix, in file order."""
+def _read_checked_features(path: str) -> tuple[list[str], np.ndarray]:
+    """``read_feature_file`` through the table reader: every file, every error."""
     ids, fields = _read_table(path, "feature file", ("sample_id",))
     if not fields[0]:
         raise DataError(f"feature file {path!r} has no feature columns")
@@ -109,6 +113,68 @@ def read_feature_file(path: str) -> tuple[list[str], np.ndarray]:
             except ValueError as exc:
                 raise DataError(f"feature file {path!r} row {i}: {exc}") from exc
         raise
+
+
+# A quote starts a csv field; loadtxt strips the ASCII separators \x1c-\x1f
+# as whitespace where float rejects them; NUL is kept out of loadtxt.
+_NOT_PLAIN = ('"', "\0", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _read_plain_features(path: str) -> Optional[tuple[list[str], np.ndarray]]:
+    """The ids and matrix of a plain feature file, parsed in C, or None for
+    any other file, which is then left to the checked reader.
+
+    A file is plain when it has none of ``_NOT_PLAIN``, one line ending (LF
+    or CRLF), a ``sample_id`` header with a feature column, no line longer
+    than csv's field limit, the header's field count on every row, non-blank
+    unique ids (so no blank line), and values that loadtxt parses. On such a
+    file csv sees no quoting, loadtxt parses each value as float would, and
+    both readers give the same ids and the same bits.
+    """
+    try:
+        with open(path, "r", newline="") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError):
+        return None
+    if any(c in text for c in _NOT_PLAIN):
+        return None
+    eol = "\r\n" if "\r" in text else "\n"
+    lines = text.split(eol)
+    if eol == "\r\n" and not text.count("\r") == text.count("\n") == len(lines) - 1:
+        return None  # a CR or LF outside a CRLF
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2:
+        return None
+    header = lines[0].split(",")
+    width = len(header)
+    if header[0].strip() != "sample_id" or width < 2:
+        return None
+    if text.count(",") != (width - 1) * len(lines):
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    rows = lines[1:]
+    ids = [row.partition(",")[0].strip() for row in rows]
+    if not all(ids) or len(set(ids)) != len(ids):
+        return None
+    try:
+        matrix = np.loadtxt(
+            rows, dtype=np.float64, delimiter=",", usecols=range(1, width),
+            comments=None, ndmin=2,
+        )
+    except ValueError:  # a short row (the comma count then hides a long one) or a bad value
+        return None
+    return ids, matrix
+
+
+def read_feature_file(path: str) -> tuple[list[str], np.ndarray]:
+    """The file's ids and its (n, d) float64 feature matrix, in file order.
+
+    A plain file is parsed in C; any other file, and every error, goes
+    through the checked table reader, so both give the same result."""
+    table = _read_plain_features(path)
+    return table if table is not None else _read_checked_features(path)
 
 
 def load_groups(group_paths: Sequence[tuple[str, str]]) -> tuple[list[GroupView], list[str]]:
@@ -152,20 +218,34 @@ def load_dataset(
     )
 
 
-def write_dataset(d: MultiViewDataset, out_dir: str) -> None:
-    """Emit labels.csv plus one <group>.csv per feature group."""
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "labels.csv"), "w", newline="") as fh:
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["sample_id", "label"])
-        for sid, y in zip(d.sample_ids, d.labels):
-            w.writerow([sid, d.label_space.class_names[y]])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _printed(matrix: np.ndarray, fmt: str) -> list[Iterable[str]]:
+    """The columns of ``matrix`` as strings, each value printed by ``fmt``."""
+    return [map(fmt.__mod__, column) for column in matrix.T.tolist()]
+
+
+def write_dataset(d: MultiViewDataset, out_dir: str) -> None:
+    """Emit labels.csv plus one <group>.csv per feature group; features are
+    printed with 17 significant digits, which read back bit for bit."""
+    os.makedirs(out_dir, exist_ok=True)
+    names = d.label_space.class_names
+    _write_csv(
+        os.path.join(out_dir, "labels.csv"),
+        ["sample_id", "label"],
+        zip(d.sample_ids, [names[y] for y in d.labels.tolist()]),
+    )
     for g in d.groups:
-        with open(os.path.join(out_dir, f"{g.name}.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["sample_id"] + [f"f{j}" for j in range(g.dim)])
-            for sid, row in zip(d.sample_ids, g.features):
-                w.writerow([sid] + [format(v, ".17g") for v in row])
+        _write_csv(
+            os.path.join(out_dir, f"{g.name}.csv"),
+            ["sample_id"] + [f"f{j}" for j in range(g.dim)],
+            zip(d.sample_ids, *_printed(g.features, "%.17g")),
+        )
 
 
 def write_predictions(
@@ -173,14 +253,16 @@ def write_predictions(
 ) -> None:
     """One row per sample: id, decided class name, then the m score columns
     printed with 6 significant digits."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample_id", "predicted"] + [f"score_{c}" for c in class_names])
-        for p in preds:
-            w.writerow(
-                [p.sample_id, class_names[p.decided]]
-                + [format(v, ".6g") for v in p.scores]
-            )
+    scores = np.array([p.scores for p in preds], dtype=np.float64).reshape(len(preds), len(class_names))
+    _write_csv(
+        path,
+        ["sample_id", "predicted"] + [f"score_{c}" for c in class_names],
+        zip(
+            [p.sample_id for p in preds],
+            [class_names[p.decided] for p in preds],
+            *_printed(scores, "%.6g"),
+        ),
+    )
 
 
 def read_predictions(path: str) -> dict[str, str]:

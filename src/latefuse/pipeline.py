@@ -213,16 +213,8 @@ def predict_groups(
         )
         scores = combine(group_probs, e.priority_values, e.strategy.weighted)
     decided = ensemble.decide(scores).tolist()
-
-    return [
-        Prediction(
-            sample_id=str(sample_ids[i]),
-            scores=scores[i],
-            decided=decided[i],
-            per_group_probs=tuple(P[i] for P in group_probs),
-        )
-        for i in range(len(sample_ids))
-    ]
+    rows = zip(map(str, sample_ids), scores, decided, zip(*group_probs))
+    return [Prediction(*row) for row in rows]
 
 
 def predict(e: TrainedEnsemble, test: MultiViewDataset) -> list[Prediction]:

@@ -317,9 +317,44 @@ class TestFlags:
         cfg = write_config(workdir)
         assert main(["--threads", "4", "train", "--config", str(cfg)]) == 0
 
+    def test_negative_seed_override_exit_2(self, workdir, capsys):
+        cfg = write_config(workdir)
+        assert main(["train", "--config", str(cfg), "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_bad_threads_rejected(self, workdir, capsys):
         cfg = write_config(workdir)
         assert main(["--threads", "0", "train", "--config", str(cfg)]) == 2
+
+
+class TestConfigFields:
+    """A config field of the wrong type exits 2 naming the file and field."""
+
+    @pytest.mark.parametrize("field, edit", [
+        ("data.labels", lambda cfg: cfg["data"].update(labels=5)),
+        ("data.groups[0].path", lambda cfg: cfg["data"]["groups"][0].update(path=3)),
+        ("model", lambda cfg: cfg.update(model=7)),
+        ("model", lambda cfg: cfg.update(model="")),
+        ("strategy", lambda cfg: cfg.update(strategy="x")),
+        ("classifier", lambda cfg: cfg.update(classifier=5)),
+    ])
+    def test_train_field_exit_2(self, workdir, capsys, field, edit):
+        cfg = write_config(workdir)
+        doc = json.loads(cfg.read_text())
+        edit(doc)
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert repr(str(cfg)) in err and field in err
+
+    def test_predict_out_exit_2(self, workdir, capsys):
+        assert main(["train", "--config", str(write_config(workdir))]) == 0
+        cfg = predict_config(workdir)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "out": [1]}))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(workdir / "model.json"), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert repr(str(cfg)) in err and "out" in err
 
 
 class TestGenData:
@@ -358,3 +393,22 @@ class TestGenData:
         spec = tmp_path / "s.json"
         spec.write_text(json.dumps({"m": 1, "n_per_class": 5}))
         assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("seed", ["abc", None, -1, 1.5, True])
+    def test_bad_seed_exit_2(self, tmp_path, capsys, seed):
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps({**SMALL_SPEC, "seed": seed}))
+        assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert repr(str(spec)) in err and "seed" in err
+
+    @pytest.mark.parametrize("name", ["../../escaped", "sub/escaped", "..", "", "labels", "a\0b", 7])
+    def test_view_name_not_a_plain_file_name_exit_2(self, tmp_path, capsys, name):
+        spec = tmp_path / "s.json"
+        views = [{**SMALL_SPEC["views"][0], "name": name}, SMALL_SPEC["views"][1]]
+        spec.write_text(json.dumps({**SMALL_SPEC, "views": views}))
+        out = tmp_path / "o" / "x"
+        assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert repr(str(spec)) in err and "views[0].name" in err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "escaped.csv").exists()

@@ -1,21 +1,34 @@
-"""The CSV readers and the id joins: each single-fault file gives the expected
-error class naming the file and row, and files that disagree on ids name the
-file and the first missing or extra id."""
+"""The CSV readers, writers and id joins: each single-fault file gives the
+expected error class naming the file and row, files that disagree on ids name
+the file and the first missing or extra id, the C parse of plain feature files
+agrees with the checked reader, and the column writers print what a per-value
+format prints."""
+
+import csv
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latefuse.cli import main
+from latefuse.core import GroupView, LabelSpace, MultiViewDataset
 from latefuse.dataio import (
+    _read_checked_features,
+    _read_plain_features,
     load_dataset,
     load_groups,
     read_feature_file,
     read_labels,
     read_predictions,
     write_dataset,
+    write_predictions,
 )
 from latefuse.errors import DataError, MisalignedGroup
+from latefuse.pipeline import Prediction
 from latefuse.synthdata import default_benchmark
+
+from conftest import DETERMINISTIC
 
 FEATURES = "sample_id,f0,f1\na,1,2\nb,3,4\nc,5,6\n"
 LABELS = "sample_id,label\na,x\nb,y\nc,x\n"
@@ -146,3 +159,170 @@ def test_write_then_load_round_trip(tmp_path, seed):
         assert back.group_names == d.group_names
         for got, want in zip(back.groups, d.groups):
             assert np.array_equal(got.features, want.features[order])
+
+
+# -- the C parse of plain feature files against the checked reader ----------
+
+PADS = st.sampled_from(["", " ", "\t"])
+ODD_IDS = st.text(alphabet='ab ,"\t', max_size=3)
+PLAIN_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["-0.0", "5e-324", "1e400", "-1e400", "nan", "-nan", "NaN", "inf",
+                     " 1 ", "\t2", "+.5", "1.", "1e5", "1\u2003", "1\x0c"]),
+)
+ODD_VALUES = st.sampled_from([
+    "1_0", "", " ", "1,2", "0x1p3", "1d5", "1\x1c", "\u0661", "1\x85", "1\x00", '"1"', '"1,2"',
+])
+HEADERS = st.sampled_from(["sample_id", " sample_id ", "id"])
+EOLS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def feature_texts(draw):
+    """Feature-file text: about two in three are plain, with unique padded
+    ids, edge values and LF or CRLF; the rest add ids with spaces, commas
+    and quotes, odd values, short and long rows, blank lines, and CR or
+    mixed line endings."""
+    odd = draw(st.integers(0, 2)) == 0
+    maybe = lambda: odd and draw(st.integers(0, 3)) == 0  # noqa: E731
+    width = draw(st.integers(1 if odd else 2, 3))
+    lines = [",".join([draw(HEADERS) if maybe() else "sample_id"] + [f"f{j}" for j in range(width - 1)])]
+    for i in range(draw(st.integers(0 if odd else 1, 4))):
+        sid = draw(ODD_IDS) if maybe() else f"{draw(PADS)}s{i}{draw(PADS)}"
+        fields = width + (draw(st.sampled_from([-1, 1])) if maybe() else 0)
+        values = [draw(ODD_VALUES) if maybe() else draw(PLAIN_VALUES) for _ in range(fields - 1)]
+        lines.append(",".join([sid] + values))
+    if maybe():
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    eol = draw(EOLS) if odd else draw(st.sampled_from(["\n", "\r\n"]))
+    ends = [draw(EOLS) if maybe() else eol for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def outcome(read, path):
+    try:
+        ids, matrix = read(path)
+    except DataError as exc:
+        return str(exc)
+    return ids, matrix.shape, matrix.dtype, matrix.tobytes()
+
+
+@settings(DETERMINISTIC, max_examples=400)
+@given(text=feature_texts())
+@example(text="sample_id,f0\r\ns0\rs1,1\r\n")  # a CR ends a short row in a CRLF file
+@example(text="sample_id,f0\r\ns0\ns1,1\r\n")  # an LF does the same
+@example(text="sample_id,f0\ns0\rs1,1\n")  # a CR in an LF file
+@example(text="sample_id,f0\n\ns1,1\n")  # a blank line
+def test_plain_parse_matches_the_checked_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("plain") / "f.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    checked = outcome(_read_checked_features, str(path))
+    plain = _read_plain_features(str(path))
+    if plain is not None:
+        assert (plain[0], plain[1].shape, plain[1].dtype, plain[1].tobytes()) == checked
+    assert outcome(read_feature_file, str(path)) == checked
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_plain_files_take_the_c_parse(tmp_path, eol):
+    text = eol.join(["sample_id,f0,f1", " a ,1,-0.0", "b,nan,5e-324", "c,1e400, 2 "]) + eol
+    path = write(tmp_path, "f.csv", text)
+    ids, matrix = _read_plain_features(path)
+    assert ids == ["a", "b", "c"]
+    assert matrix.tobytes() == _read_checked_features(path)[1].tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    'sample_id,f0\n"a",1\n',           # quoted field
+    "sample_id,f0\ra,1\rb,2\r",        # CR line endings
+    "sample_id,f0\n\na,1\n",           # blank line
+    "sample_id,f0\r\na,1\nb,2\r\n",   # mixed line endings
+    "sample_id,f0\na,1_0\n",            # a value float reads and loadtxt does not
+])
+def test_other_files_read_as_before(tmp_path, text):
+    path = write(tmp_path, "f.csv", text)
+    assert _read_plain_features(path) is None
+    ids, matrix = read_feature_file(path)
+    assert ids == _read_checked_features(path)[0]
+    assert matrix.tobytes() == _read_checked_features(path)[1].tobytes()
+
+
+def test_a_field_past_the_csv_limit_fails_as_before(tmp_path):
+    path = write(tmp_path, "f.csv", "sample_id,f0\na,1.0000000000\n")
+    limit = csv.field_size_limit(8)
+    try:
+        with pytest.raises(DataError, match="not a readable CSV text file"):
+            read_feature_file(path)
+    finally:
+        csv.field_size_limit(limit)
+
+
+# -- the column writers against per-value formatting --------------------------
+
+NAMES = st.text(alphabet='ab ,"\n', min_size=1, max_size=3)
+FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e-310, 1e300, 0.1]))
+
+
+def reference_predictions(preds, class_names, path):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["sample_id", "predicted"] + [f"score_{c}" for c in class_names])
+        for p in preds:
+            w.writerow([p.sample_id, class_names[p.decided]] + [format(v, ".6g") for v in p.scores])
+
+
+def reference_dataset(d, out_dir):
+    out_dir.mkdir()
+    with open(out_dir / "labels.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["sample_id", "label"])
+        for sid, y in zip(d.sample_ids, d.labels):
+            w.writerow([sid, d.label_space.class_names[y]])
+    for g in d.groups:
+        with open(out_dir / f"{g.name}.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["sample_id"] + [f"f{j}" for j in range(g.dim)])
+            for sid, row in zip(d.sample_ids, g.features):
+                w.writerow([sid] + [format(v, ".17g") for v in row])
+
+
+@settings(DETERMINISTIC, max_examples=100)
+@given(
+    ids=st.lists(NAMES, max_size=5),
+    class_names=st.lists(NAMES, min_size=2, max_size=3, unique=True),
+    data=st.data(),
+)
+def test_write_predictions_prints_each_value_as_format(tmp_path_factory, ids, class_names, data):
+    m = len(class_names)
+    preds = [
+        Prediction(sid, np.array(data.draw(st.lists(FLOATS, min_size=m, max_size=m))),
+                   data.draw(st.integers(0, m - 1)), ())
+        for sid in ids
+    ]
+    out = tmp_path_factory.mktemp("preds")
+    write_predictions(preds, class_names, str(out / "got.csv"))
+    reference_predictions(preds, class_names, str(out / "want.csv"))
+    assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+
+@settings(DETERMINISTIC, max_examples=60)
+@given(n=st.integers(1, 5), dims=st.lists(st.integers(1, 3), min_size=1, max_size=2), data=st.data())
+def test_write_dataset_prints_each_value_as_format(tmp_path_factory, n, dims, data):
+    groups = [
+        (f"g{i}", np.array(data.draw(st.lists(FLOATS, min_size=n * d, max_size=n * d))).reshape(n, d))
+        for i, d in enumerate(dims)
+    ]
+    d = MultiViewDataset(
+        label_space=LabelSpace(("x,y", 'q"')),
+        labels=[i % 2 for i in range(n)],
+        groups=tuple(GroupView(name, features) for name, features in groups),
+        sample_ids=tuple(data.draw(NAMES) + str(i) for i in range(n)),
+    )
+    out = tmp_path_factory.mktemp("data")
+    write_dataset(d, str(out / "got"))
+    reference_dataset(d, out / "want")
+    for name in ["labels"] + [g for g, _ in groups]:
+        assert (out / "got" / f"{name}.csv").read_bytes() == (out / "want" / f"{name}.csv").read_bytes()
