@@ -9,6 +9,7 @@ and safe to use concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -24,6 +25,30 @@ from ..errors import (
 )
 
 KINDS = ("logreg", "linear_svm_ovr", "adaboost_stumps", "random_forest")
+
+MAX_STEPS = 500
+REL_TOL = 1e-8
+MAX_HALVINGS = 60
+
+
+def _integer(value, what: str, least: int) -> int:
+    """``value`` as an int >= ``least``; bools and floats are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value!r}")
+    return operator.index(value)
+
+
+def _positive(value, what: str) -> None:
+    """Reject anything but a finite real number > 0; bools are rejected."""
+    try:
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        ok = real and 0 < float(value) < math.inf
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"{what} must be a finite number > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -48,19 +73,15 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown classifier kind {self.kind!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        if self.lam <= 0:
-            raise ValueError("lam must be > 0")
-        if not self.c_grid or any(c <= 0 for c in self.c_grid):
-            raise ValueError("c_grid values must be > 0")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.trees < 1:
-            raise ValueError("trees must be >= 1")
-        if self.min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
-        object.__setattr__(self, "c_grid", tuple(float(c) for c in self.c_grid))
+        for name, least in (("seed", 0), ("rounds", 1), ("trees", 1), ("min_leaf", 1)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
+        _positive(self.lam, "lam")
+        c_grid = tuple(self.c_grid)
+        if not c_grid:
+            raise ValueError("c_grid must not be empty")
+        for c in c_grid:
+            _positive(c, "c_grid value")
+        object.__setattr__(self, "c_grid", tuple(float(c) for c in c_grid))
 
     def to_dict(self) -> dict:
         return {
@@ -81,10 +102,7 @@ class ClassifierSpec:
             raise ValueError(f"unknown classifier spec fields: {sorted(unknown)}")
         if "kind" not in d:
             raise ValueError("classifier spec needs a 'kind'")
-        kwargs = dict(d)
-        if "c_grid" in kwargs:
-            kwargs["c_grid"] = tuple(kwargs["c_grid"])
-        return cls(**kwargs)
+        return cls(**d)
 
 
 class FittedClassifier:
@@ -128,6 +146,36 @@ class FittedClassifier:
     # persistence hooks; subclasses return/accept plain-JSON state
     def state(self) -> dict:
         raise NotImplementedError
+
+
+def descend(objective, gradient, x: np.ndarray, step: float):
+    """Full-batch gradient descent with backtracking halving from ``x``.
+
+    Each step starts from twice the last accepted step size and halves it
+    until ``objective`` strictly decreases. Stops after MAX_STEPS accepted
+    steps, on a relative decrease below REL_TOL, or when MAX_HALVINGS
+    halvings find no decrease. Returns the final point and the objective
+    history (the start, then one value per accepted step).
+    """
+    value = objective(x)
+    history = [value]
+    for _ in range(MAX_STEPS):
+        g = gradient(x)
+        step *= 2.0
+        for _ in range(MAX_HALVINGS):
+            x_next = x - step * g
+            value_next = objective(x_next)
+            if value_next < value:
+                break
+            step *= 0.5
+        else:
+            break  # gradient is numerically flat
+        rel_change = (value - value_next) / max(abs(value), 1e-300)
+        x, value = x_next, value_next
+        history.append(value)
+        if rel_change < REL_TOL:
+            break
+    return x, history
 
 
 def state_array(state: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:

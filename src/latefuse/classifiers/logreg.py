@@ -1,9 +1,9 @@
 """Multinomial logistic regression trained by full-batch gradient descent.
 
-The optimizer uses backtracking halving: each iteration starts from twice the
-previously accepted step and halves until the regularized loss strictly
-decreases, so the loss history is monotone by construction. Deterministic for
-fixed data; the seed is unused here but kept for the shared contract.
+The weights are fitted by the shared backtracking-halving loop
+``base.descend`` from zero weights and a unit step, so the regularized loss
+strictly decreases over accepted steps. Deterministic for fixed data; the
+seed is unused here but kept for the shared contract.
 """
 
 from __future__ import annotations
@@ -12,11 +12,7 @@ import numpy as np
 
 from ..core import LabelSpace
 from ..errors import DimensionMismatch
-from .base import ClassifierSpec, FittedClassifier, check_training_data, state_array
-
-MAX_ITERS = 500
-REL_TOL = 1e-8
-MAX_HALVINGS = 60
+from .base import ClassifierSpec, FittedClassifier, check_training_data, descend, state_array
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -64,27 +60,12 @@ def _loss_only(W, X, y, lam) -> float:
 
 
 def _fit_weights(X: np.ndarray, y: np.ndarray, m: int, lam: float) -> np.ndarray:
-    d = X.shape[1]
-    W = np.zeros((d, m))
-    loss, grad = logreg_loss_grad(W, X, y, lam)
-    step = 1.0
-    for _ in range(MAX_ITERS):
-        step *= 2.0
-        accepted = False
-        for _ in range(MAX_HALVINGS):
-            W_next = W - step * grad
-            loss_next = _loss_only(W_next, X, y, lam)
-            if loss_next < loss:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break  # gradient is numerically flat
-        rel_change = (loss - loss_next) / max(abs(loss), 1e-300)
-        W = W_next
-        loss, grad = logreg_loss_grad(W, X, y, lam)
-        if rel_change < REL_TOL:
-            break
+    W, _ = descend(
+        lambda W: _loss_only(W, X, y, lam),
+        lambda W: logreg_loss_grad(W, X, y, lam)[1],
+        np.zeros((X.shape[1], m)),
+        1.0,
+    )
     return W
 
 

@@ -1,12 +1,13 @@
 """Linear one-vs-rest SVM with softmax temperature calibration.
 
 Each class gets a binary hinge-loss subproblem solved by deterministic
-full-batch subgradient descent with backtracking halving, so the objective
-decreases monotonically over accepted epochs. The m margin values are mapped
-to probabilities through softmax(margins / temperature); the temperature is
-fitted by minimizing negative log-likelihood on a stratified 20% calibration
-slice that the hyperplanes never saw. The regularization constant is chosen
-from ``spec.c_grid`` by internal 3-fold cross-validation on argmax accuracy
+full-batch subgradient descent with the shared backtracking-halving loop
+``base.descend``, so the objective decreases monotonically over accepted
+epochs. The m margin values are mapped to probabilities through
+softmax(margins / temperature); the temperature is fitted by minimizing
+negative log-likelihood on a stratified 20% calibration slice that the
+hyperplanes never saw. The regularization constant is chosen from
+``spec.c_grid`` by internal 3-fold cross-validation on argmax accuracy
 (calibration cannot change the argmax, so accuracy of raw margins is the
 same as accuracy of calibrated probabilities).
 """
@@ -16,13 +17,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from ..core import LabelSpace
-from .base import ClassifierSpec, FittedClassifier, check_training_data, state_array, state_float
+from ..core import LabelSpace, fold_assignments
+from .base import (
+    ClassifierSpec, FittedClassifier, check_training_data, descend, state_array, state_float
+)
 from .logreg import softmax
-
-MAX_EPOCHS = 500
-REL_TOL = 1e-8
-MAX_HALVINGS = 60
 
 
 def svm_objective(w: np.ndarray, b: float, X: np.ndarray, y_pm: np.ndarray, c: float) -> float:
@@ -32,46 +31,28 @@ def svm_objective(w: np.ndarray, b: float, X: np.ndarray, y_pm: np.ndarray, c: f
     return 0.5 * float(w @ w) + c * float(hinge.sum())
 
 
-def _subgradient(w, b, X, y_pm, c):
-    margins = y_pm * (X @ w + b)
+def _subgradient(v, X, y_pm, c) -> np.ndarray:
+    # v packs (w, b); so does the returned subgradient
+    w = v[:-1]
+    margins = y_pm * (X @ w + float(v[-1]))
     active = margins < 1.0
-    gw = w - c * (X[active].T @ y_pm[active])
     gb = -c * float(y_pm[active].sum())
-    return gw, gb
+    return np.concatenate((w - c * (X[active].T @ y_pm[active]), [gb]))
 
 
 def train_binary_svm(X: np.ndarray, y_pm: np.ndarray, c: float):
     """Solve one binary subproblem; returns (w, b, objective_history).
 
-    The history is strictly decreasing across accepted epochs, which the
-    test suite checks on separable data.
+    ``descend`` runs on (w, b) packed into one vector, from zero and a
+    scale-aware first step. The history strictly decreases across epochs.
     """
-    n, d = X.shape
-    w = np.zeros(d)
-    b = 0.0
-    obj = svm_objective(w, b, X, y_pm, c)
-    history = [obj]
-    step = 1.0 / max(1.0, c * n)  # scale-aware initial step
-    for _ in range(MAX_EPOCHS):
-        gw, gb = _subgradient(w, b, X, y_pm, c)
-        step *= 2.0
-        accepted = False
-        for _ in range(MAX_HALVINGS):
-            w_next = w - step * gw
-            b_next = b - step * gb
-            obj_next = svm_objective(w_next, b_next, X, y_pm, c)
-            if obj_next < obj:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        rel_change = (obj - obj_next) / max(abs(obj), 1e-300)
-        w, b, obj = w_next, b_next, obj_next
-        history.append(obj)
-        if rel_change < REL_TOL:
-            break
-    return w, b, history
+    v, history = descend(
+        lambda v: svm_objective(v[:-1], float(v[-1]), X, y_pm, c),
+        lambda v: _subgradient(v, X, y_pm, c),
+        np.zeros(X.shape[1] + 1),
+        1.0 / max(1.0, c * X.shape[0]),
+    )
+    return v[:-1], float(v[-1]), history
 
 
 def _ovr_margins(hyperplanes: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -124,11 +105,7 @@ def _fit_temperature(margins: np.ndarray, y: np.ndarray) -> float:
 
 
 def _cv_accuracy(X, y, m, c, k, rng) -> float:
-    n = len(y)
-    folds = np.zeros(n, dtype=np.int64)
-    for cls in np.unique(y):
-        members = rng.permutation(np.flatnonzero(y == cls))
-        folds[members] = np.arange(len(members)) % k
+    folds = fold_assignments(y, k, rng)
     correct = 0
     for f in range(k):
         tr, te = folds != f, folds == f
@@ -137,7 +114,7 @@ def _cv_accuracy(X, y, m, c, k, rng) -> float:
         planes = _fit_ovr(X[tr], y[tr], m, c)
         pred = np.argmax(_ovr_margins(planes, X[te]), axis=1)
         correct += int((pred == y[te]).sum())
-    return correct / n
+    return correct / len(y)
 
 
 class LinearSvmOvrModel(FittedClassifier):

@@ -86,9 +86,10 @@ def _data_block(block, where: str, field: str) -> tuple[Optional[str], list[tupl
         item = f"{field}.groups[{i}]"
         if not isinstance(g, dict) or "name" not in g or "path" not in g:
             raise ConfigError(f"{where}: {item} needs 'name' and 'path'")
-        group_paths.append(
-            (_string(g, "name", where, f"{item}.name"), _string(g, "path", where, f"{item}.path"))
-        )
+        name = _string(g, "name", where, f"{item}.name")
+        if name in dict(group_paths):
+            raise ConfigError(f"{where}: {item}.name {name!r} is listed twice")
+        group_paths.append((name, _string(g, "path", where, f"{item}.path")))
     return _string(block, "labels", where, f"{field}.labels"), group_paths
 
 

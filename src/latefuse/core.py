@@ -205,6 +205,16 @@ def stratified_split(
     return d.take(train), d.take(test)
 
 
+def fold_assignments(y: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Stratified fold per sample: each class in label order is shuffled by
+    ``rng`` and dealt round-robin into folds 0..k-1."""
+    assignments = np.empty(len(y), dtype=np.int64)
+    for c in np.unique(y):
+        members = np.flatnonzero(y == c)
+        assignments[members[rng.permutation(len(members))]] = np.arange(len(members)) % k
+    return assignments
+
+
 @dataclass(frozen=True)
 class Standardizer:
     """Per-column z-score statistics learned from training data.

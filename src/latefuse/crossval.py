@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classifiers
-from .core import LabelSpace
+from .core import LabelSpace, fold_assignments
 from .errors import BadK, LengthMismatch, TooFewSamplesPerClass
 
 
@@ -57,16 +57,12 @@ def make_folds(y, k: int, seed: int) -> FoldPlan:
     if k < 2:
         raise BadK(f"need k >= 2 folds, got {k}")
     y = np.asarray(y, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    assignments = np.full(len(y), -1, dtype=np.int64)
-    for c in np.unique(y):
-        members = np.flatnonzero(y == c)
-        if len(members) < k:
+    for c, count in zip(*np.unique(y, return_counts=True)):
+        if count < k:
             raise TooFewSamplesPerClass(
-                f"class index {c} has {len(members)} samples, need >= {k}"
+                f"class index {c} has {count} samples, need >= {k}"
             )
-        shuffled = members[rng.permutation(len(members))]
-        assignments[shuffled] = np.arange(len(members)) % k
+    assignments = fold_assignments(y, k, np.random.default_rng(seed))
     return FoldPlan(k=k, assignments=assignments, seed=seed)
 
 

@@ -40,6 +40,8 @@ class EnsembleStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
+        if not isinstance(self.weighted, bool):
+            raise ValueError(f"weighted must be true or false, got {self.weighted!r}")
         if self.kind == "stacking":
             if self.stacking_mode not in STACKING_MODES:
                 raise ValueError(
@@ -70,7 +72,7 @@ class EnsembleStrategy:
         meta = d.get("stacking_meta_spec")
         return cls(
             kind=d["kind"],
-            weighted=bool(d.get("weighted", False)),
+            weighted=d.get("weighted", False),
             stacking_mode=d.get("stacking_mode"),
             stacking_meta_spec=(
                 classifiers.ClassifierSpec.from_dict(meta) if meta else None

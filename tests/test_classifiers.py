@@ -11,6 +11,8 @@ from latefuse.classifiers import (
     train_binary_svm,
     train_logreg,
 )
+from latefuse.classifiers import logreg
+from latefuse.classifiers.base import MAX_HALVINGS, MAX_STEPS, REL_TOL, descend
 from latefuse.core import LabelSpace
 from latefuse.errors import DimensionMismatch, SingleClassData
 
@@ -18,6 +20,54 @@ from conftest import gaussian_blobs
 
 LABELS2 = LabelSpace(("c0", "c1"))
 LABELS3 = LabelSpace(("c0", "c1", "c2"))
+
+
+class TestClassifierSpec:
+    def test_numpy_integers_become_ints(self):
+        spec = ClassifierSpec("random_forest", seed=np.int64(3), trees=np.int32(5))
+        assert type(spec.seed) is int and type(spec.trees) is int
+        assert spec.to_dict()["trees"] == 5
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", True),
+        ("seed", -1),
+        ("rounds", 2.0),
+        ("min_leaf", np.bool_(True)),
+        ("lam", float("nan")),
+        ("lam", -1.0),
+        ("lam", "1"),
+        pytest.param("lam", 10**400, id="lam-int-beyond-float"),
+        ("c_grid", (1.0, float("nan"))),
+        ("c_grid", (0.0,)),
+        ("c_grid", ()),
+    ], ids=str)
+    def test_bad_number_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ClassifierSpec("logreg", **{field: value})
+
+
+class TestDescend:
+    def test_stops_when_the_relative_decrease_falls_below_rel_tol(self):
+        x, history = descend(lambda x: 1.0 + float(x @ x), lambda x: 2.0 * x, np.ones(1), 0.1)
+        rel = -np.diff(history) / np.array(history[:-1])
+        assert np.all(rel > 0)
+        assert rel[-1] < REL_TOL and np.all(rel[:-1] >= REL_TOL)
+        assert len(history) - 1 < MAX_STEPS
+        assert abs(x[0]) < 1e-3
+
+    def test_stops_when_no_halving_decreases_the_objective(self):
+        # the first doubled step lands exactly on the minimum, where the
+        # gradient is 0, so every try of the next step fails
+        calls = []
+
+        def objective(x):
+            calls.append(x[0])
+            return float((x[0] - 3.0) ** 2)
+
+        x, history = descend(objective, lambda x: 2.0 * (x - 3.0), np.zeros(1), 0.25)
+        assert x.tolist() == [3.0]
+        assert history == [9.0, 0.0]
+        assert len(calls) == 2 + MAX_HALVINGS
 
 
 class TestSoftmax:
@@ -108,14 +158,21 @@ class TestLogReg:
         agreement = float((model.predict(X) == np.argmax(Xb @ W_ref, axis=1)).mean())
         assert agreement >= 0.99
 
-    def test_training_loss_monotone(self, rng):
-        # re-run the optimizer manually and watch the accepted losses
-        from latefuse.classifiers.logreg import _fit_weights, _loss_only
+    def test_training_loss_monotone(self, rng, monkeypatch):
+        # record the accepted losses of the descent that train_logreg runs
+        histories = []
 
+        def recording(*args):
+            W, history = descend(*args)
+            histories.append(history)
+            return W, history
+
+        monkeypatch.setattr(logreg, "descend", recording)
         X, y = gaussian_blobs(rng, 30, [[0, 0], [2, 2], [0, 3]])
-        Xb = np.hstack([X, np.ones((len(y), 1))])
-        W = _fit_weights(Xb, y, 3, 1e-3)
-        assert _loss_only(W, Xb, y, 1e-3) < _loss_only(np.zeros_like(W), Xb, y, 1e-3)
+        train_logreg(ClassifierSpec("logreg", lam=1e-3), X, y, LABELS3)
+        (history,) = histories
+        assert len(history) > 2
+        assert np.all(np.diff(history) < 0), "loss must decrease across accepted steps"
 
     def test_single_class_rejected(self, rng):
         X = rng.standard_normal((10, 2))

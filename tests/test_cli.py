@@ -347,6 +347,35 @@ class TestConfigFields:
         err = capsys.readouterr().err
         assert repr(str(cfg)) in err and field in err
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("adaboost_stumps", "rounds", 2.5),
+        ("random_forest", "trees", 2.5),
+        ("random_forest", "min_leaf", True),
+        pytest.param("linear_svm_ovr", "c_grid", [float("nan")], id="linear_svm_ovr-c_grid-nan"),
+        ("logreg", "lam", float("inf")),
+    ])
+    def test_classifier_number_exit_2(self, workdir, capsys, kind, field, value):
+        cfg = write_config(workdir, classifier={"kind": kind, "seed": 0, field: value})
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert repr(str(cfg)) in err and field in err
+
+    def test_weighted_not_a_boolean_exit_2(self, workdir, capsys):
+        cfg = write_config(workdir, strategy={"kind": "confidence_sum", "weighted": "no"})
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert repr(str(cfg)) in err and "weighted" in err
+
+    @pytest.mark.parametrize("block", ["data", "test_data"])
+    def test_duplicate_group_name_exit_2(self, workdir, capsys, block):
+        cfg = write_config(workdir)
+        doc = json.loads(cfg.read_text())
+        doc[block]["groups"][1]["name"] = doc[block]["groups"][0]["name"]
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert repr(str(cfg)) in err and f"{block}.groups[1].name" in err
+
     def test_predict_out_exit_2(self, workdir, capsys):
         assert main(["train", "--config", str(write_config(workdir))]) == 0
         cfg = predict_config(workdir)

@@ -242,6 +242,12 @@ class TestStrategyType:
         with pytest.raises(ValueError):
             EnsembleStrategy("confidence_sum", stacking_mode="naive")
 
+    @pytest.mark.parametrize("weighted", [1, "no", None])
+    def test_weighted_must_be_a_bool(self, weighted):
+        # a strategy that constructs must also save to a model file that loads
+        with pytest.raises(ValueError, match="weighted"):
+            EnsembleStrategy("confidence_sum", weighted=weighted)
+
     def test_labels(self):
         meta = ClassifierSpec("logreg")
         assert EnsembleStrategy("confidence_sum", weighted=True).label == "confidence_sum_weighted"
