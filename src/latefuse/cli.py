@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -59,6 +60,22 @@ def _seed(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ConfigError(f"{where}: seed must be a nonnegative integer, got {value!r}")
     return value
+
+
+def _integer(value, where: str, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: {field} must be an integer, got {value!r}")
+    return value
+
+
+def _real(value, where: str, field: str) -> float:
+    try:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
+        raise ConfigError(f"{where}: {field} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _file_name(value, where: str, field: str) -> str:
@@ -253,22 +270,24 @@ def _synth_spec_from_json(
         view_specs = tuple(
             synthdata.ViewSpec(
                 name=_file_name(v["name"], where, f"views[{i}].name"),
-                dim=int(v["dim"]),
-                informativeness=float(v["informativeness"]),
-                scale=float(v.get("scale", 1.0)),
+                dim=_integer(v["dim"], where, f"views[{i}].dim"),
+                informativeness=_real(v["informativeness"], where, f"views[{i}].informativeness"),
+                scale=_real(v.get("scale", 1.0), where, f"views[{i}].scale"),
             )
             for i, v in enumerate(views)
         )
         spec = synthdata.SynthSpec(
-            m=int(raw["m"]),
-            n_per_class=int(raw["n_per_class"]),
+            m=_integer(raw["m"], where, "m"),
+            n_per_class=_integer(raw["n_per_class"], where, "n_per_class"),
             views=view_specs,
-            separation=float(raw.get("separation", synthdata.DEFAULT_SEPARATION)),
+            separation=_real(
+                raw.get("separation", synthdata.DEFAULT_SEPARATION), where, "separation"
+            ),
             seed=seed,
         )
         split = SplitSpec(
-            train_per_class=int(raw["train_per_class"]),
-            test_per_class=int(raw["test_per_class"]),
+            train_per_class=_integer(raw["train_per_class"], where, "train_per_class"),
+            test_per_class=_integer(raw["test_per_class"], where, "test_per_class"),
             seed=seed,
         )
     except (KeyError, TypeError, ValueError) as exc:

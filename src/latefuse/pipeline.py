@@ -22,6 +22,7 @@ import numpy as np
 
 from . import classifiers, crossval, ensemble
 from .classifiers.base import state_array
+from .classifiers.forest import arrays_from_trees
 from .core import (
     GroupView,
     LabelSpace,
@@ -33,7 +34,7 @@ from .core import (
 )
 from .errors import CorruptModel, GroupSchemaMismatch, IoFailure, VersionMismatch
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2  # version 1 nested each forest tree in dicts; it still loads
 
 
 @dataclass(frozen=True)
@@ -339,22 +340,28 @@ def load_ensemble(path: str) -> TrainedEnsemble:
         raise CorruptModel(f"model file {path!r} is not parseable: {exc}") from exc
     if not isinstance(document, dict) or "format_version" not in document:
         raise CorruptModel(f"model file {path!r} has no format_version")
-    if document["format_version"] != MODEL_FORMAT_VERSION:
+    version = document["format_version"]
+    if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
         raise VersionMismatch(
-            f"model format version {document['format_version']}, "
-            f"supported: {MODEL_FORMAT_VERSION}"
+            f"model format version {version!r}, supported: 1 and {MODEL_FORMAT_VERSION}"
         )
     payload = document.get("payload")
     if payload is None or document.get("checksum") != _checksum(payload):
         raise CorruptModel(f"model file {path!r} fails its checksum")
 
     try:
-        return _ensemble_from_payload(payload)
+        return _ensemble_from_payload(payload, version)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CorruptModel(f"model file {path!r} has a malformed payload: {exc!r}") from exc
 
 
-def _ensemble_from_payload(payload: dict) -> TrainedEnsemble:
+def _model_from_state(spec, labels: LabelSpace, input_dim, state, version: int):
+    if version == 1 and spec.kind == "random_forest":
+        state = arrays_from_trees(state["trees"])
+    return classifiers.model_from_state(spec, labels, input_dim, state)
+
+
+def _ensemble_from_payload(payload: dict, version: int) -> TrainedEnsemble:
     labels = LabelSpace(tuple(payload["label_space"]))
     strategy = ensemble.EnsembleStrategy.from_dict(payload["strategy"])
     per_group, priorities = [], []
@@ -365,7 +372,7 @@ def _ensemble_from_payload(payload: dict) -> TrainedEnsemble:
             mean=state_array(g["standardizer"], "mean", (dim,)),
             scale=state_array(g["standardizer"], "scale", (dim,)),
         )
-        model = classifiers.model_from_state(spec, labels, dim, g["state"])
+        model = _model_from_state(spec, labels, dim, g["state"], version)
         per_group.append(GroupModel(name=g["name"], standardizer=s, classifier=model))
         priorities.append(
             crossval.GroupPriority(group_name=g["name"], value=g["priority"])
@@ -378,7 +385,7 @@ def _ensemble_from_payload(payload: dict) -> TrainedEnsemble:
             raise ValueError(
                 f"meta input_dim {mdim}, expected {len(per_group)} groups x {labels.m} classes"
             )
-        meta = classifiers.model_from_state(mspec, labels, mdim, payload["meta"]["state"])
+        meta = _model_from_state(mspec, labels, mdim, payload["meta"]["state"], version)
     return TrainedEnsemble(
         per_group=tuple(per_group),
         priorities=tuple(priorities),

@@ -69,3 +69,16 @@ def two_blob_dataset(rng):
     Xa, y = gaussian_blobs(rng, 30, [[0.0, 0.0], [6.0, 6.0]])
     Xb = rng.standard_normal((60, 3))
     return make_dataset([("a", Xa), ("b", Xb)], y)
+
+
+def nested_tree(state, node):
+    """The tree under ``node`` of a forest's node arrays (a random forest's
+    model state), as the nested dicts of model format 1."""
+    if state["left"][node] == -1:
+        return {"leaf": state["leaf"][node]}
+    return {
+        "f": state["feature"][node],
+        "t": state["threshold"][node],
+        "l": nested_tree(state, state["left"][node]),
+        "r": nested_tree(state, state["right"][node]),
+    }

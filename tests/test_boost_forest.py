@@ -14,13 +14,12 @@ from latefuse.classifiers import (
     train_adaboost,
     train_stump,
 )
-from latefuse.classifiers.forest import _best_split
-from latefuse.classifiers import stumps
+from latefuse.classifiers import forest, stumps
 from latefuse.classifiers.stumps import sorted_columns
 from latefuse.core import LabelSpace
 from latefuse.errors import SingleClassData
 
-from conftest import DETERMINISTIC, gaussian_blobs
+from conftest import DETERMINISTIC, gaussian_blobs, nested_tree
 
 LABELS2 = LabelSpace(("c0", "c1"))
 # feature values rounded to one decimal, so columns repeat values
@@ -246,8 +245,20 @@ def split_problems(draw):
     return X, y, idx, np.array(sorted(features)), m, min_leaf
 
 
+def best_split(X, y, idx, feature_ids, m, min_leaf):
+    """The level-wise search on a frontier of one node: the first best
+    (reduction, feature, threshold), or None when no cut improves."""
+    reduction, f, t = forest.frontier_splits(
+        X, forest.column_ranks(X), y, np.asarray(idx), np.array([len(idx)]),
+        np.asarray(feature_ids)[None, :], m, min_leaf,
+    )
+    if not reduction[0] > forest.IMPROVES:
+        return None
+    return float(reduction[0]), int(f[0]), float(t[0])
+
+
 def assert_split_matches_oracle(X, y, idx, feature_ids, m, min_leaf):
-    found = _best_split(X, y, idx, feature_ids, m, min_leaf)
+    found = best_split(X, y, idx, feature_ids, m, min_leaf)
     expected = brute_force_split(X, y, idx, feature_ids, m, min_leaf)
     if expected is None:
         assert found is None
@@ -268,8 +279,8 @@ class TestBestSplit:
         X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0]])
         y = np.array([0, 1, 1, 1, 1])
         idx = np.arange(5)
-        assert _best_split(X, y, idx, np.array([0]), 2, 1)[1:] == (0, 0.5)
-        assert _best_split(X, y, idx, np.array([0]), 2, 2)[1:] == (0, 1.5)
+        assert best_split(X, y, idx, np.array([0]), 2, 1)[1:] == (0, 0.5)
+        assert best_split(X, y, idx, np.array([0]), 2, 2)[1:] == (0, 1.5)
         for min_leaf in (1, 2, 3):
             assert_split_matches_oracle(X, y, idx, np.array([0]), 2, min_leaf)
 
@@ -279,7 +290,7 @@ class TestBestSplit:
         X = np.column_stack([rng.standard_normal(12), col, col, col])
         y = (col > 0).astype(np.int64)
         idx = np.arange(12)
-        found = _best_split(X, y, idx, np.array([1, 2, 3]), 2, 1)
+        found = best_split(X, y, idx, np.array([1, 2, 3]), 2, 1)
         assert found[1] == 1
         assert_split_matches_oracle(X, y, idx, np.array([1, 2, 3]), 2, 1)
 
@@ -290,24 +301,128 @@ class TestBestSplit:
         y = (col > 0.3).astype(np.int64) + (col > 1.0)
         idx = rng.integers(0, 30, size=30)
         features = np.array([0, 1, 2, 3, 4, 5])
-        one_pass = _best_split(X, y, idx, features, 3, 2)
+        one_pass = best_split(X, y, idx, features, 3, 2)
         assert one_pass[1] == 2
         for width in (1, 2, 4):
             monkeypatch.setattr(stumps, "SCAN_BYTES", 8 * 3 * 30 * width)
             assert len(stumps.column_blocks(3, 30, 6)) == -(-6 // width)
-            assert _best_split(X, y, idx, features, 3, 2) == one_pass
+            assert best_split(X, y, idx, features, 3, 2) == one_pass
             assert_split_matches_oracle(X, y, idx, features, 3, 2)
 
     def test_no_improving_split_returns_none(self):
         # constant feature, then a cut that leaves both sides' mix unchanged
         idx, features, y = np.arange(4), np.array([0]), np.array([0, 1, 0, 1])
-        assert _best_split(np.zeros((4, 1)), y, idx, features, 2, 1) is None
+        assert best_split(np.zeros((4, 1)), y, idx, features, 2, 1) is None
         X = np.array([[0.0], [0.0], [1.0], [1.0]])
-        assert _best_split(X, y, idx, features, 2, 1) is None
+        assert best_split(X, y, idx, features, 2, 1) is None
         assert brute_force_split(X, y, idx, features, 2, 1) is None
 
 
+@st.composite
+def frontier_problems(draw):
+    """Several nodes sharing one frontier, as if from different trees: each
+    with its own bootstrap rows and its own sorted sample of mtry features."""
+    m = draw(st.integers(2, 4))
+    n, d = draw(st.integers(3, 12)), draw(st.integers(1, 4))
+    X = np.array(draw(st.lists(st.lists(ROUNDED, min_size=d, max_size=d), min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+    mtry = draw(st.integers(1, d))
+    rows = st.lists(st.integers(0, n - 1), min_size=2, max_size=2 * n)
+    features = st.sets(st.integers(0, d - 1), min_size=mtry, max_size=mtry).map(sorted)
+    nodes = draw(st.lists(st.tuples(rows, features), min_size=1, max_size=5))
+    return X, y, nodes, m, draw(st.integers(1, 3))
+
+
+class TestFrontierSplits:
+    @settings(DETERMINISTIC, max_examples=150)
+    @given(frontier_problems())
+    def test_every_node_matches_oracle(self, problem):
+        X, y, nodes, m, min_leaf = problem
+        args = (
+            X, forest.column_ranks(X), y, np.concatenate([r for r, _ in nodes]),
+            np.array([len(r) for r, _ in nodes]), np.array([f for _, f in nodes]), m, min_leaf,
+        )
+        one_pass = forest.frontier_splits(*args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stumps, "SCAN_BYTES", 8)  # one node per chunk
+            for a, b in zip(forest.frontier_splits(*args), one_pass):
+                np.testing.assert_array_equal(a, b)
+        for s, (rows, features) in enumerate(nodes):
+            expected = brute_force_split(X, y, np.array(rows), features, m, min_leaf)
+            if expected is None:
+                assert not one_pass[0][s] > forest.IMPROVES
+            else:
+                assert (one_pass[1][s], one_pass[2][s]) == expected[1:]
+                assert one_pass[0][s] == pytest.approx(float(expected[0]), abs=1e-12)
+
+
+def reference_tree(X, y, idx, m, min_leaf):
+    """Recursive oracle grower for one-feature data, where the feature draws
+    cannot matter: ``brute_force_split`` at every node, as nested dicts."""
+    counts = np.bincount(y[idx], minlength=m)
+    found = None
+    if len(idx) > min_leaf and np.count_nonzero(counts) > 1:
+        found = brute_force_split(X, y, idx, [0], m, min_leaf)
+    if found is None:
+        return {"leaf": int(np.argmax(counts))}
+    _, f, t = found
+    left = X[idx, f] <= t
+    return {
+        "f": f,
+        "t": t,
+        "l": reference_tree(X, y, idx[left], m, min_leaf),
+        "r": reference_tree(X, y, idx[~left], m, min_leaf),
+    }
+
+
 class TestRandomForest:
+    def test_one_feature_forest_matches_reference_grower(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            n, m, min_leaf = int(rng.integers(5, 50)), int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            X = np.round(rng.standard_normal((n, 1)), int(rng.integers(0, 3)))
+            y = np.concatenate([np.arange(m), rng.integers(0, m, size=n - m)])
+            spec = ClassifierSpec("random_forest", seed=7, trees=3, min_leaf=min_leaf)
+            state = train(spec, X, y, LabelSpace(tuple(f"c{k}" for k in range(m)))).state()
+            for t in range(3):
+                boot = np.random.default_rng([7, t]).integers(0, n, size=n)
+                assert nested_tree(state, t) == reference_tree(X, y, boot, m, min_leaf)
+
+    @pytest.mark.parametrize(
+        "lo,hi", [(1.0 - 2.0**-53, 1.0), (1.5e308, 1.7e308), (-1.7e308, -1.5e308)]
+    )
+    def test_split_between_values_whose_midpoint_is_not_between(self, lo, hi):
+        # the midpoint rounds to hi, or the sum overflows: the split is at lo
+        X = np.array([[lo], [hi], [lo], [hi]])
+        y = np.array([0, 1, 0, 1])
+        model = train(ClassifierSpec("random_forest", trees=1), X, y, LABELS2)
+        assert model.state()["threshold"][0] == lo
+        np.testing.assert_array_equal(model.predict(X), y)
+
+    def test_scan_chunks_give_the_same_forest(self, rng, monkeypatch):
+        X, y = gaussian_blobs(rng, 20, [[0, 0, 0, 0], [2, 2, 0, 0], [0, 2, 2, 0]])
+        spec = ClassifierSpec("random_forest", seed=2, trees=6)
+        labels = LabelSpace(("a", "b", "c"))
+        one_pass = train(spec, X, y, labels).state()
+        for entries in (1, 7, 50):
+            monkeypatch.setattr(stumps, "SCAN_BYTES", 8 * 2 * forest.SCAN_ARRAYS * entries)  # mtry = 2
+            assert train(spec, X, y, labels).state() == one_pass
+
+    def test_tree_does_not_depend_on_forest_size(self, rng):
+        X, y = gaussian_blobs(rng, 15, [[0, 0, 0], [2, 1, 0], [0, 2, 1]])
+        labels = LabelSpace(("a", "b", "c"))
+        small = train(ClassifierSpec("random_forest", seed=5, trees=3), X, y, labels).state()
+        large = train(ClassifierSpec("random_forest", seed=5, trees=5), X, y, labels).state()
+        for t in range(3):
+            assert nested_tree(small, t) == nested_tree(large, t)
+
+    def test_format_one_trees_convert_to_the_same_arrays(self, rng):
+        X, y = gaussian_blobs(rng, 15, [[0, 0, 0], [2, 1, 0], [0, 2, 1]])
+        state = train(
+            ClassifierSpec("random_forest", seed=1, trees=4), X, y, LabelSpace(("a", "b", "c"))
+        ).state()
+        assert forest.arrays_from_trees([nested_tree(state, t) for t in range(4)]) == state
+
     def _xor_data(self, rng, n=30, gap=4.0):
         centers = np.array([[0, 0], [gap, gap], [0, gap], [gap, 0]])
         cls = np.array([0, 0, 1, 1])
@@ -328,7 +443,7 @@ class TestRandomForest:
         spec = ClassifierSpec("random_forest", seed=4, trees=20)
         m1 = train(spec, X, y, LABELS2)
         m2 = train(spec, X, y, LABELS2)
-        assert m1.trees == m2.trees
+        assert m1.state() == m2.state()
 
     def test_beats_best_stump_on_xor(self):
         rng = np.random.default_rng(3)

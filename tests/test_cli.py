@@ -14,6 +14,8 @@ from conftest import (
     shorten_standardizer,
 )
 
+FOREST_V1 = os.path.join(os.path.dirname(__file__), "data", "forest_v1")
+
 SMALL_SPEC = {
     "m": 3,
     "n_per_class": 30,
@@ -201,6 +203,16 @@ class TestTrainPredictEvaluate:
         rc, err = predict_with_edited_model(workdir, capsys, edit, classifier=classifier)
         assert rc == 1
         assert str(workdir / "model.json") in err
+
+    def test_format_1_forest_model_predicts_the_same_bytes(self, tmp_path):
+        groups = [{"name": g, "path": os.path.join(FOREST_V1, f"{g}.csv")} for g in ("sig", "weak")]
+        cfg = tmp_path / "predict.json"
+        cfg.write_text(json.dumps({"data": {"groups": groups}}))
+        out = tmp_path / "p.csv"
+        model = os.path.join(FOREST_V1, "model.json")
+        assert main(["predict", "--model", model, "--config", str(cfg), "--out", str(out)]) == 0
+        with open(os.path.join(FOREST_V1, "predictions.csv"), "rb") as fh:
+            assert out.read_bytes() == fh.read()
 
     @pytest.mark.parametrize("target", ["features", "labels", "model"])
     def test_undecodable_input_file_exit_1(self, workdir, capsys, target):
@@ -430,6 +442,32 @@ class TestGenData:
         assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert repr(str(spec)) in err and "seed" in err
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("views[0].dim", 2.5),
+            ("views[0].dim", True),
+            ("n_per_class", 10.7),
+            ("train_per_class", 20.5),
+            ("m", "3"),
+            ("views[1].scale", float("inf")),
+            ("separation", float("nan")),
+        ],
+    )
+    def test_gen_data_number_exit_2(self, tmp_path, capsys, field, value):
+        raw = json.loads(json.dumps(SMALL_SPEC))
+        if field.startswith("views"):
+            raw["views"][int(field[6])][field[9:]] = value
+        else:
+            raw[field] = value
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps(raw))  # writes inf and nan as Infinity and NaN
+        out = tmp_path / "x"
+        assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert repr(str(spec)) in err and field in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["../../escaped", "sub/escaped", "..", "", "labels", "a\0b", 7])
     def test_view_name_not_a_plain_file_name_exit_2(self, tmp_path, capsys, name):

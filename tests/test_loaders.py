@@ -1,11 +1,17 @@
 """Any bytes given to a file loader either load or raise a LateFuseError."""
 
+import functools
+import json
 import os
 import tempfile
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latefuse import pipeline
+from latefuse.classifiers import ClassifierSpec
+from latefuse.classifiers.forest import NODE_ARRAYS
 from latefuse.dataio import (
     load_dataset,
     load_groups,
@@ -13,10 +19,11 @@ from latefuse.dataio import (
     read_labels,
     read_predictions,
 )
-from latefuse.errors import LateFuseError
+from latefuse.ensemble import EnsembleStrategy
+from latefuse.errors import CorruptModel, LateFuseError
 from latefuse.pipeline import load_ensemble
 
-from conftest import DETERMINISTIC
+from conftest import DETERMINISTIC, gaussian_blobs, make_dataset
 
 
 def load_one_group(path):
@@ -60,3 +67,58 @@ def test_any_bytes_load_or_raise_latefuse_error(header, body):
                 load(path)
             except LateFuseError:
                 pass
+
+
+@functools.cache
+def tiny_forest_model() -> str:
+    """The text of a saved 3-tree forest model with one 2-column group."""
+    X, y = gaussian_blobs(np.random.default_rng(0), 8, [[0, 0], [3, 3], [0, 3]])
+    e = pipeline.train_ensemble(
+        make_dataset([("g", X)], y), ClassifierSpec("random_forest", trees=3),
+        EnsembleStrategy("confidence_sum"), 2, 0,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        pipeline.save_ensemble(e, path)
+        with open(path) as fh:
+            return fh.read()
+
+
+# a replacement for one node-array entry: a negative id, the entry's own id,
+# an id at or beyond the node count, any small id, a float, NaN, a bool or a
+# string
+ENTRY_VALUES = st.one_of(
+    st.integers(-3, -1),
+    st.just("own id"),
+    st.integers(0, 2).map(lambda k: ("beyond", k)),
+    st.integers(0, 40),
+    st.sampled_from([0.5, 1.0, 1e300, float("inf")]),
+    st.just(float("nan")),
+    st.booleans(),
+    st.text(max_size=3),
+)
+
+
+@settings(DETERMINISTIC, max_examples=150)
+@given(name=st.sampled_from(NODE_ARRAYS), pick=st.integers(0, 10**6), value=ENTRY_VALUES)
+def test_edited_forest_state_predicts_or_is_corrupt(name, pick, value):
+    doc = json.loads(tiny_forest_model())
+    array = doc["payload"]["groups"][0]["state"][name]
+    i = pick % len(array)
+    if value == "own id":
+        value = i
+    elif isinstance(value, tuple):
+        value = len(array) + value[1]
+    array[i] = value
+    doc["checksum"] = pipeline._checksum(doc["payload"])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        try:
+            e = load_ensemble(path)
+        except CorruptModel:
+            return
+    grid = np.stack(np.meshgrid(np.linspace(-3, 6, 7), np.linspace(-3, 6, 7)), axis=-1)
+    P = e.per_group[0].classifier.predict_proba(grid.reshape(-1, 2))
+    assert np.all(P >= 0) and np.allclose(P.sum(axis=1), 1.0)

@@ -24,6 +24,7 @@ from conftest import (
     make_dataset,
     nan_adaboost_alpha,
     nan_standardizer_mean,
+    nested_tree,
     shorten_standardizer,
 )
 
@@ -60,10 +61,60 @@ def stump_feature_out_of_range(group):
 
 
 def tree_leaf_class_out_of_range(group):
-    node = group["state"]["trees"][0]
-    while "leaf" not in node:
-        node = node["l"]
-    node["leaf"] = 99
+    state = group["state"]
+    state["leaf"][state["left"].index(-1)] = 99
+
+
+def tree_child_points_back(group):
+    group["state"]["left"][0] = 0
+
+
+def tree_child_beyond_node_count(group):
+    group["state"]["right"][0] = len(group["state"]["right"])
+
+
+def tree_node_with_two_parents(group):
+    state = group["state"]
+    state["right"][0] = state["left"][0]
+
+
+def tree_split_feature_out_of_range(group):
+    group["state"]["feature"][0] = group["input_dim"]
+
+
+def tree_float_child_id(group):
+    group["state"]["left"][0] += 0.0
+
+
+def tree_arrays_differ_in_length(group):
+    group["state"]["threshold"].pop()
+
+
+def tree_count_above_roots(group):
+    group["spec"]["trees"] += 1
+
+
+def tree_nodes_fewer_than_trees(group):
+    state = group["state"]
+    for name, unused in (("feature", -1), ("threshold", 0.0), ("left", -1), ("right", -1), ("leaf", 0)):
+        state[name] = [unused, unused]  # two root leaves for three trees
+
+
+def tree_parent_numbered_after_child(group):
+    # a well-formed forest, except that leaf b takes the place of its parent
+    # a, so a's id is below that of its new parent b
+    state = group["state"]
+    left, right = state["left"], state["right"]
+    for a, (b, c) in enumerate(zip(left, right)):
+        if b != -1 and left[b] == left[c] == -1 and a in left + right:
+            parent = (left + right).index(a) % len(left)
+            (left if left[parent] == a else right)[parent] = b
+            for name, at_a, at_b in (("feature", -1, state["feature"][a]), ("left", -1, a),
+                                     ("right", -1, c), ("leaf", 0, -1)):
+                state[name][a], state[name][b] = at_a, at_b
+            state["threshold"][b] = state["threshold"][a]
+            return
+    raise AssertionError("no split node with two leaf children below the roots")
 
 
 # (kind, spec settings, edit to the first group of a saved model): each edit
@@ -74,6 +125,15 @@ MISSHAPED_STATES = [
     ("linear_svm_ovr", {"c_grid": (1.0,)}, widen_hyperplanes),
     ("adaboost_stumps", {"rounds": 5}, stump_feature_out_of_range),
     ("random_forest", {"trees": 3}, tree_leaf_class_out_of_range),
+    ("random_forest", {"trees": 3}, tree_child_points_back),
+    ("random_forest", {"trees": 3}, tree_child_beyond_node_count),
+    ("random_forest", {"trees": 3}, tree_node_with_two_parents),
+    ("random_forest", {"trees": 3}, tree_split_feature_out_of_range),
+    ("random_forest", {"trees": 3}, tree_float_child_id),
+    ("random_forest", {"trees": 3}, tree_arrays_differ_in_length),
+    ("random_forest", {"trees": 3}, tree_count_above_roots),
+    ("random_forest", {"trees": 3}, tree_nodes_fewer_than_trees),
+    ("random_forest", {"trees": 3}, tree_parent_numbered_after_child),
 ]
 
 
@@ -82,7 +142,7 @@ def inf_stump_threshold(group):
 
 
 def nan_tree_threshold(group):
-    group["state"]["trees"][0]["t"] = float("nan")
+    group["state"]["threshold"][0] = float("nan")
 
 
 def inf_svm_temperature(group):
@@ -375,6 +435,26 @@ class TestPersistence:
         save_misshaped_model(path, small_dataset(rng), kind, kw, edit)
         with pytest.raises(CorruptModel, match="model.json"):
             load_ensemble(str(path))
+
+    def test_nested_forest_trees_load_in_format_1_only(self, tmp_path, rng):
+        d = small_dataset(rng)
+        spec = ClassifierSpec("random_forest", seed=1, trees=4)
+        e = train_ensemble(d, spec, EnsembleStrategy("confidence_sum"), 3, 0)
+        path = tmp_path / "model.json"
+        save_ensemble(e, str(path))
+        doc = json.loads(path.read_text())
+        for g in doc["payload"]["groups"]:
+            g["state"] = {"trees": [nested_tree(g["state"], t) for t in range(4)]}
+        doc["checksum"] = pipeline._checksum(doc["payload"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptModel, match="model.json"):
+            load_ensemble(str(path))
+        doc["format_version"] = 1
+        path.write_text(json.dumps(doc))
+        loaded = load_ensemble(str(path))
+        probe = small_dataset(np.random.default_rng(123))
+        for a, b in zip(predict(e, probe), predict(loaded, probe)):
+            np.testing.assert_array_equal(a.scores, b.scores)
 
     def test_checksummed_meta_width_mismatch_is_corrupt(self, tmp_path, rng):
         d = small_dataset(rng)
