@@ -19,7 +19,7 @@ from .core import (
     stratified_split,
     validate_dataset,
 )
-from .crossval import FoldPlan, GroupPriority, group_priority, make_folds
+from .crossval import FoldPlan, group_priority, make_folds
 from .ensemble import (
     EnsembleStrategy,
     assign_ranks,
@@ -66,7 +66,6 @@ __all__ = [
     "stratified_split",
     "validate_dataset",
     "FoldPlan",
-    "GroupPriority",
     "group_priority",
     "make_folds",
     "EnsembleStrategy",

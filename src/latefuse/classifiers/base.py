@@ -190,8 +190,14 @@ def state_array(state: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def state_float(value, what: str) -> float:
-    """Read a persisted number that must be finite; ValueError otherwise."""
-    x = float(value)
+    """Read a persisted JSON number (not a bool) that must be finite as a
+    float; ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is beyond the float range") from None
     if not math.isfinite(x):
         raise ValueError(f"{what} {x} is not finite")
     return x

@@ -197,8 +197,8 @@ def cmd_train(args) -> int:
     pipeline.save_ensemble(e, model_path)
     print(f"trained on {train.n} samples, {len(train.groups)} groups, "
           f"{train.label_space.m} classes (k={cfg.k}, seed={cfg.seed})")
-    for pr in e.priorities:
-        print(f"group {pr.group_name} priority {pr.value:.4f}")
+    for gm in e.per_group:
+        print(f"group {gm.name} priority {gm.priority:.4f}")
     print(f"model written to {model_path}")
     return 0
 
@@ -266,6 +266,8 @@ def _synth_spec_from_json(
     views = raw.get("views")
     if not isinstance(views, list) or not views:
         raise ConfigError(f"{where}: views must be a non-empty list")
+    for i, v in enumerate(views):
+        _object(v, where, f"views[{i}]")
     try:
         view_specs = tuple(
             synthdata.ViewSpec(

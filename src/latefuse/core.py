@@ -148,7 +148,10 @@ def validate_dataset(d: MultiViewDataset) -> MultiViewDataset:
         )
     if len(set(d.sample_ids)) != n:
         raise MisalignedGroup("sample_ids contain duplicates")
-    for g in d.groups:
+    names = d.group_names
+    for i, g in enumerate(d.groups):
+        if g.name in names[:i]:
+            raise MisalignedGroup(f"group name {g.name!r} is used twice")
         if g.n != n:
             raise MisalignedGroup(
                 f"group {g.name!r} has {g.n} rows, expected {n}"

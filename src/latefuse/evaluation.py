@@ -175,13 +175,15 @@ def ablate(
     for subset in subset_plan or []:
         if len(subset) == 0:
             raise UnknownGroupName("empty group subset")
-        for g in subset:
+        for i, g in enumerate(subset):
             if g not in names:
                 raise UnknownGroupName(f"unknown group {g!r} in subset plan")
+            if g in subset[:i]:
+                raise UnknownGroupName(f"group {g!r} named twice in one subset")
     fits = dict(zip(names, pipeline.fit_groups(train, spec, k, seed)))
     if subset_plan is None:
         subset_plan = nested_subsets(
-            sorted(names, key=lambda n: (-fits[n].priority.value, n))
+            sorted(names, key=lambda n: (-fits[n].model.priority, n))
         )
     plan = [tuple(subset) for subset in subset_plan]
     full = tuple(sorted(names))

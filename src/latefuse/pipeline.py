@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import classifiers, crossval, ensemble
-from .classifiers.base import state_array
+from .classifiers.base import state_array, state_float
 from .classifiers.forest import arrays_from_trees
 from .core import (
     GroupView,
@@ -39,30 +39,28 @@ MODEL_FORMAT_VERSION = 2  # version 1 nested each forest tree in dicts; it still
 
 @dataclass(frozen=True)
 class GroupModel:
-    """One group's fitted pieces: its name, standardizer, and classifier."""
+    """One group's fitted pieces: its name, standardizer and classifier, and
+    its priority (mean k-fold CV accuracy, always in [0, 1])."""
 
     name: str
     standardizer: Standardizer
     classifier: classifiers.FittedClassifier
+    priority: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.priority <= 1.0:
+            raise ValueError(f"priority {self.priority} outside [0, 1]")
 
 
 @dataclass(frozen=True)
 class TrainedEnsemble:
     per_group: tuple[GroupModel, ...]
-    priorities: tuple[crossval.GroupPriority, ...]
     strategy: ensemble.EnsembleStrategy
     meta: Optional[classifiers.FittedClassifier]
     label_space: LabelSpace
     config_fingerprint: str
 
     def __post_init__(self):
-        if len(self.per_group) != len(self.priorities):
-            raise ValueError("per_group and priorities must have equal length")
-        for gm, pr in zip(self.per_group, self.priorities):
-            if gm.name != pr.group_name:
-                raise ValueError(
-                    f"priority for {pr.group_name!r} does not match group {gm.name!r}"
-                )
         if (self.meta is not None) != (self.strategy.kind == "stacking"):
             raise ValueError("meta classifier present iff strategy is stacking")
 
@@ -72,7 +70,7 @@ class TrainedEnsemble:
 
     @property
     def priority_values(self) -> tuple[float, ...]:
-        return tuple(p.value for p in self.priorities)
+        return tuple(gm.priority for gm in self.per_group)
 
 
 @dataclass(frozen=True)
@@ -83,6 +81,12 @@ class Prediction:
     per_group_probs: tuple[np.ndarray, ...]
 
 
+def _checksum(payload: dict) -> str:
+    """sha256 of the canonical JSON form of ``payload``."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def config_fingerprint(
     spec: classifiers.ClassifierSpec,
     strategy: ensemble.EnsembleStrategy,
@@ -90,25 +94,22 @@ def config_fingerprint(
     seed: int,
     group_schema: Sequence[tuple[str, int]],
 ) -> str:
-    payload = {
+    return _checksum({
         "spec": spec.to_dict(),
         "strategy": strategy.to_dict(),
         "k": k,
         "seed": seed,
         "groups": [[name, dim] for name, dim in group_schema],
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    })
 
 
 @dataclass(frozen=True)
 class GroupFit:
-    """One group's training-time fit: its deployable model and priority, plus
-    the standardized training features and their out-of-fold probabilities
-    that stacking's meta-classifier may train on."""
+    """One group's training-time fit: its deployable model, plus the
+    standardized training features and their out-of-fold probabilities that
+    stacking's meta-classifier may train on."""
 
     model: GroupModel
-    priority: crossval.GroupPriority
     X: np.ndarray
     oof: np.ndarray
 
@@ -125,9 +126,8 @@ def fit_groups(
         s = standardize_fit(g.features)
         X = standardize_apply(s, g.features)
         model = classifiers.train(spec, X, y, labels)
-        oof, accuracies = crossval.cross_fit(spec, X, y, labels, plan)
-        priority = crossval.GroupPriority(g.name, float(np.mean(accuracies)))
-        fits.append(GroupFit(GroupModel(g.name, s, model), priority, X, oof))
+        priority, oof = crossval.group_priority(spec, X, y, labels, plan)
+        fits.append(GroupFit(GroupModel(g.name, s, model, priority), X, oof))
     return fits
 
 
@@ -152,7 +152,6 @@ def assemble(
     schema = [(f.model.name, f.model.classifier.input_dim) for f in fits]
     return TrainedEnsemble(
         per_group=tuple(f.model for f in fits),
-        priorities=tuple(f.priority for f in fits),
         strategy=strategy,
         meta=meta,
         label_space=train.label_space,
@@ -287,9 +286,9 @@ def _ensemble_payload(e: TrainedEnsemble) -> dict:
                 "spec": gm.classifier.spec.to_dict(),
                 "input_dim": gm.classifier.input_dim,
                 "state": gm.classifier.state(),
-                "priority": pr.value,
+                "priority": gm.priority,
             }
-            for gm, pr in zip(e.per_group, e.priorities)
+            for gm in e.per_group
         ],
         "meta": (
             None
@@ -301,11 +300,6 @@ def _ensemble_payload(e: TrainedEnsemble) -> dict:
             }
         ),
     }
-
-
-def _checksum(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def save_ensemble(e: TrainedEnsemble, path: str) -> None:
@@ -364,7 +358,7 @@ def _model_from_state(spec, labels: LabelSpace, input_dim, state, version: int):
 def _ensemble_from_payload(payload: dict, version: int) -> TrainedEnsemble:
     labels = LabelSpace(tuple(payload["label_space"]))
     strategy = ensemble.EnsembleStrategy.from_dict(payload["strategy"])
-    per_group, priorities = [], []
+    per_group = []
     for g in payload["groups"]:
         spec = classifiers.ClassifierSpec.from_dict(g["spec"])
         dim = g["input_dim"]
@@ -373,10 +367,8 @@ def _ensemble_from_payload(payload: dict, version: int) -> TrainedEnsemble:
             scale=state_array(g["standardizer"], "scale", (dim,)),
         )
         model = _model_from_state(spec, labels, dim, g["state"], version)
-        per_group.append(GroupModel(name=g["name"], standardizer=s, classifier=model))
-        priorities.append(
-            crossval.GroupPriority(group_name=g["name"], value=g["priority"])
-        )
+        priority = state_float(g["priority"], "priority")
+        per_group.append(GroupModel(g["name"], s, model, priority))
     meta = None
     if payload["meta"] is not None:
         mspec = classifiers.ClassifierSpec.from_dict(payload["meta"]["spec"])
@@ -388,7 +380,6 @@ def _ensemble_from_payload(payload: dict, version: int) -> TrainedEnsemble:
         meta = _model_from_state(mspec, labels, mdim, payload["meta"]["state"], version)
     return TrainedEnsemble(
         per_group=tuple(per_group),
-        priorities=tuple(priorities),
         strategy=strategy,
         meta=meta,
         label_space=labels,

@@ -72,9 +72,12 @@ def generate(spec: SynthSpec) -> MultiViewDataset:
     labels = np.repeat(np.arange(spec.m), spec.n_per_class)
     groups = []
     for view in spec.views:
-        means = spec.separation * rng.standard_normal((spec.m, view.dim))
-        noise = rng.standard_normal((n, view.dim))
-        feats = view.scale * (view.informativeness * means[labels] + noise)
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = spec.separation * rng.standard_normal((spec.m, view.dim))
+            noise = rng.standard_normal((n, view.dim))
+            feats = view.scale * (view.informativeness * means[labels] + noise)
+        if not np.all(np.isfinite(feats)):
+            raise BadSpec(f"view {view.name!r}: scale and separation overflow the features")
         groups.append(GroupView(view.name, feats))
     label_space = LabelSpace(tuple(f"class_{i:02d}" for i in range(spec.m)))
     ids = tuple(f"s{i:05d}" for i in range(n))

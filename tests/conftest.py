@@ -18,6 +18,18 @@ def gaussian_blobs(rng, n_per_class, centers):
     return X, y
 
 
+def cross_val_accuracy(train_fn, X, y, plan):
+    """Oracle priority: unweighted mean over the folds of ``plan`` of held-out
+    top-1 accuracy. ``train_fn(X_train, y_train)`` returns a callable mapping
+    a feature matrix to predicted class indices."""
+    accuracies = []
+    for f in range(plan.k):
+        held = plan.assignments == f
+        predict = train_fn(X[~held], y[~held])
+        accuracies.append(float((np.asarray(predict(X[held])) == y[held]).mean()))
+    return float(np.mean(accuracies))
+
+
 def make_dataset(groups, labels, class_names=None):
     """Small helper assembling a MultiViewDataset from raw matrices."""
     labels = np.asarray(labels, dtype=np.int64)

@@ -24,7 +24,7 @@ from latefuse.ensemble import (
     rank_sum,
 )
 
-from conftest import gaussian_blobs
+from conftest import cross_val_accuracy, gaussian_blobs
 from test_ensemble import oracle_combine, oracle_decide, oracle_ranks
 
 SEEDS = list(range(10))
@@ -300,7 +300,7 @@ class TestCriterion8PriorityCalibration:
             return lambda X_te: np.zeros(len(X_te), dtype=int)
 
         plan = crossval.make_folds(y, 5, seed=0)
-        value = crossval.cross_val_accuracy(constant_trainer, X, y, plan)
+        value = cross_val_accuracy(constant_trainer, X, y, plan)
         assert value == pytest.approx(0.70, abs=0.02)
 
 

@@ -204,6 +204,16 @@ class TestTrainPredictEvaluate:
         assert rc == 1
         assert str(workdir / "model.json") in err
 
+    @pytest.mark.parametrize("value", [True, 1.5, float("nan"), "x", None],
+                             ids=["true", "1.5", "NaN", "string", "null"])
+    def test_checksummed_bad_priority_exit_1(self, workdir, capsys, value):
+        def edit(group):
+            group["priority"] = value
+
+        rc, err = predict_with_edited_model(workdir, capsys, edit)
+        assert rc == 1
+        assert str(workdir / "model.json") in err and "priority" in err
+
     def test_format_1_forest_model_predicts_the_same_bytes(self, tmp_path):
         groups = [{"name": g, "path": os.path.join(FOREST_V1, f"{g}.csv")} for g in ("sig", "weak")]
         cfg = tmp_path / "predict.json"
@@ -314,6 +324,12 @@ class TestCompareAndAblate:
         cfg = write_config(workdir, subsets=[["hog"]])
         assert main(["ablate", "--config", str(cfg)]) == 2
         assert "hog" in capsys.readouterr().err
+
+    def test_ablate_group_named_twice_exit_2(self, workdir, capsys):
+        cfg = write_config(workdir, subsets=[["sig", "sig"]])
+        assert main(["ablate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "'sig'" in captured.err and "sig+sig" not in captured.out
 
 
 class TestFlags:
@@ -434,6 +450,22 @@ class TestGenData:
         spec = tmp_path / "s.json"
         spec.write_text(json.dumps({"m": 1, "n_per_class": 5}))
         assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("view", ["sig", None, [1, 2]])
+    def test_view_not_an_object_exit_2(self, tmp_path, capsys, view):
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps({**SMALL_SPEC, "views": [SMALL_SPEC["views"][0], view]}))
+        assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
+        assert "views[1] must be a JSON object" in capsys.readouterr().err
+
+    def test_overflowing_features_exit_2(self, tmp_path, capsys):
+        raw = json.loads(json.dumps(SMALL_SPEC))
+        raw["views"][0]["scale"] = 1e308
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps(raw))
+        assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
+        assert "'sig'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("seed", ["abc", None, -1, 1.5, True])
     def test_bad_seed_exit_2(self, tmp_path, capsys, seed):

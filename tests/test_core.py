@@ -103,6 +103,12 @@ class TestValidateDataset:
         with pytest.raises(MisalignedGroup, match="duplicate"):
             validate_dataset(d)
 
+    def test_duplicate_group_name(self, rng):
+        feats = rng.standard_normal((6, 2))
+        d = make_dataset([("a", feats), ("b", feats), ("a", feats)], [0, 0, 0, 1, 1, 1])
+        with pytest.raises(MisalignedGroup, match="'a'"):
+            validate_dataset(d)
+
 
 class TestStratifiedSplit:
     def _population(self, rng, per_class=100, m=2, d=3):

@@ -1,19 +1,13 @@
 import numpy as np
 import pytest
 
-from latefuse import classifiers
+from latefuse import classifiers, pipeline
 from latefuse.classifiers import ClassifierSpec
-from latefuse.core import LabelSpace
-from latefuse.crossval import (
-    GroupPriority,
-    cross_fit,
-    cross_val_accuracy,
-    group_priority,
-    make_folds,
-)
-from latefuse.errors import BadK, TooFewSamplesPerClass
+from latefuse.core import LabelSpace, standardize_fit
+from latefuse.crossval import group_priority, make_folds
+from latefuse.errors import BadK, LengthMismatch, TooFewSamplesPerClass
 
-from conftest import gaussian_blobs
+from conftest import cross_val_accuracy, gaussian_blobs
 
 
 class TestMakeFolds:
@@ -75,9 +69,8 @@ class TestCrossValAccuracy:
         X, y = gaussian_blobs(rng, 40, [[0, 0], [8, 8]])
         labels = LabelSpace(("a", "b"))
         plan = make_folds(y, 5, seed=0)
-        pr = group_priority(ClassifierSpec("logreg"), X, y, labels, plan, "blob")
-        assert pr.group_name == "blob"
-        assert pr.value >= 0.99
+        priority, _ = group_priority(ClassifierSpec("logreg"), X, y, labels, plan)
+        assert priority >= 0.99
 
     def test_pure_noise_within_chance_band(self, rng):
         n, m = 300, 3
@@ -85,10 +78,10 @@ class TestCrossValAccuracy:
         y = np.repeat(np.arange(m), n // m)
         labels = LabelSpace(("a", "b", "c"))
         plan = make_folds(y, 5, seed=1)
-        pr = group_priority(ClassifierSpec("logreg"), X, y, labels, plan, "noise")
+        priority, _ = group_priority(ClassifierSpec("logreg"), X, y, labels, plan)
         p = 1.0 / m
         band = 3 * np.sqrt(p * (1 - p) / n)
-        assert abs(pr.value - p) <= band
+        assert abs(priority - p) <= band
 
     def test_priority_in_unit_interval_random_data(self, rng):
         for seed in range(5):
@@ -96,22 +89,35 @@ class TestCrossValAccuracy:
             X = rng.standard_normal((n, 4))
             y = np.tile([0, 1, 2], n // 3)
             plan = make_folds(y, 3, seed=seed)
-            pr = group_priority(
+            priority, _ = group_priority(
                 ClassifierSpec("logreg"), X, y, LabelSpace(("a", "b", "c")), plan
             )
-            assert 0.0 <= pr.value <= 1.0
+            assert 0.0 <= priority <= 1.0
 
     def test_identical_inputs_identical_priority(self, rng):
         X, y = gaussian_blobs(rng, 15, [[0, 0], [2, 2]])
         labels = LabelSpace(("a", "b"))
         spec = ClassifierSpec("logreg")
-        v1 = group_priority(spec, X, y, labels, make_folds(y, 3, 4), "g").value
-        v2 = group_priority(spec, X, y, labels, make_folds(y, 3, 4), "g").value
+        v1, oof1 = group_priority(spec, X, y, labels, make_folds(y, 3, 4))
+        v2, oof2 = group_priority(spec, X, y, labels, make_folds(y, 3, 4))
         assert v1 == v2
+        np.testing.assert_array_equal(oof1, oof2)
 
-    def test_priority_range_validated(self):
-        with pytest.raises(ValueError):
-            GroupPriority("g", 1.5)
+    def test_priority_range_validated(self, rng):
+        X, y = gaussian_blobs(rng, 5, [[0, 0], [2, 2]])
+        labels = LabelSpace(("a", "b"))
+        model = classifiers.train(ClassifierSpec("logreg"), X, y, labels)
+        s = standardize_fit(X)
+        assert pipeline.GroupModel("g", s, model, 1.0).priority == 1.0
+        for bad in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                pipeline.GroupModel("g", s, model, bad)
+
+    def test_plan_must_cover_the_labels(self, rng):
+        X, y = gaussian_blobs(rng, 6, [[0, 0], [2, 2]])
+        plan = make_folds(y[:-2], 3, seed=0)
+        with pytest.raises(LengthMismatch):
+            group_priority(ClassifierSpec("logreg"), X, y, LabelSpace(("a", "b")), plan)
 
 
 class TestCrossFit:
@@ -120,13 +126,15 @@ class TestCrossFit:
         labels = LabelSpace(("a", "b", "c"))
         spec = ClassifierSpec("logreg")
         plan = make_folds(y, 4, seed=3)
-        oof, accuracies = cross_fit(spec, X, y, labels, plan)
-        assert oof.shape == (36, 3) and len(accuracies) == 4
+        priority, oof = group_priority(spec, X, y, labels, plan)
+        assert oof.shape == (36, 3)
+        accuracies = []
         for f in range(plan.k):
             held = plan.assignments == f
             model = classifiers.train(spec, X[~held], y[~held], labels)
             np.testing.assert_array_equal(oof[held], model.predict_proba(X[held]))
-            assert accuracies[f] == float((model.predict(X[held]) == y[held]).mean())
+            accuracies.append(float((model.predict(X[held]) == y[held]).mean()))
+        assert priority == float(np.mean(accuracies))
 
     @pytest.mark.parametrize(
         "spec",
@@ -136,5 +144,8 @@ class TestCrossFit:
         X, y = gaussian_blobs(rng, 15, [[0, 0], [1, 1], [2, 0]])
         labels = LabelSpace(("a", "b", "c"))
         plan = make_folds(y, 5, seed=7)
-        _, accuracies = cross_fit(spec, X, y, labels, plan)
-        assert float(np.mean(accuracies)) == group_priority(spec, X, y, labels, plan).value
+        def train_fn(X_tr, y_tr):
+            return classifiers.train(spec, X_tr, y_tr, labels).predict
+
+        priority, _ = group_priority(spec, X, y, labels, plan)
+        assert priority == cross_val_accuracy(train_fn, X, y, plan)

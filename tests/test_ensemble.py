@@ -289,9 +289,9 @@ class TestStacking:
         feats = [rng.standard_normal((60, 4)) for _ in range(2)]
         plan = crossval.make_folds(y, 5, 0)
         probs = [
-            crossval.cross_fit(
+            crossval.group_priority(
                 ClassifierSpec("logreg"), X, y, LabelSpace(("a", "b", "c")), plan
-            )[0]
+            )[1]
             for X in feats
         ]
         meta_X = stack_meta_features(probs)
@@ -319,7 +319,7 @@ class TestStacking:
             naive_probs = [model.predict_proba(X) for _, _, model, X in fitted]
             plan = crossval.make_folds(y, 5, seed)
             oof_probs = [
-                crossval.cross_fit(spec, X, y, labels, plan)[0]
+                crossval.group_priority(spec, X, y, labels, plan)[1]
                 for _, _, _, X in fitted
             ]
             accs = {}
@@ -330,11 +330,8 @@ class TestStacking:
                 meta = train_stacking(probs, y, strategy, labels)
                 e = pipeline.TrainedEnsemble(
                     per_group=tuple(
-                        pipeline.GroupModel(name, s, model)
+                        pipeline.GroupModel(name, s, model, 0.5)
                         for name, s, model, _ in fitted
-                    ),
-                    priorities=tuple(
-                        crossval.GroupPriority(name, 0.5) for name, _, _, _ in fitted
                     ),
                     strategy=strategy,
                     meta=meta,

@@ -184,6 +184,21 @@ class TestAblate:
                 seed=0,
             )
 
+    def test_group_named_twice_in_a_subset(self, rng):
+        train = two_view_data(rng)
+        test = two_view_data(np.random.default_rng(13))
+        name = train.group_names[0]
+        with pytest.raises(UnknownGroupName, match=repr(name)):
+            ablate(
+                train,
+                test,
+                ClassifierSpec("logreg"),
+                [EnsembleStrategy("confidence_sum")],
+                subset_plan=[[name, name]],
+                k=3,
+                seed=0,
+            )
+
     def test_full_subset_required_by_report(self):
         with pytest.raises(ValueError):
             AblationReport(

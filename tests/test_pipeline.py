@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from latefuse import classifiers, crossval, pipeline
+from latefuse import classifiers, pipeline
 from latefuse.classifiers import ClassifierSpec, FittedClassifier
 from latefuse.core import LabelSpace, Standardizer, standardize_fit
 from latefuse.ensemble import EnsembleStrategy
@@ -153,15 +153,26 @@ def zero_svm_temperature(group):
     group["state"]["temperature"] = 0.0
 
 
-# the same, for edits that put a non-finite number (or a zero temperature)
-# into an otherwise well-shaped model state
+def huge_int_svm_temperature(group):
+    group["state"]["temperature"] = 10**400
+
+
+def huge_int_stump_threshold(group):
+    group["state"]["stumps"][0][1] = -(10**400)
+
+
+# the same, for edits that put a non-finite number (an integer beyond the
+# float range counts as one, and so does a zero temperature) into an
+# otherwise well-shaped model state
 NON_FINITE_STATES = [
     ("logreg", {}, inf_logreg_weight),
     ("logreg", {}, nan_standardizer_mean),
     ("linear_svm_ovr", {"c_grid": (1.0,)}, inf_svm_temperature),
     ("linear_svm_ovr", {"c_grid": (1.0,)}, zero_svm_temperature),
+    ("linear_svm_ovr", {"c_grid": (1.0,)}, huge_int_svm_temperature),
     ("adaboost_stumps", {"rounds": 5}, nan_adaboost_alpha),
     ("adaboost_stumps", {"rounds": 5}, inf_stump_threshold),
+    ("adaboost_stumps", {"rounds": 5}, huge_int_stump_threshold),
     ("random_forest", {"trees": 3}, nan_tree_threshold),
 ]
 
@@ -180,7 +191,7 @@ class TestTrainEnsemble:
         d = small_dataset(rng)
         e = train_ensemble(d, ClassifierSpec("logreg"), EnsembleStrategy("confidence_sum"), 3, 0)
         assert e.group_names == ("sig", "noise")
-        assert len(e.priorities) == 2
+        assert len(e.priority_values) == 2
         assert all(0.0 <= v <= 1.0 for v in e.priority_values)
         assert e.meta is None
 
@@ -275,12 +286,8 @@ class TestPredict:
         labels = LabelSpace(("x", "y"))
         e = TrainedEnsemble(
             per_group=(
-                pipeline.GroupModel("a", identity_standardizer(2), ConstantClassifier(labels, 2, [0.6, 0.4])),
-                pipeline.GroupModel("b", identity_standardizer(2), ConstantClassifier(labels, 2, [0.3, 0.7])),
-            ),
-            priorities=(
-                crossval.GroupPriority("a", 1.0),
-                crossval.GroupPriority("b", 0.1),
+                pipeline.GroupModel("a", identity_standardizer(2), ConstantClassifier(labels, 2, [0.6, 0.4]), 1.0),
+                pipeline.GroupModel("b", identity_standardizer(2), ConstantClassifier(labels, 2, [0.3, 0.7]), 0.1),
             ),
             strategy=EnsembleStrategy("confidence_sum", weighted=True),
             meta=None,

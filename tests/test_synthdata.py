@@ -45,9 +45,9 @@ class TestGenerate:
         d = generate(spec)
         X = standardize_apply(standardize_fit(d.groups[0].features), d.groups[0].features)
         plan = make_folds(d.labels, 5, seed=0)
-        pr = group_priority(ClassifierSpec("logreg"), X, d.labels, d.label_space, plan)
+        priority, _ = group_priority(ClassifierSpec("logreg"), X, d.labels, d.label_space, plan)
         band = 3 * np.sqrt(0.25 * 0.75 / d.n)
-        assert abs(pr.value - 0.25) <= band
+        assert abs(priority - 0.25) <= band
 
     def test_zero_separation_every_view_chance(self):
         spec = SynthSpec(
@@ -59,11 +59,11 @@ class TestGenerate:
         )
         d = generate(spec)
         plan = make_folds(d.labels, 5, seed=0)
-        pr = group_priority(
+        priority, _ = group_priority(
             ClassifierSpec("logreg"), d.groups[0].features, d.labels, d.label_space, plan
         )
         band = 3 * np.sqrt((1 / 3) * (2 / 3) / d.n)
-        assert abs(pr.value - 1 / 3) <= band
+        assert abs(priority - 1 / 3) <= band
 
     def test_cross_view_noise_uncorrelated(self):
         spec = SynthSpec(
