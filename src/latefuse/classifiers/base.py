@@ -148,30 +148,32 @@ class FittedClassifier:
         raise NotImplementedError
 
 
-def descend(objective, gradient, x: np.ndarray, step: float):
+def descend(evaluate, gradient, x: np.ndarray, step: float):
     """Full-batch gradient descent with backtracking halving from ``x``.
 
-    Each step starts from twice the last accepted step size and halves it
-    until ``objective`` strictly decreases. Stops after MAX_STEPS accepted
-    steps, on a relative decrease below REL_TOL, or when MAX_HALVINGS
-    halvings find no decrease. Returns the final point and the objective
-    history (the start, then one value per accepted step).
+    ``evaluate(x)`` returns ``(value, by_product)``, and ``gradient(x,
+    by_product)`` takes the by-product of the evaluation at the same ``x``, so
+    every point is evaluated once. Each step starts from twice the last
+    accepted step size and halves it until the value strictly decreases.
+    Stops after MAX_STEPS accepted steps, on a relative decrease below
+    REL_TOL, or when MAX_HALVINGS halvings find no decrease. Returns the final
+    point and the value history (the start, then one per accepted step).
     """
-    value = objective(x)
+    value, by_product = evaluate(x)
     history = [value]
     for _ in range(MAX_STEPS):
-        g = gradient(x)
+        g = gradient(x, by_product)
         step *= 2.0
         for _ in range(MAX_HALVINGS):
             x_next = x - step * g
-            value_next = objective(x_next)
+            value_next, by_next = evaluate(x_next)
             if value_next < value:
                 break
             step *= 0.5
         else:
             break  # gradient is numerically flat
         rel_change = (value - value_next) / max(abs(value), 1e-300)
-        x, value = x_next, value_next
+        x, value, by_product = x_next, value_next, by_next
         history.append(value)
         if rel_change < REL_TOL:
             break

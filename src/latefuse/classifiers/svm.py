@@ -18,26 +18,17 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from ..core import LabelSpace, fold_assignments
+from ..errors import BadSpec
 from .base import (
     ClassifierSpec, FittedClassifier, check_training_data, descend, state_array, state_float
 )
 from .logreg import softmax
 
 
-def svm_objective(w: np.ndarray, b: float, X: np.ndarray, y_pm: np.ndarray, c: float) -> float:
-    """Primal objective 0.5*||w||^2 + c * sum(hinge)."""
-    margins = y_pm * (X @ w + b)
+def svm_objective(w: np.ndarray, margins: np.ndarray, c: float) -> float:
+    """Primal objective 0.5*||w||^2 + c * sum(hinge) at the margins y_pm * (X @ w + b)."""
     hinge = np.maximum(0.0, 1.0 - margins)
     return 0.5 * float(w @ w) + c * float(hinge.sum())
-
-
-def _subgradient(v, X, y_pm, c) -> np.ndarray:
-    # v packs (w, b); so does the returned subgradient
-    w = v[:-1]
-    margins = y_pm * (X @ w + float(v[-1]))
-    active = margins < 1.0
-    gb = -c * float(y_pm[active].sum())
-    return np.concatenate((w - c * (X[active].T @ y_pm[active]), [gb]))
 
 
 def train_binary_svm(X: np.ndarray, y_pm: np.ndarray, c: float):
@@ -45,13 +36,27 @@ def train_binary_svm(X: np.ndarray, y_pm: np.ndarray, c: float):
 
     ``descend`` runs on (w, b) packed into one vector, from zero and a
     scale-aware first step. The history strictly decreases across epochs.
+    Raises BadSpec when ``c`` is so large that the objective or the first
+    subgradient overflows.
     """
-    v, history = descend(
-        lambda v: svm_objective(v[:-1], float(v[-1]), X, y_pm, c),
-        lambda v: _subgradient(v, X, y_pm, c),
-        np.zeros(X.shape[1] + 1),
-        1.0 / max(1.0, c * X.shape[0]),
-    )
+
+    def evaluate(v):
+        margins = y_pm * (X @ v[:-1] + float(v[-1]))
+        return svm_objective(v[:-1], margins, c), margins
+
+    def subgradient(v, margins):
+        # v packs (w, b); so does the returned subgradient
+        active = margins < 1.0
+        y_active = y_pm.compress(active)
+        gb = -c * float(y_active.sum())
+        return np.concatenate((v[:-1] - c * (X.compress(active, axis=0).T @ y_active), [gb]))
+
+    v = np.zeros(X.shape[1] + 1)
+    with np.errstate(over="ignore"):  # at zero every margin is 0: all rows are active
+        start = np.append(subgradient(v, np.zeros(len(y_pm))), c * X.shape[0])
+    if not np.all(np.isfinite(start)):
+        raise BadSpec(f"c_grid value {c!r} overflows the SVM objective on {X.shape[0]} rows")
+    v, history = descend(evaluate, subgradient, v, 1.0 / max(1.0, c * X.shape[0]))
     return v[:-1], float(v[-1]), history
 
 
@@ -63,10 +68,7 @@ def _ovr_margins(hyperplanes: np.ndarray, X: np.ndarray) -> np.ndarray:
 def _fit_ovr(X: np.ndarray, y: np.ndarray, m: int, c: float) -> np.ndarray:
     planes = np.zeros((m, X.shape[1] + 1))
     for k in range(m):
-        y_pm = np.where(y == k, 1.0, -1.0)
-        w, b, _ = train_binary_svm(X, y_pm, c)
-        planes[k, :-1] = w
-        planes[k, -1] = b
+        planes[k, :-1], planes[k, -1], _ = train_binary_svm(X, np.where(y == k, 1.0, -1.0), c)
     return planes
 
 

@@ -40,9 +40,12 @@ class RunConfig:
 # file ("config 'run.json'"); every error names it and the field.
 
 
-def _object(value, where: str, field: str) -> dict:
+def _object(value, where: str, field: str, required: tuple[str, ...] = ()) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{where}: {field} must be a JSON object, got {value!r}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{where}: {field} is missing the required field {key!r}")
     return value
 
 
@@ -101,8 +104,7 @@ def _data_block(block, where: str, field: str) -> tuple[Optional[str], list[tupl
     group_paths = []
     for i, g in enumerate(groups):
         item = f"{field}.groups[{i}]"
-        if not isinstance(g, dict) or "name" not in g or "path" not in g:
-            raise ConfigError(f"{where}: {item} needs 'name' and 'path'")
+        _object(g, where, item, ("name", "path"))
         name = _string(g, "name", where, f"{item}.name")
         if name in dict(group_paths):
             raise ConfigError(f"{where}: {item}.name {name!r} is listed twice")
@@ -267,7 +269,8 @@ def _synth_spec_from_json(
     if not isinstance(views, list) or not views:
         raise ConfigError(f"{where}: views must be a non-empty list")
     for i, v in enumerate(views):
-        _object(v, where, f"views[{i}]")
+        _object(v, where, f"views[{i}]", ("name", "dim", "informativeness"))
+    _object(raw, where, "the spec", ("m", "n_per_class", "train_per_class", "test_per_class"))
     try:
         view_specs = tuple(
             synthdata.ViewSpec(
@@ -292,7 +295,7 @@ def _synth_spec_from_json(
             test_per_class=_integer(raw["test_per_class"], where, "test_per_class"),
             seed=seed,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: bad gen-data spec: {exc}") from exc
     return spec, split
 

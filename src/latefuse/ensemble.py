@@ -69,6 +69,8 @@ class EnsembleStrategy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnsembleStrategy":
+        if "kind" not in d:
+            raise ValueError("strategy is missing the required field 'kind'")
         meta = d.get("stacking_meta_spec")
         return cls(
             kind=d["kind"],

@@ -101,4 +101,4 @@ class CorruptModel(DataError):
 # --- synthetic data -------------------------------------------------------
 
 class BadSpec(ConfigError):
-    """A synthetic data specification is invalid."""
+    """A synthetic data or classifier specification is invalid."""

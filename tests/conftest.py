@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from latefuse.classifiers.base import MAX_HALVINGS, MAX_STEPS, REL_TOL
 from latefuse.core import GroupView, LabelSpace, MultiViewDataset
 
 # property tests draw the same examples on every run, so CI cannot flake
@@ -94,3 +95,75 @@ def nested_tree(state, node):
         "l": nested_tree(state, state["left"][node]),
         "r": nested_tree(state, state["right"][node]),
     }
+
+
+# -- reference optimizer: the descent loop that evaluates the objective and
+# the gradient separately at every point, with the losses it ran on. The
+# fitted classifiers must reproduce its results bit for bit.
+
+
+def two_call_descend(objective, gradient, x, step):
+    """Backtracking-halving descent with the stop rules of
+    ``classifiers.base.descend``; ``gradient(x)`` recomputes from ``x``."""
+    value = objective(x)
+    history = [value]
+    for _ in range(MAX_STEPS):
+        g = gradient(x)
+        step *= 2.0
+        for _ in range(MAX_HALVINGS):
+            x_next = x - step * g
+            value_next = objective(x_next)
+            if value_next < value:
+                break
+            step *= 0.5
+        else:
+            break
+        rel_change = (value - value_next) / max(abs(value), 1e-300)
+        x, value = x_next, value_next
+        history.append(value)
+        if rel_change < REL_TOL:
+            break
+    return x, history
+
+
+def reference_softmax(z):
+    """Row-wise softmax shifted by the row max of the C-ordered rows."""
+    z = np.asarray(z, dtype=np.float64)
+    one_row = z.ndim == 1
+    if one_row:
+        z = z[None, :]
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    return p[0] if one_row else p
+
+
+def reference_loss_only(W, X, y, lam):
+    Z = X @ W
+    Zs = Z - Z.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(Zs).sum(axis=1))
+    ll = (Zs[np.arange(X.shape[0]), y] - log_norm).mean()
+    return -ll + 0.5 * lam * float((W * W).sum())
+
+
+def reference_logreg_gradient(W, X, y, lam):
+    n = X.shape[0]
+    Z = X @ W
+    Zs = Z - Z.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(Zs).sum(axis=1))
+    P = np.exp(Zs - log_norm[:, None])
+    P[np.arange(n), y] -= 1.0
+    return X.T @ P / n + lam * W
+
+
+def reference_svm_objective(w, b, X, y_pm, c):
+    margins = y_pm * (X @ w + b)
+    hinge = np.maximum(0.0, 1.0 - margins)
+    return 0.5 * float(w @ w) + c * float(hinge.sum())
+
+
+def reference_subgradient(v, X, y_pm, c):
+    w = v[:-1]
+    margins = y_pm * (X @ w + float(v[-1]))
+    active = margins < 1.0
+    gb = -c * float(y_pm[active].sum())
+    return np.concatenate((w - c * (X[active].T @ y_pm[active]), [gb]))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latefuse.classifiers import (
     ClassifierSpec,
@@ -11,12 +13,21 @@ from latefuse.classifiers import (
     train_binary_svm,
     train_logreg,
 )
-from latefuse.classifiers import logreg
+from latefuse.classifiers import logreg, svm
 from latefuse.classifiers.base import MAX_HALVINGS, MAX_STEPS, REL_TOL, descend
 from latefuse.core import LabelSpace
 from latefuse.errors import DimensionMismatch, SingleClassData
 
-from conftest import gaussian_blobs
+from conftest import (
+    DETERMINISTIC,
+    gaussian_blobs,
+    reference_logreg_gradient,
+    reference_loss_only,
+    reference_softmax,
+    reference_subgradient,
+    reference_svm_objective,
+    two_call_descend,
+)
 
 LABELS2 = LabelSpace(("c0", "c1"))
 LABELS3 = LabelSpace(("c0", "c1", "c2"))
@@ -48,7 +59,9 @@ class TestClassifierSpec:
 
 class TestDescend:
     def test_stops_when_the_relative_decrease_falls_below_rel_tol(self):
-        x, history = descend(lambda x: 1.0 + float(x @ x), lambda x: 2.0 * x, np.ones(1), 0.1)
+        x, history = descend(
+            lambda x: (1.0 + float(x @ x), None), lambda x, _: 2.0 * x, np.ones(1), 0.1
+        )
         rel = -np.diff(history) / np.array(history[:-1])
         assert np.all(rel > 0)
         assert rel[-1] < REL_TOL and np.all(rel[:-1] >= REL_TOL)
@@ -62,9 +75,9 @@ class TestDescend:
 
         def objective(x):
             calls.append(x[0])
-            return float((x[0] - 3.0) ** 2)
+            return float((x[0] - 3.0) ** 2), None
 
-        x, history = descend(objective, lambda x: 2.0 * (x - 3.0), np.zeros(1), 0.25)
+        x, history = descend(objective, lambda x, _: 2.0 * (x - 3.0), np.zeros(1), 0.25)
         assert x.tolist() == [3.0]
         assert history == [9.0, 0.0]
         assert len(calls) == 2 + MAX_HALVINGS
@@ -212,7 +225,8 @@ class TestLinearSvm:
         X = np.array([[1.0], [-1.0]])
         y_pm = np.array([1.0, -1.0])
         # w=0, b=0: both hinges are 1
-        assert svm_objective(np.zeros(1), 0.0, X, y_pm, 2.0) == pytest.approx(4.0)
+        margins = y_pm * (X @ np.zeros(1) + 0.0)
+        assert svm_objective(np.zeros(1), margins, 2.0) == pytest.approx(4.0)
 
     def test_multiclass_accuracy_and_probas(self, rng):
         X, y = gaussian_blobs(rng, 40, [[0, 0], [6, 0], [0, 6]])
@@ -251,6 +265,116 @@ class TestLinearSvm:
         X, y = gaussian_blobs(rng, 20, [[0, 0], [3, 3]])
         model = train(ClassifierSpec("linear_svm_ovr", seed=0), X, y, LABELS2)
         assert model.chosen_c in (0.1, 1.0, 10.0)
+
+
+def counted(fn, calls):
+    """``fn``, appending its arguments to ``calls`` on every call."""
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+    return wrapper
+
+
+@st.composite
+def descent_problems(draw):
+    """(X, y, m): m of 2 or 6 classes, each present; small-integer features
+    make rows with exactly tied logits and margins of exactly 1.0 likely."""
+    m = draw(st.sampled_from([2, 6]))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 3 * m))
+    rows = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    X = np.array(draw(st.lists(rows, min_size=n, max_size=n)), dtype=np.float64)
+    X *= draw(st.sampled_from([0.5, 1.0, 3.0]))
+    y = np.array(draw(st.permutations([i % m for i in range(n)])), dtype=np.int64)
+    return X, y, m
+
+
+TIED = (np.zeros((12, 1)), np.arange(12) % 6, 6)  # every row's logits tie
+MARGIN_ONE = (np.array([[1.0], [-1.0]]), np.array([0, 1]), 2)
+
+
+class TestOneEvaluationPerPoint:
+    """The fits match the two-call reference descent bit for bit and evaluate
+    the objective as often."""
+
+    @settings(DETERMINISTIC, max_examples=40)
+    @given(problem=descent_problems(), lam=st.sampled_from([1e-3, 0.1, 1.0]))
+    @example(problem=TIED, lam=1e-3)
+    def test_logreg_matches_the_reference(self, problem, lam):
+        X, y, m = problem
+        Xb = np.hstack([X, np.ones((len(y), 1))])
+        reference_calls = []
+        W_ref, history_ref = two_call_descend(
+            counted(lambda W: reference_loss_only(W, Xb, y, lam), reference_calls),
+            lambda W: reference_logreg_gradient(W, Xb, y, lam),
+            np.zeros((Xb.shape[1], m)),
+            1.0,
+        )
+        calls, histories = [], []
+
+        def recording(evaluate, gradient, x, step):
+            x, history = descend(counted(evaluate, calls), gradient, x, step)
+            histories.append(history)
+            return x, history
+
+        labels = LabelSpace(tuple(f"c{i}" for i in range(m)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(logreg, "descend", recording)
+            model = train_logreg(ClassifierSpec("logreg", lam=lam), X, y, labels)
+        assert model.weights.tobytes() == W_ref.tobytes()
+        assert np.array_equal(histories[0], history_ref)
+        assert len(calls) == len(reference_calls)
+
+    @settings(DETERMINISTIC, max_examples=40)
+    @given(problem=descent_problems(), c=st.sampled_from([0.1, 1.0, 4.0, 10.0, 1e3]))
+    @example(problem=MARGIN_ONE, c=4.0)
+    def test_svm_matches_the_reference(self, problem, c):
+        X, y, _ = problem
+        y_pm = np.where(y == 0, 1.0, -1.0)
+        reference_calls = []
+        v_ref, history_ref = two_call_descend(
+            counted(
+                lambda v: reference_svm_objective(v[:-1], float(v[-1]), X, y_pm, c),
+                reference_calls,
+            ),
+            lambda v: reference_subgradient(v, X, y_pm, c),
+            np.zeros(X.shape[1] + 1),
+            1.0 / max(1.0, c * X.shape[0]),
+        )
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(svm, "svm_objective", counted(svm.svm_objective, calls))
+            w, b, history = train_binary_svm(X, y_pm, c)
+        assert np.concatenate((w, [b])).tobytes() == v_ref.tobytes()
+        assert np.array_equal(history, history_ref)
+        assert len(calls) == len(reference_calls)
+
+    def test_the_margin_example_reaches_a_margin_of_exactly_one(self):
+        X, y, _ = MARGIN_ONE
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(svm, "svm_objective", counted(svm.svm_objective, calls))
+            train_binary_svm(X, np.where(y == 0, 1.0, -1.0), 4.0)
+        assert any(np.all(margins == 1.0) for _, margins, _ in calls)
+
+    @settings(DETERMINISTIC, max_examples=100)
+    @given(
+        z=st.lists(
+            st.lists(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 700.0, -700.0, 1e300, -1e300])
+                | st.floats(-50.0, 50.0),
+                min_size=6,
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        width=st.integers(1, 6),
+    )
+    def test_softmax_equals_the_c_order_max_form(self, z, width):
+        z = np.array(z)[:, :width]
+        assert softmax(z).tobytes() == reference_softmax(z).tobytes()
+        assert softmax(z[0]).tobytes() == reference_softmax(z[0]).tobytes()
 
 
 class TestProbabilityContract:

@@ -388,6 +388,18 @@ class TestConfigFields:
         err = capsys.readouterr().err
         assert repr(str(cfg)) in err and field in err
 
+    def test_svm_c_that_overflows_exit_2(self, workdir, capsys):
+        cfg = write_config(workdir, classifier={"kind": "linear_svm_ovr", "c_grid": [1e308]})
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "c_grid value 1e+308" in err
+
+    def test_strategy_without_kind_exit_2(self, workdir, capsys):
+        cfg = write_config(workdir, strategy={"weighted": True})
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert repr(str(cfg)) in err and "missing the required field 'kind'" in err
+
     def test_weighted_not_a_boolean_exit_2(self, workdir, capsys):
         cfg = write_config(workdir, strategy={"kind": "confidence_sum", "weighted": "no"})
         assert main(["train", "--config", str(cfg)]) == 2
@@ -450,6 +462,22 @@ class TestGenData:
         spec = tmp_path / "s.json"
         spec.write_text(json.dumps({"m": 1, "n_per_class": 5}))
         assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("path, message", [
+        (("m",), "the spec is missing the required field 'm'"),
+        (("test_per_class",), "the spec is missing the required field 'test_per_class'"),
+        (("views", 1, "dim"), "views[1] is missing the required field 'dim'"),
+    ])
+    def test_missing_field_named_exit_2(self, tmp_path, capsys, path, message):
+        raw = json.loads(json.dumps(SMALL_SPEC))
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps(raw))
+        assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("view", ["sig", None, [1, 2]])
     def test_view_not_an_object_exit_2(self, tmp_path, capsys, view):
