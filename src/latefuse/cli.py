@@ -323,9 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="latefuse",
         description="Late-fusion multi-view classification toolkit",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="upper bound on worker threads (execution is "
-                        "currently serial; results never depend on this)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train an ensemble and write the model file")
@@ -372,9 +369,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except ConfigError as exc:

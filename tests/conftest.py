@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -8,6 +10,17 @@ from latefuse.core import GroupView, LabelSpace, MultiViewDataset
 # property tests draw the same examples on every run, so CI cannot flake
 settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
 DETERMINISTIC = settings.get_profile("deterministic")
+
+# When a property test fails, the hypothesis pytest plugin imports libcst to
+# suggest a patch. That import raises a DeprecationWarning, which the warning
+# filters turn into an error that aborts the run before the falsifying example
+# is printed; importing it here first, with the warning ignored, prevents that.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import libcst  # noqa: F401
+except ImportError:  # the plugin then skips the patch
+    pass
 
 
 def gaussian_blobs(rng, n_per_class, centers):
@@ -98,8 +111,8 @@ def nested_tree(state, node):
 
 
 # -- reference optimizer: the descent loop that evaluates the objective and
-# the gradient separately at every point, with the losses it ran on. The
-# fitted classifiers must reproduce its results bit for bit.
+# the gradient separately at every point, with the loss it ran on. The fitted
+# logistic regression must reproduce its results bit for bit.
 
 
 def two_call_descend(objective, gradient, x, step):
@@ -154,16 +167,3 @@ def reference_logreg_gradient(W, X, y, lam):
     P[np.arange(n), y] -= 1.0
     return X.T @ P / n + lam * W
 
-
-def reference_svm_objective(w, b, X, y_pm, c):
-    margins = y_pm * (X @ w + b)
-    hinge = np.maximum(0.0, 1.0 - margins)
-    return 0.5 * float(w @ w) + c * float(hinge.sum())
-
-
-def reference_subgradient(v, X, y_pm, c):
-    w = v[:-1]
-    margins = y_pm * (X @ w + float(v[-1]))
-    active = margins < 1.0
-    gb = -c * float(y_pm[active].sum())
-    return np.concatenate((w - c * (X[active].T @ y_pm[active]), [gb]))

@@ -341,18 +341,16 @@ class TestFlags:
         out_override = capsys.readouterr().out
         assert "seed=5" in out_default and "seed=77" in out_override
 
-    def test_threads_flag_accepted(self, workdir, capsys):
-        cfg = write_config(workdir)
-        assert main(["--threads", "4", "train", "--config", str(cfg)]) == 0
-
     def test_negative_seed_override_exit_2(self, workdir, capsys):
         cfg = write_config(workdir)
         assert main(["train", "--config", str(cfg), "--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err
 
-    def test_bad_threads_rejected(self, workdir, capsys):
+    def test_threads_flag_is_gone(self, workdir, capsys):
         cfg = write_config(workdir)
-        assert main(["--threads", "0", "train", "--config", str(cfg)]) == 2
+        assert main(["--threads", "4", "train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: latefuse") and "Traceback" not in err
 
 
 class TestConfigFields:
