@@ -20,15 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import LabelSpace
-from .base import (
-    ClassifierSpec,
-    FittedClassifier,
-    check_training_data,
-    state_array,
-    state_float,
-    state_index,
-)
+from ..core import LabelSpace, integer, real
+from .base import ClassifierSpec, FittedClassifier, check_training_data, state_array
 from .logreg import softmax
 from .stumps import DecisionStump, sorted_columns, train_stump
 
@@ -75,10 +68,10 @@ class AdaBoostModel(FittedClassifier):
         m = label_space.m
         stumps = [
             DecisionStump(
-                state_index(f, input_dim, "stump feature"),
-                state_float(t, "stump threshold"),
-                state_index(lc, m, "stump class"),
-                state_index(rc, m, "stump class"),
+                integer(f, "stump feature", 0, input_dim),
+                real(t, "stump threshold"),
+                integer(lc, "stump class", 0, m),
+                integer(rc, "stump class", 0, m),
             )
             for f, t, lc, rc in state["stumps"]
         ]

@@ -8,15 +8,13 @@ and safe to use concurrently.
 
 from __future__ import annotations
 
-import math
-import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import LabelSpace, probability_vector
+from ..core import LabelSpace, integer, probability_vector, real
 from ..errors import (
+    BadSpec,
     DimensionMismatch,
     EmptyClass,
     NonFiniteFeature,
@@ -31,26 +29,6 @@ REL_TOL = 1e-8
 MAX_HALVINGS = 60
 
 
-def _integer(value, what: str, least: int) -> int:
-    """``value`` as an int >= ``least``; bools and floats are rejected."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{what} must be >= {least}, got {value!r}")
-    return operator.index(value)
-
-
-def _positive(value, what: str) -> None:
-    """Reject anything but a finite real number > 0; bools are rejected."""
-    try:
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        ok = real and 0 < float(value) < math.inf
-    except OverflowError:  # an int beyond the float range
-        ok = False
-    if not ok:
-        raise ValueError(f"{what} must be a finite number > 0, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ClassifierSpec:
     """Classifier kind plus its hyperparameters and RNG seed.
@@ -60,6 +38,10 @@ class ClassifierSpec:
       linear_svm_ovr  -- c_grid (values searched by internal 3-fold CV)
       adaboost_stumps -- rounds
       random_forest   -- trees, min_leaf
+
+    Raises BadSpec, naming the field, unless ``kind`` is one of KINDS, the
+    counts and the seed are integers in range, and ``lam`` and every
+    ``c_grid`` value are finite numbers > 0.
     """
 
     kind: str
@@ -71,17 +53,17 @@ class ClassifierSpec:
     min_leaf: int = 1
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown classifier kind {self.kind!r}")
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
+            raise BadSpec(f"kind must be one of {KINDS}, got {self.kind!r}")
         for name, least in (("seed", 0), ("rounds", 1), ("trees", 1), ("min_leaf", 1)):
-            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
-        _positive(self.lam, "lam")
-        c_grid = tuple(self.c_grid)
+            object.__setattr__(self, name, integer(getattr(self, name), name, least))
+        real(self.lam, "lam", above=0.0)
+        if not hasattr(self.c_grid, "__iter__"):
+            raise BadSpec(f"c_grid must be a sequence of numbers, got {self.c_grid!r}")
+        c_grid = tuple(real(c, "c_grid value", above=0.0) for c in self.c_grid)
         if not c_grid:
-            raise ValueError("c_grid must not be empty")
-        for c in c_grid:
-            _positive(c, "c_grid value")
-        object.__setattr__(self, "c_grid", tuple(float(c) for c in c_grid))
+            raise BadSpec("c_grid must not be empty")
+        object.__setattr__(self, "c_grid", c_grid)
 
     def to_dict(self) -> dict:
         return {
@@ -99,9 +81,9 @@ class ClassifierSpec:
         allowed = {"kind", "seed", "lam", "c_grid", "rounds", "trees", "min_leaf"}
         unknown = set(d) - allowed
         if unknown:
-            raise ValueError(f"unknown classifier spec fields: {sorted(unknown)}")
+            raise BadSpec(f"unknown classifier spec fields: {sorted(unknown)}")
         if "kind" not in d:
-            raise ValueError("classifier spec needs a 'kind'")
+            raise BadSpec("classifier spec needs a 'kind'")
         return cls(**d)
 
 
@@ -181,36 +163,20 @@ def descend(evaluate, gradient, x: np.ndarray, step: float):
 
 
 def state_array(state: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Read a persisted array that must have ``shape`` and finite entries;
-    ValueError otherwise."""
-    a = np.array(state[key], dtype=np.float64)
+    """Read a persisted array of JSON numbers (not bools or strings) that
+    must have ``shape`` and finite entries; ValueError otherwise."""
+    a = np.array(state[key], dtype=object)
     if a.shape != shape:
         raise ValueError(f"{key} has shape {a.shape}, expected {shape}")
+    if not set(map(type, a.flat)) <= {int, float}:
+        raise ValueError(f"{key} holds a value that is not a number")
+    try:
+        a = a.astype(np.float64)
+    except OverflowError:
+        raise ValueError(f"{key} holds a number beyond the float range") from None
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{key} has non-finite entries")
     return a
-
-
-def state_float(value, what: str) -> float:
-    """Read a persisted JSON number (not a bool) that must be finite as a
-    float; ValueError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:
-        raise ValueError(f"{what} is beyond the float range") from None
-    if not math.isfinite(x):
-        raise ValueError(f"{what} {x} is not finite")
-    return x
-
-
-def state_index(value, bound: int, what: str) -> int:
-    """Read a persisted index that must lie in [0, bound); ValueError otherwise."""
-    i = operator.index(value)
-    if not 0 <= i < bound:
-        raise ValueError(f"{what} {i} outside [0, {bound})")
-    return i
 
 
 def check_training_data(X, y, labels: LabelSpace) -> tuple[np.ndarray, np.ndarray]:

@@ -19,11 +19,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from ..core import LabelSpace, fold_assignments
+from ..core import LabelSpace, fold_assignments, real
 from ..errors import BadSpec
-from .base import (
-    MAX_HALVINGS, ClassifierSpec, FittedClassifier, check_training_data, state_array, state_float
-)
+from .base import MAX_HALVINGS, ClassifierSpec, FittedClassifier, check_training_data, state_array
 from .logreg import softmax
 
 NEWTON_MAX_STEPS = 50
@@ -43,8 +41,9 @@ def train_binary_svm(X: np.ndarray, y_pm: np.ndarray, c: float):
 
     Newton steps on (w, b) packed into one vector, from zero; the bias is not
     regularized. Stops when the gradient norm falls to GRAD_TOL times its norm
-    at zero, after NEWTON_MAX_STEPS steps, or when MAX_HALVINGS halvings find
-    no step that meets the Armijo condition. The history (the start, then one
+    at zero (compared without underflow, so a tiny ``c`` still takes steps),
+    after NEWTON_MAX_STEPS steps, or when MAX_HALVINGS halvings find no step
+    that meets the Armijo condition. The history (the start, then one
     value per accepted step) strictly decreases. Raises BadSpec when ``c`` is
     so large that the objective, the first gradient or the first Hessian
     overflows.
@@ -77,10 +76,14 @@ def train_binary_svm(X: np.ndarray, y_pm: np.ndarray, c: float):
         gradient_norm = np.linalg.norm(gradient)
     if not (np.isfinite(value) and np.isfinite(gradient_norm) and np.all(np.isfinite(hessian))):
         raise BadSpec(f"c_grid value {c!r} overflows the SVM objective on {n} rows")
-    tol = GRAD_TOL * gradient_norm
+    # The stop test takes norms of the gradient over a power of two just above
+    # its largest entry at zero. That scaling is exact, so the test decides as
+    # the plain norms would, but for a tiny c the squares do not underflow.
+    scale = np.ldexp(1.0, np.frexp(np.abs(gradient).max())[1])
+    tol = GRAD_TOL * np.linalg.norm(gradient / scale)
     history = [value]
     for _ in range(NEWTON_MAX_STEPS):
-        if np.linalg.norm(gradient) <= tol:
+        if np.linalg.norm(gradient / scale) <= tol:
             break
         direction = np.linalg.solve(hessian, -gradient)
         slope = float(gradient @ direction)
@@ -185,16 +188,13 @@ class LinearSvmOvrModel(FittedClassifier):
 
     @classmethod
     def from_state(cls, spec, label_space, input_dim, state: dict):
-        temperature = state_float(state["temperature"], "temperature")
-        if temperature <= 0.0:
-            raise ValueError(f"temperature {temperature} is not positive")
         return cls(
             spec,
             label_space,
             input_dim,
             state_array(state, "hyperplanes", (label_space.m, input_dim + 1)),
-            temperature,
-            state["chosen_c"],
+            real(state["temperature"], "temperature", above=0.0),
+            real(state["chosen_c"], "chosen_c", above=0.0),
         )
 
 

@@ -2,7 +2,8 @@
 
 Verbs: train, predict, evaluate, ablate, compare, gen-data. Runs are driven
 by a JSON config file (see README for a complete example); ``--seed``
-overrides the config seed. Exit codes: 0 success, 1 data error (the message
+overrides the config seed of train, ablate and compare, and the spec seed of
+gen-data. Exit codes: 0 success, 1 data error (the message
 names the offending file, group, or row), 2 configuration error.
 """
 
@@ -10,15 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import classifiers, dataio, ensemble, evaluation, pipeline, synthdata
-from .core import SplitSpec, stratified_split
-from .errors import ConfigError, LateFuseError
+from .core import SplitSpec, integer, stratified_split
+from .errors import BadSpec, ConfigError, LateFuseError
 
 
 @dataclass
@@ -57,28 +57,6 @@ def _string(block: dict, key: str, where: str, field: str) -> Optional[str]:
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{where}: {field} must be a non-empty string, got {value!r}")
     return value
-
-
-def _seed(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ConfigError(f"{where}: seed must be a nonnegative integer, got {value!r}")
-    return value
-
-
-def _integer(value, where: str, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: {field} must be an integer, got {value!r}")
-    return value
-
-
-def _real(value, where: str, field: str) -> float:
-    try:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        ok = False
-    if not ok:
-        raise ConfigError(f"{where}: {field} must be a finite number, got {value!r}")
-    return float(value)
 
 
 def _file_name(value, where: str, field: str) -> str:
@@ -139,12 +117,10 @@ def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
                 "strategy",
             )
         )
+        k = integer(raw.get("k", 5), "k", 2)
+        seed = integer(raw.get("seed", 0) if seed_override is None else seed_override, "seed", 0)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    k = raw.get("k", 5)
-    if not isinstance(k, int) or k < 2:
-        raise ConfigError(f"{where}: k must be an integer >= 2, got {k!r}")
-    seed = _seed(raw.get("seed", 0) if seed_override is None else seed_override, where)
     labels_path, group_paths = (None, [])
     if "data" in raw:
         labels_path, group_paths = _data_block(raw["data"], where, "data")
@@ -206,13 +182,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = load_config(args.config, args.seed) if args.config else None
-    group_paths = cfg.group_paths if cfg else []
-    _require(group_paths, "data.groups")
-    out_path = args.out or (cfg.out_path if cfg else None)
+    cfg = load_config(args.config)
+    _require(cfg.group_paths, "data.groups")
+    out_path = args.out or cfg.out_path
     _require(out_path, "output path (--out or config 'out')")
     e = pipeline.load_ensemble(args.model)
-    groups, ids = dataio.load_groups(group_paths)
+    groups, ids = dataio.load_groups(cfg.group_paths)
     preds = pipeline.predict_groups(e, groups, ids)
     dataio.write_predictions(preds, e.label_space.class_names, out_path)
     print(f"wrote {len(preds)} predictions to {out_path}")
@@ -263,52 +238,46 @@ def cmd_compare(args) -> int:
 
 
 def _synth_spec_from_json(
-    raw: dict, where: str, seed: int
+    raw: dict, where: str, seed
 ) -> tuple[synthdata.SynthSpec, SplitSpec]:
+    """Build the specs, which check their own fields; an error names the
+    field's path in the spec file."""
+    _object(raw, where, "the spec", ("m", "n_per_class", "train_per_class", "test_per_class"))
     views = raw.get("views")
     if not isinstance(views, list) or not views:
         raise ConfigError(f"{where}: views must be a non-empty list")
+    view_specs = []
     for i, v in enumerate(views):
         _object(v, where, f"views[{i}]", ("name", "dim", "informativeness"))
-    _object(raw, where, "the spec", ("m", "n_per_class", "train_per_class", "test_per_class"))
-    try:
-        view_specs = tuple(
-            synthdata.ViewSpec(
-                name=_file_name(v["name"], where, f"views[{i}].name"),
-                dim=_integer(v["dim"], where, f"views[{i}].dim"),
-                informativeness=_real(v["informativeness"], where, f"views[{i}].informativeness"),
-                scale=_real(v.get("scale", 1.0), where, f"views[{i}].scale"),
+        name = _file_name(v["name"], where, f"views[{i}].name")
+        try:
+            view_specs.append(
+                synthdata.ViewSpec(name, v["dim"], v["informativeness"], v.get("scale", 1.0))
             )
-            for i, v in enumerate(views)
-        )
-        spec = synthdata.SynthSpec(
-            m=_integer(raw["m"], where, "m"),
-            n_per_class=_integer(raw["n_per_class"], where, "n_per_class"),
-            views=view_specs,
-            separation=_real(
-                raw.get("separation", synthdata.DEFAULT_SEPARATION), where, "separation"
-            ),
-            seed=seed,
-        )
-        split = SplitSpec(
-            train_per_class=_integer(raw["train_per_class"], where, "train_per_class"),
-            test_per_class=_integer(raw["test_per_class"], where, "test_per_class"),
-            seed=seed,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: bad gen-data spec: {exc}") from exc
-    return spec, split
+        except BadSpec as exc:
+            raise ConfigError(f"{where}: views[{i}].{exc}") from exc
+    spec = synthdata.SynthSpec(
+        raw["m"],
+        raw["n_per_class"],
+        tuple(view_specs),
+        raw.get("separation", synthdata.DEFAULT_SEPARATION),
+        seed,
+    )
+    return spec, SplitSpec(raw["train_per_class"], raw["test_per_class"], seed)
 
 
 def cmd_gendata(args) -> int:
     raw = _read_json_object(args.spec, "spec")
     where = f"spec {args.spec!r}"
-    seed = _seed(raw.get("seed", 0) if args.seed is None else args.seed, where)
-    if raw.get("benchmark") == "default":
-        train, test = synthdata.default_benchmark(seed)
-    else:
-        spec, split = _synth_spec_from_json(raw, where, seed)
-        train, test = stratified_split(synthdata.generate(spec), split)
+    seed = raw.get("seed", 0) if args.seed is None else args.seed
+    try:
+        if raw.get("benchmark") == "default":
+            train, test = synthdata.default_benchmark(seed)
+        else:
+            spec, split = _synth_spec_from_json(raw, where, seed)
+            train, test = stratified_split(synthdata.generate(spec), split)
+    except BadSpec as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     dataio.write_dataset(train, os.path.join(args.out, "train"))
     dataio.write_dataset(test, os.path.join(args.out, "test"))
     print(
@@ -335,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--config", required=True, help="config whose data.groups point at the features")
     p.add_argument("--out", help="predictions output path")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score a predictions file against labels")

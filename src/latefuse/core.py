@@ -8,11 +8,16 @@ construction and therefore safe to share across workers.
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import (
+    BadSpec,
     DimensionMismatch,
     EmptyClass,
     InsufficientClassPopulation,
@@ -23,6 +28,35 @@ from .errors import (
 
 PROB_SUM_TOL = 1e-9
 DEGENERATE_STD = 1e-12
+
+
+def integer(value, what: str, least: int, below: Optional[int] = None) -> int:
+    """``value`` as an int in [least, below), or >= ``least`` when ``below``
+    is None: a numbers.Integral other than a bool. BadSpec naming ``what``
+    otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise BadSpec(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise BadSpec(f"{what} must be >= {least}, got {value!r}")
+    if below is not None and value >= below:
+        raise BadSpec(f"{what} must be < {below}, got {value!r}")
+    return operator.index(value)
+
+
+def real(value, what: str, above: Optional[float] = None) -> float:
+    """``value`` as a finite float, and > ``above`` when that is given: a
+    numbers.Real other than a bool, within the float range. BadSpec naming
+    ``what`` otherwise."""
+    try:
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        x = float(value) if number else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.nan
+    if not math.isfinite(x):
+        raise BadSpec(f"{what} must be a finite number, got {value!r}")
+    if above is not None and x <= above:
+        raise BadSpec(f"{what} must be > {above:g}, got {value!r}")
+    return x
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -182,8 +216,8 @@ class SplitSpec:
     seed: int
 
     def __post_init__(self):
-        if self.train_per_class < 1 or self.test_per_class < 1:
-            raise ValueError("train_per_class and test_per_class must be >= 1")
+        for name, least in (("train_per_class", 1), ("test_per_class", 1), ("seed", 0)):
+            object.__setattr__(self, name, integer(getattr(self, name), name, least))
 
 
 def stratified_split(

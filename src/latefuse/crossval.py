@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classifiers
-from .core import LabelSpace, fold_assignments
-from .errors import BadK, LengthMismatch, TooFewSamplesPerClass
+from .core import LabelSpace, fold_assignments, integer
+from .errors import BadK, BadSpec, LengthMismatch, TooFewSamplesPerClass
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,14 @@ class FoldPlan:
 
 
 def make_folds(y, k: int, seed: int) -> FoldPlan:
-    """Deterministic stratified fold assignment from the seed."""
-    if k < 2:
-        raise BadK(f"need k >= 2 folds, got {k}")
+    """Deterministic stratified fold assignment from the seed. Raises BadK
+    unless ``k`` is an integer >= 2, and BadSpec unless ``seed`` is an
+    integer >= 0."""
+    try:
+        k = integer(k, "k", 2)
+    except BadSpec as exc:
+        raise BadK(str(exc)) from None
+    seed = integer(seed, "seed", 0)
     y = np.asarray(y, dtype=np.int64)
     for c, count in zip(*np.unique(y, return_counts=True)):
         if count < k:

@@ -46,6 +46,14 @@ class DimensionMismatch(DataError):
     """Input width does not match what a fitted object expects."""
 
 
+# --- specifications -------------------------------------------------------
+
+class BadSpec(ConfigError, ValueError):
+    """A field of a classifier, synthetic-data or split specification, or a
+    training argument, is invalid; the message starts with the field's name.
+    Also a ValueError, so a caller that reads outside values can catch both."""
+
+
 # --- training -------------------------------------------------------------
 
 class SingleClassData(DataError):
@@ -56,8 +64,8 @@ class TooFewSamplesPerClass(DataError):
     """A class has fewer samples than the requested fold count."""
 
 
-class BadK(ConfigError):
-    """Fold count must be at least 2."""
+class BadK(BadSpec):
+    """Fold count must be an integer >= 2."""
 
 
 # --- ensemble -------------------------------------------------------------
@@ -97,8 +105,3 @@ class VersionMismatch(DataError):
 class CorruptModel(DataError):
     """Model file is truncated or fails its checksum."""
 
-
-# --- synthetic data -------------------------------------------------------
-
-class BadSpec(ConfigError):
-    """A synthetic data or classifier specification is invalid."""

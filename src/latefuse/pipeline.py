@@ -21,13 +21,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import classifiers, crossval, ensemble
-from .classifiers.base import state_array, state_float
+from .classifiers.base import state_array
 from .classifiers.forest import arrays_from_trees
 from .core import (
     GroupView,
     LabelSpace,
     MultiViewDataset,
     Standardizer,
+    integer,
+    real,
     standardize_apply,
     standardize_fit,
     validate_dataset,
@@ -274,6 +276,22 @@ def _standardizer_state(s: Standardizer) -> dict:
     return {"mean": s.mean.tolist(), "scale": s.scale.tolist()}
 
 
+def _classifier_record(model: classifiers.FittedClassifier) -> dict:
+    """The persisted form of a group's classifier or of the meta model."""
+    return {"spec": model.spec.to_dict(), "input_dim": model.input_dim, "state": model.state()}
+
+
+def _classifier_from_record(record: dict, labels: LabelSpace, version: int):
+    """Rebuild a classifier from ``_classifier_record``'s fields of ``record``;
+    a format-1 forest's nested trees become node arrays."""
+    spec = classifiers.ClassifierSpec.from_dict(record["spec"])
+    input_dim = integer(record["input_dim"], "input_dim", 1)
+    state = record["state"]
+    if version == 1 and spec.kind == "random_forest":
+        state = arrays_from_trees(state["trees"])
+    return classifiers.model_from_state(spec, labels, input_dim, state)
+
+
 def _ensemble_payload(e: TrainedEnsemble) -> dict:
     return {
         "label_space": list(e.label_space.class_names),
@@ -283,22 +301,12 @@ def _ensemble_payload(e: TrainedEnsemble) -> dict:
             {
                 "name": gm.name,
                 "standardizer": _standardizer_state(gm.standardizer),
-                "spec": gm.classifier.spec.to_dict(),
-                "input_dim": gm.classifier.input_dim,
-                "state": gm.classifier.state(),
+                **_classifier_record(gm.classifier),
                 "priority": gm.priority,
             }
             for gm in e.per_group
         ],
-        "meta": (
-            None
-            if e.meta is None
-            else {
-                "spec": e.meta.spec.to_dict(),
-                "input_dim": e.meta.input_dim,
-                "state": e.meta.state(),
-            }
-        ),
+        "meta": None if e.meta is None else _classifier_record(e.meta),
     }
 
 
@@ -349,35 +357,26 @@ def load_ensemble(path: str) -> TrainedEnsemble:
         raise CorruptModel(f"model file {path!r} has a malformed payload: {exc!r}") from exc
 
 
-def _model_from_state(spec, labels: LabelSpace, input_dim, state, version: int):
-    if version == 1 and spec.kind == "random_forest":
-        state = arrays_from_trees(state["trees"])
-    return classifiers.model_from_state(spec, labels, input_dim, state)
-
-
 def _ensemble_from_payload(payload: dict, version: int) -> TrainedEnsemble:
     labels = LabelSpace(tuple(payload["label_space"]))
     strategy = ensemble.EnsembleStrategy.from_dict(payload["strategy"])
     per_group = []
     for g in payload["groups"]:
-        spec = classifiers.ClassifierSpec.from_dict(g["spec"])
-        dim = g["input_dim"]
+        model = _classifier_from_record(g, labels, version)
+        shape = (model.input_dim,)
         s = Standardizer(
-            mean=state_array(g["standardizer"], "mean", (dim,)),
-            scale=state_array(g["standardizer"], "scale", (dim,)),
+            mean=state_array(g["standardizer"], "mean", shape),
+            scale=state_array(g["standardizer"], "scale", shape),
         )
-        model = _model_from_state(spec, labels, dim, g["state"], version)
-        priority = state_float(g["priority"], "priority")
-        per_group.append(GroupModel(g["name"], s, model, priority))
+        per_group.append(GroupModel(g["name"], s, model, real(g["priority"], "priority")))
     meta = None
     if payload["meta"] is not None:
-        mspec = classifiers.ClassifierSpec.from_dict(payload["meta"]["spec"])
-        mdim = payload["meta"]["input_dim"]
-        if mdim != len(per_group) * labels.m:
+        meta = _classifier_from_record(payload["meta"], labels, version)
+        if meta.input_dim != len(per_group) * labels.m:
             raise ValueError(
-                f"meta input_dim {mdim}, expected {len(per_group)} groups x {labels.m} classes"
+                f"meta input_dim {meta.input_dim}, expected "
+                f"{len(per_group)} groups x {labels.m} classes"
             )
-        meta = _model_from_state(mspec, labels, mdim, payload["meta"]["state"], version)
     return TrainedEnsemble(
         per_group=tuple(per_group),
         strategy=strategy,

@@ -19,6 +19,8 @@ from .core import (
     LabelSpace,
     MultiViewDataset,
     SplitSpec,
+    integer,
+    real,
     stratified_split,
     validate_dataset,
 )
@@ -35,12 +37,12 @@ class ViewSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise BadSpec(f"view {self.name!r}: dim must be >= 1")
-        if not 0.0 <= self.informativeness <= 1.0:
-            raise BadSpec(f"view {self.name!r}: informativeness outside [0, 1]")
-        if self.scale <= 0:
-            raise BadSpec(f"view {self.name!r}: scale must be > 0")
+        if not isinstance(self.name, str) or not self.name:
+            raise BadSpec(f"name must be a non-empty string, got {self.name!r}")
+        object.__setattr__(self, "dim", integer(self.dim, "dim", 1))
+        if not 0.0 <= real(self.informativeness, "informativeness") <= 1.0:
+            raise BadSpec(f"informativeness must be in [0, 1], got {self.informativeness!r}")
+        real(self.scale, "scale", above=0.0)
 
 
 @dataclass(frozen=True)
@@ -52,17 +54,18 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 2:
-            raise BadSpec("need at least 2 classes")
-        if self.n_per_class < 1:
-            raise BadSpec("n_per_class must be >= 1")
-        if len(self.views) < 1:
-            raise BadSpec("need at least one view")
-        if len({v.name for v in self.views}) != len(self.views):
-            raise BadSpec("view names must be unique")
-        if self.separation < 0:
-            raise BadSpec("separation must be >= 0")
-        object.__setattr__(self, "views", tuple(self.views))
+        for name, least in (("m", 2), ("n_per_class", 1), ("seed", 0)):
+            object.__setattr__(self, name, integer(getattr(self, name), name, least))
+        views = self.views
+        if not isinstance(views, (tuple, list)) or not views or not all(
+            isinstance(v, ViewSpec) for v in views
+        ):
+            raise BadSpec(f"views must be a non-empty sequence of ViewSpec, got {views!r}")
+        if len({v.name for v in views}) != len(views):
+            raise BadSpec("views must have unique names")
+        if real(self.separation, "separation") < 0:
+            raise BadSpec(f"separation must be >= 0, got {self.separation!r}")
+        object.__setattr__(self, "views", tuple(views))
 
 
 def generate(spec: SynthSpec) -> MultiViewDataset:

@@ -380,6 +380,18 @@ class TestNewtonSvm:
         assert last_w.tobytes() == w.tobytes()
         np.testing.assert_allclose(last_margins, y_pm * (X @ w + b), rtol=1e-12, atol=1e-12)
 
+    def test_a_tiny_c_still_fits_the_bias(self):
+        # the gradient's entries are of order c, so its plain norm underflows
+        # to 0 below c = 1e-160; the bias optimum does not shrink with c
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((30, 3))
+        y_pm = np.where(rng.standard_normal(30) > 0, 1.0, -1.0)
+        _, b_small, _ = train_binary_svm(X, y_pm, 1e-150)
+        w, b, history = train_binary_svm(X, y_pm, 1e-200)
+        assert len(history) >= 2 and b_small != 0.0
+        assert b == pytest.approx(b_small, rel=1e-12)
+        assert np.all(np.abs(w) < 1e-190)
+
 
 class TestOneEvaluationPerPoint:
     """The logreg fit matches the two-call reference descent bit for bit and

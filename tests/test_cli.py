@@ -346,6 +346,17 @@ class TestFlags:
         assert main(["train", "--config", str(cfg), "--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_predict_takes_no_seed(self, workdir, capsys):
+        assert main(["train", "--config", str(write_config(workdir))]) == 0
+        capsys.readouterr()
+        argv = ["predict", "--seed", "3", "--model", str(workdir / "model.json"),
+                "--config", str(predict_config(workdir)), "--out", str(workdir / "p.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: latefuse") and "Traceback" not in err
+        assert "unrecognized arguments: --seed 3" in err
+        assert not (workdir / "p.csv").exists()
+
     def test_threads_flag_is_gone(self, workdir, capsys):
         cfg = write_config(workdir)
         assert main(["--threads", "4", "train", "--config", str(cfg)]) == 2

@@ -222,13 +222,13 @@ def test_any_config_runs_or_exits_cleanly(tiny, config, changes, seed):
         with open(path, "w") as fh:
             json.dump(config, fh)
         model, out = os.path.join(tmp, "model.json"), os.path.join(tmp, "p.csv")
-        for verb in (
-            ["train", "--model", model],
-            ["predict", "--model", str(tiny / "model.json"), "--out", out],
-            ["ablate"],
-            ["compare"],
+        for verb, args in (
+            (["train", "--model", model], seed_args),
+            (["predict", "--model", str(tiny / "model.json"), "--out", out], []),
+            (["ablate"], seed_args),
+            (["compare"], seed_args),
         ):
-            exit_cleanly([*verb, "--config", path, *seed_args])
+            exit_cleanly([*verb, "--config", path, *args])
 
 
 @settings(DETERMINISTIC, max_examples=150)

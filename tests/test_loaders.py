@@ -6,12 +6,14 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latefuse import pipeline
 from latefuse.classifiers import ClassifierSpec
 from latefuse.classifiers.forest import NODE_ARRAYS
+from latefuse.core import GroupView
 from latefuse.dataio import (
     load_dataset,
     load_groups,
@@ -122,3 +124,92 @@ def test_edited_forest_state_predicts_or_is_corrupt(name, pick, value):
     grid = np.stack(np.meshgrid(np.linspace(-3, 6, 7), np.linspace(-3, 6, 7)), axis=-1)
     P = e.per_group[0].classifier.predict_proba(grid.reshape(-1, 2))
     assert np.all(P >= 0) and np.allclose(P.sum(axis=1), 1.0)
+
+
+@functools.cache
+def tiny_stacked_model(kind) -> str:
+    """The text of a saved model of two 2-column groups whose classifiers and
+    out-of-fold stacking meta model are all of ``kind``, with small sizes."""
+    rng = np.random.default_rng(1)
+    X, y = gaussian_blobs(rng, 8, [[0, 0], [3, 3], [0, 3]])
+    spec = ClassifierSpec(kind, c_grid=(0.1, 1.0), rounds=3, trees=3)
+    strategy = EnsembleStrategy("stacking", stacking_mode="out_of_fold", stacking_meta_spec=spec)
+    groups = [("g", X), ("h", X[:, ::-1] + rng.standard_normal(X.shape))]
+    e = pipeline.train_ensemble(make_dataset(groups, y), spec, strategy, 2, 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        pipeline.save_ensemble(e, path)
+        with open(path) as fh:
+            return fh.read()
+
+
+def scalars(node):
+    """(container, key) of every scalar under the list or dict ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    found = []
+    for key, child in items:
+        found += scalars(child) if isinstance(child, (dict, list)) else [(node, key)]
+    return found
+
+
+def edit_sites(payload):
+    """The scalars a test may edit, one list per field: each group's and the
+    meta model's input_dim and priority, and each field of their state, in
+    file order."""
+    sites = []
+    for record in [*payload["groups"], payload["meta"]]:
+        sites += [[(record, key)] for key in ("input_dim", "priority") if key in record]
+        state = record["state"]
+        sites += [scalars(v) if isinstance(v, list) else [(state, k)] for k, v in state.items()]
+    return sites
+
+
+# a replacement for one scalar: the old value as a float, a small or huge
+# integer, a float, a bool, a string or null
+SAME_AS_FLOAT = ("same as float",)
+SCALAR_VALUES = st.one_of(
+    st.just(SAME_AS_FLOAT),
+    st.integers(-3, 40),
+    st.just(10**400),
+    st.sampled_from([0.0, 0.5, 1.0, 20.0, 1e300, -1e300, float("inf"), float("nan")]),
+    st.booleans(),
+    st.sampled_from(["1e5", "20", "", "x"]),
+    st.none(),
+)
+
+
+@pytest.mark.parametrize("kind", ["logreg", "linear_svm_ovr", "adaboost_stumps", "random_forest"])
+@settings(DETERMINISTIC, max_examples=150)
+@given(site=st.integers(0, 10**6), pick=st.integers(0, 10**6), value=SCALAR_VALUES)
+@example(site=0, pick=0, value=SAME_AS_FLOAT)  # a group's input_dim
+@example(site=2, pick=0, value=True)  # the first adaboost stump's feature index
+@example(site=4, pick=0, value="1e5")  # the SVM's chosen_c
+@example(site=4, pick=0, value=True)
+def test_edited_model_scalar_predicts_or_is_corrupt(kind, site, pick, value):
+    doc = json.loads(tiny_stacked_model(kind))
+    sites = edit_sites(doc["payload"])
+    entries = sites[site % len(sites)]
+    node, key = entries[pick % len(entries)]
+    old = node[key]
+    if value == SAME_AS_FLOAT:
+        value = float(old)
+    node[key] = value
+    doc["checksum"] = pipeline._checksum(doc["payload"])
+    never_loads = (
+        isinstance(value, (str, bool, type(None)))
+        or (type(old) is int and type(value) is float)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        try:
+            e = load_ensemble(path)
+        except CorruptModel:
+            return
+    assert not never_loads, (key, old, value)
+    grid = np.stack(np.meshgrid(np.linspace(-3, 6, 7), np.linspace(-3, 6, 7)), axis=-1)
+    grid = grid.reshape(-1, 2)
+    preds = pipeline.predict_groups(e, [GroupView("g", grid), GroupView("h", grid)], range(len(grid)))
+    for p in preds:
+        assert np.all(p.scores >= 0) and np.isclose(p.scores.sum(), 1.0)
