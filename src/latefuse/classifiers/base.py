@@ -8,6 +8,7 @@ and safe to use concurrently.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,10 @@ from ..errors import (
 KINDS = ("logreg", "linear_svm_ovr", "adaboost_stumps", "random_forest")
 
 MAX_STEPS = 500
-REL_TOL = 1e-8
 MAX_HALVINGS = 60
+ARMIJO = 1e-4  # accept a step that achieves this share of the predicted decrease
+LBFGS_MEMORY = 10  # curvature pairs kept by lbfgs
+LBFGS_TOL = 1e-6  # lbfgs stops once ||gradient|| <= LBFGS_TOL * ||gradient at the start||
 
 
 @dataclass(frozen=True)
@@ -115,9 +118,12 @@ class FittedClassifier:
 
     def predict_proba(self, x) -> np.ndarray:
         """Validated, read-only per-class probabilities; 1-D input gives a
-        vector, 2-D a matrix."""
+        vector, 2-D a matrix. InvalidProbabilities when the parameters, such
+        as huge weights read from a model file, make a row non-finite."""
         X, one_row = self._check_input(x)
-        P = probability_vector(self._proba_matrix(X))
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+            P = self._proba_matrix(X)
+        P = probability_vector(P)
         return P[0] if one_row else P
 
     def predict(self, x):
@@ -130,35 +136,70 @@ class FittedClassifier:
         raise NotImplementedError
 
 
-def descend(evaluate, gradient, x: np.ndarray, step: float):
-    """Full-batch gradient descent with backtracking halving from ``x``.
+def backtrack(evaluate, x, value: float, direction, slope: float):
+    """Armijo backtracking from ``x`` along ``direction``, whose slope (the
+    gradient's inner product with it) is ``slope``: tries t = 1, 1/2, 1/4, ...
+    and accepts the first x + t * direction whose value falls below ``value``
+    by at least ARMIJO * t * |slope| > 0, so an accepted step strictly
+    decreases the value. Returns ``(x_next, value_next, by_product)`` from
+    ``evaluate``, or None when MAX_HALVINGS halvings find no such step."""
+    t = 1.0
+    for _ in range(MAX_HALVINGS):
+        x_next = x + t * direction
+        value_next, by_next = evaluate(x_next)
+        if value - value_next >= -ARMIJO * t * slope > 0.0:
+            return x_next, value_next, by_next
+        t *= 0.5
+    return None
+
+
+def lbfgs(evaluate, gradient, x: np.ndarray):
+    """Minimize from ``x`` by limited-memory BFGS (Liu & Nocedal 1989).
 
     ``evaluate(x)`` returns ``(value, by_product)``, and ``gradient(x,
     by_product)`` takes the by-product of the evaluation at the same ``x``, so
-    every point is evaluated once. Each step starts from twice the last
-    accepted step size and halves it until the value strictly decreases.
-    Stops after MAX_STEPS accepted steps, on a relative decrease below
-    REL_TOL, or when MAX_HALVINGS halvings find no decrease. Returns the final
-    point and the value history (the start, then one per accepted step).
+    every trial point is evaluated once. The direction comes from the last
+    LBFGS_MEMORY curvature pairs (s, y) by the two-loop recursion; a pair is
+    kept only when s.y > 0, and with none kept the direction is the negative
+    gradient over max(1, ||g||). Each step is accepted by ``backtrack``.
+    Stops when ||g|| <= LBFGS_TOL * ||g at the start||, after MAX_STEPS
+    steps, or when no step decreases the value. Returns the final point and
+    the value history (the start, then one per accepted step), which strictly
+    decreases.
     """
     value, by_product = evaluate(x)
     history = [value]
+    g = gradient(x, by_product)
+    tol = LBFGS_TOL * np.linalg.norm(g)
+    pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, 1 / s.y), oldest first
     for _ in range(MAX_STEPS):
-        g = gradient(x, by_product)
-        step *= 2.0
-        for _ in range(MAX_HALVINGS):
-            x_next = x - step * g
-            value_next, by_next = evaluate(x_next)
-            if value_next < value:
-                break
-            step *= 0.5
-        else:
-            break  # gradient is numerically flat
-        rel_change = (value - value_next) / max(abs(value), 1e-300)
-        x, value, by_product = x_next, value_next, by_next
-        history.append(value)
-        if rel_change < REL_TOL:
+        g_norm = np.linalg.norm(g)
+        if g_norm <= tol:
             break
+        if pairs:
+            q = g.copy()
+            alphas = []
+            for s, y, rho in reversed(pairs):
+                alphas.append(rho * np.vdot(s, q))
+                q -= alphas[-1] * y
+            s, y, rho = pairs[-1]
+            q *= 1.0 / (rho * np.vdot(y, y))  # initial Hessian scale s.y / y.y
+            for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+                q += (alpha - rho * np.vdot(y, q)) * s
+            direction = -q
+        else:
+            direction = -g / max(1.0, g_norm)
+        step = backtrack(evaluate, x, value, direction, float(np.vdot(g, direction)))
+        if step is None:
+            break
+        x_next, value, by_product = step
+        g_next = gradient(x_next, by_product)
+        s, y = x_next - x, g_next - g
+        sy = float(np.vdot(s, y))
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy))
+        x, g = x_next, g_next
+        history.append(value)
     return x, history
 
 

@@ -1,7 +1,8 @@
-"""Multinomial logistic regression trained by full-batch gradient descent.
+"""Multinomial logistic regression trained by L-BFGS.
 
-The weights are fitted by the shared backtracking-halving loop
-``base.descend`` from zero weights and a unit step, so the regularized loss
+The weights are fitted by ``base.lbfgs`` from zero weights until the
+gradient norm of the regularized loss falls to ``base.LBFGS_TOL`` times its
+norm at zero; every step is accepted by Armijo backtracking, so the loss
 strictly decreases over accepted steps. Deterministic for fixed data; the
 seed is unused here but kept for the shared contract.
 """
@@ -12,7 +13,7 @@ import numpy as np
 
 from ..core import LabelSpace
 from ..errors import DimensionMismatch
-from .base import ClassifierSpec, FittedClassifier, check_training_data, descend, state_array
+from .base import ClassifierSpec, FittedClassifier, check_training_data, lbfgs, state_array
 
 
 def _row_max(Z: np.ndarray) -> np.ndarray:
@@ -33,7 +34,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 def _loss_and_gradient(X: np.ndarray, y: np.ndarray, lam: float):
     """``(evaluate, gradient)`` of the regularized mean cross-entropy for
-    ``descend``; the gradient reuses the shifted logits and log normalizers
+    ``lbfgs``; the gradient reuses the shifted logits and log normalizers
     that ``evaluate`` computed at the same W."""
     rows = np.arange(X.shape[0])
 
@@ -95,5 +96,5 @@ def train_logreg(
 ) -> LogisticModel:
     X, y = check_training_data(X, y, labels)
     Xb = np.hstack([X, np.ones((X.shape[0], 1))])
-    W, _ = descend(*_loss_and_gradient(Xb, y, spec.lam), np.zeros((Xb.shape[1], labels.m)), 1.0)
+    W, _ = lbfgs(*_loss_and_gradient(Xb, y, spec.lam), np.zeros((Xb.shape[1], labels.m)))
     return LogisticModel(spec, labels, X.shape[1], W)

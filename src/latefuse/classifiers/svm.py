@@ -21,12 +21,11 @@ from scipy.optimize import minimize_scalar
 
 from ..core import LabelSpace, fold_assignments, real
 from ..errors import BadSpec
-from .base import MAX_HALVINGS, ClassifierSpec, FittedClassifier, check_training_data, state_array
+from .base import ClassifierSpec, FittedClassifier, backtrack, check_training_data, state_array
 from .logreg import softmax
 
 NEWTON_MAX_STEPS = 50
 GRAD_TOL = 1e-8  # stop once ||gradient|| <= GRAD_TOL * ||gradient at zero||
-ARMIJO = 1e-4  # accept a step that achieves this share of the predicted decrease
 
 
 def svm_objective(w: np.ndarray, margins: np.ndarray, c: float) -> float:
@@ -42,7 +41,7 @@ def train_binary_svm(X: np.ndarray, y_pm: np.ndarray, c: float):
     Newton steps on (w, b) packed into one vector, from zero; the bias is not
     regularized. Stops when the gradient norm falls to GRAD_TOL times its norm
     at zero (compared without underflow, so a tiny ``c`` still takes steps),
-    after NEWTON_MAX_STEPS steps, or when MAX_HALVINGS halvings find no step
+    after NEWTON_MAX_STEPS steps, or when ``base.backtrack`` finds no step
     that meets the Armijo condition. The history (the start, then one
     value per accepted step) strictly decreases. Raises BadSpec when ``c`` is
     so large that the objective, the first gradient or the first Hessian
@@ -86,17 +85,10 @@ def train_binary_svm(X: np.ndarray, y_pm: np.ndarray, c: float):
         if np.linalg.norm(gradient / scale) <= tol:
             break
         direction = np.linalg.solve(hessian, -gradient)
-        slope = float(gradient @ direction)
-        t = 1.0
-        for _ in range(MAX_HALVINGS):
-            v_next = v + t * direction
-            value_next, margins_next = evaluate(v_next)
-            if value - value_next >= -ARMIJO * t * slope > 0.0:
-                break
-            t *= 0.5
-        else:
+        step = backtrack(evaluate, v, value, direction, float(gradient @ direction))
+        if step is None:
             break  # no representable decrease along the Newton direction
-        v, value, margins = v_next, value_next, margins_next
+        v, value, margins = step
         history.append(value)
         gradient, hessian = newton_system(v, margins)
     return v[:-1], float(v[-1]), history

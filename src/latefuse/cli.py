@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import classifiers, dataio, ensemble, evaluation, pipeline, synthdata
 from .core import SplitSpec, integer, stratified_split
-from .errors import BadSpec, ConfigError, LateFuseError
+from .errors import BadSpec, ConfigError, CorruptModel, InvalidProbabilities, LateFuseError
 
 
 @dataclass
@@ -188,7 +188,10 @@ def cmd_predict(args) -> int:
     _require(out_path, "output path (--out or config 'out')")
     e = pipeline.load_ensemble(args.model)
     groups, ids = dataio.load_groups(cfg.group_paths)
-    preds = pipeline.predict_groups(e, groups, ids)
+    try:
+        preds = pipeline.predict_groups(e, groups, ids)
+    except InvalidProbabilities as exc:
+        raise CorruptModel(f"model file {args.model!r} gives invalid probabilities: {exc}") from exc
     dataio.write_predictions(preds, e.label_space.class_names, out_path)
     print(f"wrote {len(preds)} predictions to {out_path}")
     return 0

@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     EmptyClass,
     InsufficientClassPopulation,
+    InvalidProbabilities,
     MisalignedGroup,
     NonFiniteFeature,
     UnknownLabel,
@@ -74,9 +75,9 @@ class LabelSpace:
 
     def __post_init__(self):
         if len(set(self.class_names)) != len(self.class_names):
-            raise ValueError("class names must be unique")
+            raise BadSpec(f"class_names must be unique, got {self.class_names!r}")
         if len(self.class_names) < 2:
-            raise ValueError("a label space needs at least 2 classes")
+            raise BadSpec(f"class_names needs at least 2 classes, got {self.class_names!r}")
         object.__setattr__(self, "class_names", tuple(self.class_names))
 
     @property
@@ -297,11 +298,12 @@ def standardize_apply(s: Standardizer, features: np.ndarray) -> np.ndarray:
 
 def probability_vector(p) -> np.ndarray:
     """Validate a per-class confidence vector, or each row of an (n, m)
-    matrix: nonnegative entries summing to 1 within PROB_SUM_TOL. A failure
-    names the first bad row of a matrix. Returns a read-only float64 array."""
+    matrix: nonnegative entries summing to 1 within PROB_SUM_TOL.
+    InvalidProbabilities, naming the first bad row of a matrix, otherwise.
+    Returns a read-only float64 array."""
     v = np.asarray(p, dtype=np.float64)
     if v.ndim not in (1, 2):
-        raise ValueError("probabilities must be a vector or an (n, m) matrix")
+        raise InvalidProbabilities("probabilities must be a vector or an (n, m) matrix")
     rows = np.atleast_2d(v)
     finite = np.isfinite(rows).all(axis=1)
     totals = rows.sum(axis=1)
@@ -310,8 +312,8 @@ def probability_vector(p) -> np.ndarray:
         i = int(np.argmax(bad))
         where = f"row {i}: " if v.ndim == 2 else ""
         if not finite[i]:
-            raise ValueError(f"{where}probability vector has non-finite entries")
+            raise InvalidProbabilities(f"{where}probability vector has non-finite entries")
         if np.any(rows[i] < 0):
-            raise ValueError(f"{where}negative probability {rows[i].min()}")
-        raise ValueError(f"{where}probabilities sum to {totals[i]}, expected 1")
+            raise InvalidProbabilities(f"{where}negative probability {rows[i].min()}")
+        raise InvalidProbabilities(f"{where}probabilities sum to {totals[i]}, expected 1")
     return _frozen_array(v)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import classifiers
 from .core import LabelSpace
-from .errors import AllZeroPriorities, EmptyEnsemble
+from .errors import AllZeroPriorities, BadSpec, EmptyEnsemble
 
 STRATEGY_KINDS = ("confidence_sum", "rank_sum", "stacking")
 STACKING_MODES = ("naive", "out_of_fold")
@@ -39,20 +39,22 @@ class EnsembleStrategy:
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
+            raise BadSpec(f"kind must be one of {STRATEGY_KINDS}, got {self.kind!r}")
         if not isinstance(self.weighted, bool):
-            raise ValueError(f"weighted must be true or false, got {self.weighted!r}")
+            raise BadSpec(f"weighted must be true or false, got {self.weighted!r}")
         if self.kind == "stacking":
             if self.stacking_mode not in STACKING_MODES:
-                raise ValueError(
+                raise BadSpec(
                     f"stacking_mode must be one of {STACKING_MODES}, "
                     f"got {self.stacking_mode!r}"
                 )
             if self.stacking_meta_spec is None:
-                raise ValueError("stacking needs a stacking_meta_spec")
+                raise BadSpec("stacking_meta_spec is required for kind='stacking'")
         else:
             if self.stacking_mode is not None or self.stacking_meta_spec is not None:
-                raise ValueError("stacking fields are only valid for kind='stacking'")
+                raise BadSpec(
+                    "stacking_mode and stacking_meta_spec are only valid for kind='stacking'"
+                )
 
     @property
     def label(self) -> str:

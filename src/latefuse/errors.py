@@ -46,6 +46,11 @@ class DimensionMismatch(DataError):
     """Input width does not match what a fitted object expects."""
 
 
+class InvalidProbabilities(DataError, ValueError):
+    """A confidence vector, such as a model's output, has a non-finite or
+    negative entry or does not sum to 1. Also a ValueError."""
+
+
 # --- specifications -------------------------------------------------------
 
 class BadSpec(ConfigError, ValueError):
@@ -103,5 +108,5 @@ class VersionMismatch(DataError):
 
 
 class CorruptModel(DataError):
-    """Model file is truncated or fails its checksum."""
+    """Model file is truncated, fails its checksum, or holds unusable values."""
 

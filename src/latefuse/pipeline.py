@@ -34,7 +34,7 @@ from .core import (
     standardize_fit,
     validate_dataset,
 )
-from .errors import CorruptModel, GroupSchemaMismatch, IoFailure, VersionMismatch
+from .errors import BadSpec, CorruptModel, GroupSchemaMismatch, IoFailure, VersionMismatch
 
 MODEL_FORMAT_VERSION = 2  # version 1 nested each forest tree in dicts; it still loads
 
@@ -51,7 +51,7 @@ class GroupModel:
 
     def __post_init__(self):
         if not 0.0 <= self.priority <= 1.0:
-            raise ValueError(f"priority {self.priority} outside [0, 1]")
+            raise BadSpec(f"priority must be in [0, 1], got {self.priority!r}")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from latefuse.classifiers.base import MAX_HALVINGS, MAX_STEPS, REL_TOL
+from latefuse.classifiers.base import MAX_HALVINGS, MAX_STEPS
 from latefuse.core import GroupView, LabelSpace, MultiViewDataset
 
 # property tests draw the same examples on every run, so CI cannot flake
@@ -110,14 +110,19 @@ def nested_tree(state, node):
     }
 
 
-# -- reference optimizer: the descent loop that evaluates the objective and
-# the gradient separately at every point, with the loss it ran on. The fitted
-# logistic regression must reproduce its results bit for bit.
+# -- reference optimizer: plain gradient descent that evaluates the objective
+# and the gradient separately at every point, with the loss it ran on. The
+# fitted logistic regression and the SVM must reach a loss no worse than it.
+
+REL_TOL = 1e-8  # two_call_descend stops on a relative decrease below this
 
 
 def two_call_descend(objective, gradient, x, step):
-    """Backtracking-halving descent with the stop rules of
-    ``classifiers.base.descend``; ``gradient(x)`` recomputes from ``x``."""
+    """Gradient descent from ``x``: each step starts from twice the last
+    accepted step size and halves it until the value strictly decreases. Stops
+    after MAX_STEPS accepted steps, on a relative decrease below REL_TOL, or
+    when MAX_HALVINGS halvings find no decrease. ``gradient(x)`` recomputes
+    from ``x``. Returns the final point and the value history."""
     value = objective(x)
     history = [value]
     for _ in range(MAX_STEPS):

@@ -77,6 +77,19 @@ def predict_with_edited_model(workdir, capsys, edit, **overrides):
     return rc, capsys.readouterr().err
 
 
+def huge_logreg_weights(group):
+    """Model-file edit: two logreg weights of opposite sign near the float
+    maximum, so the logits overflow."""
+    group["state"]["weights"][0][0] = 1e308
+    group["state"]["weights"][1][0] = -1e308
+
+
+def tiny_svm_temperature(group):
+    """Model-file edit: the smallest positive SVM temperature, so the scaled
+    margins overflow."""
+    group["state"]["temperature"] = 5e-324
+
+
 def predict_config(tmp_path, split="test", groups=("sig", "noise")):
     cfg = {
         "data": {
@@ -203,6 +216,23 @@ class TestTrainPredictEvaluate:
         rc, err = predict_with_edited_model(workdir, capsys, edit, classifier=classifier)
         assert rc == 1
         assert str(workdir / "model.json") in err
+
+    @pytest.mark.parametrize(
+        "classifier,edit",
+        [
+            ({"kind": "logreg", "seed": 0}, huge_logreg_weights),
+            ({"kind": "linear_svm_ovr", "seed": 0, "c_grid": [1.0]}, tiny_svm_temperature),
+        ],
+        ids=["huge_logreg_weights", "tiny_svm_temperature"],
+    )
+    def test_checksummed_model_with_non_finite_output_exit_1(
+        self, workdir, capsys, classifier, edit
+    ):
+        # every value is finite, but the probabilities computed from them are not
+        rc, err = predict_with_edited_model(workdir, capsys, edit, classifier=classifier)
+        assert rc == 1
+        assert str(workdir / "model.json") in err and "non-finite" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", [True, 1.5, float("nan"), "x", None],
                              ids=["true", "1.5", "NaN", "string", "null"])

@@ -13,9 +13,11 @@ from latefuse.core import (
     validate_dataset,
 )
 from latefuse.errors import (
+    BadSpec,
     DimensionMismatch,
     EmptyClass,
     InsufficientClassPopulation,
+    InvalidProbabilities,
     MisalignedGroup,
     NonFiniteFeature,
     UnknownLabel,
@@ -26,11 +28,11 @@ from conftest import make_dataset
 
 class TestLabelSpace:
     def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadSpec, match="class_names"):
             LabelSpace(("a", "b", "a"))
 
     def test_single_class_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadSpec, match="class_names"):
             LabelSpace(("only",))
 
     def test_from_names_sorts_lexicographically(self):
@@ -210,7 +212,7 @@ class TestProbabilityVector:
             probability_vector([[0.5, 0.5], [0.5, 0.5], [0.5, 0.6]])
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(InvalidProbabilities, match="non-finite"):
             probability_vector([np.nan, 1.0])
-        with pytest.raises(ValueError, match="row 1.*non-finite"):
+        with pytest.raises(InvalidProbabilities, match="row 1.*non-finite"):
             probability_vector([[0.5, 0.5], [np.inf, 0.0]])

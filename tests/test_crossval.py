@@ -5,7 +5,7 @@ from latefuse import classifiers, pipeline
 from latefuse.classifiers import ClassifierSpec
 from latefuse.core import LabelSpace, standardize_fit
 from latefuse.crossval import group_priority, make_folds
-from latefuse.errors import BadK, LengthMismatch, TooFewSamplesPerClass
+from latefuse.errors import BadK, BadSpec, LengthMismatch, TooFewSamplesPerClass
 
 from conftest import cross_val_accuracy, gaussian_blobs
 
@@ -110,7 +110,7 @@ class TestCrossValAccuracy:
         s = standardize_fit(X)
         assert pipeline.GroupModel("g", s, model, 1.0).priority == 1.0
         for bad in (1.5, -0.1, float("nan")):
-            with pytest.raises(ValueError):
+            with pytest.raises(BadSpec, match="priority"):
                 pipeline.GroupModel("g", s, model, bad)
 
     def test_plan_must_cover_the_labels(self, rng):

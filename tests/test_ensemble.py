@@ -13,7 +13,7 @@ from latefuse.ensemble import (
     stack_meta_features,
     train_stacking,
 )
-from latefuse.errors import AllZeroPriorities, EmptyEnsemble
+from latefuse.errors import AllZeroPriorities, BadSpec, EmptyEnsemble
 
 
 # --- independent straightforward reimplementation (oracle) -----------------
@@ -235,17 +235,22 @@ class TestWeightingInvariances:
 
 class TestStrategyType:
     def test_stacking_requires_meta(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadSpec, match="stacking_meta_spec"):
             EnsembleStrategy("stacking", stacking_mode="naive")
 
     def test_non_stacking_rejects_stacking_fields(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadSpec, match="stacking_mode"):
             EnsembleStrategy("confidence_sum", stacking_mode="naive")
+
+    @pytest.mark.parametrize("kind", ["vote", None, ["stacking"]], ids=str)
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(BadSpec, match="kind"):
+            EnsembleStrategy(kind)
 
     @pytest.mark.parametrize("weighted", [1, "no", None])
     def test_weighted_must_be_a_bool(self, weighted):
         # a strategy that constructs must also save to a model file that loads
-        with pytest.raises(ValueError, match="weighted"):
+        with pytest.raises(BadSpec, match="weighted"):
             EnsembleStrategy("confidence_sum", weighted=weighted)
 
     def test_labels(self):
