@@ -17,7 +17,6 @@ from .core import (
     standardize_apply,
     standardize_fit,
     stratified_split,
-    validate_dataset,
 )
 from .crossval import FoldPlan, group_priority, make_folds
 from .ensemble import (
@@ -64,7 +63,6 @@ __all__ = [
     "standardize_apply",
     "standardize_fit",
     "stratified_split",
-    "validate_dataset",
     "FoldPlan",
     "group_priority",
     "make_folds",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SingleClassData
+from ..errors import BadSpec, SingleClassData
 
 SCAN_BYTES = 1 << 21  # bytes of float64 class weights one block's scan may hold
 
@@ -69,7 +69,7 @@ def train_stump(
     y = np.asarray(y, dtype=np.int64)
     w = np.asarray(sample_weights, dtype=np.float64)
     if np.any(w < 0) or w.sum() <= 0:
-        raise ValueError("sample weights must be nonnegative with positive sum")
+        raise BadSpec("sample_weights must be nonnegative with positive sum")
     if len(np.unique(y)) < 2:
         raise SingleClassData("stump training needs at least two classes")
 

@@ -2,8 +2,11 @@
 stratified splitting, and per-column standardization.
 
 Every sample is described by several aligned feature groups (views). Row i of
-every group belongs to ``sample_ids[i]``. All types are immutable after
-construction and therefore safe to share across workers.
+every group belongs to ``sample_ids[i]``. Each type checks its invariants
+when it is built, so a ``MultiViewDataset`` that exists is valid: its groups
+are aligned and finite, its ids unique, and its integer labels cover every
+class. All types are immutable after construction and therefore safe to
+share across workers.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ class GroupView:
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[1] < 1:
-            raise ValueError(
+            raise DimensionMismatch(
                 f"group {self.name!r} must be a 2-D matrix with >= 1 column"
             )
         object.__setattr__(self, "features", _frozen_array(feats))
@@ -122,7 +125,12 @@ class GroupView:
 
 @dataclass(frozen=True)
 class MultiViewDataset:
-    """Labels plus G aligned feature groups for n samples."""
+    """Labels plus G aligned feature groups for n samples.
+
+    Building one checks every invariant: MisalignedGroup, NonFiniteFeature
+    (with group/row/col address), UnknownLabel (also for labels that are not
+    integers) or EmptyClass otherwise.
+    """
 
     label_space: LabelSpace
     labels: np.ndarray
@@ -130,9 +138,42 @@ class MultiViewDataset:
     sample_ids: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", _frozen_array(self.labels, dtype=np.int64))
+        labels = np.asarray(self.labels)
+        if labels.size and labels.dtype.kind not in "iu":
+            raise UnknownLabel(f"labels must be integer class indices, got {labels.dtype}")
+        object.__setattr__(self, "labels", _frozen_array(labels, dtype=np.int64))
         object.__setattr__(self, "groups", tuple(self.groups))
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
+        n = self.n
+        if len(self.groups) < 1:
+            raise MisalignedGroup("dataset has no feature groups")
+        if self.labels.shape != (n,):
+            raise MisalignedGroup(
+                f"labels have length {self.labels.shape[0]}, expected {n}"
+            )
+        if len(set(self.sample_ids)) != n:
+            raise MisalignedGroup("sample_ids contain duplicates")
+        names = self.group_names
+        for i, g in enumerate(self.groups):
+            if g.name in names[:i]:
+                raise MisalignedGroup(f"group name {g.name!r} is used twice")
+            if g.n != n:
+                raise MisalignedGroup(
+                    f"group {g.name!r} has {g.n} rows, expected {n}"
+                )
+            if not np.all(np.isfinite(g.features)):
+                row, col = np.argwhere(~np.isfinite(g.features))[0]
+                raise NonFiniteFeature(
+                    f"non-finite feature in group {g.name!r} at row {row}, col {col}"
+                )
+        m = self.label_space.m
+        if n > 0 and (self.labels.min() < 0 or self.labels.max() >= m):
+            bad = self.labels[(self.labels < 0) | (self.labels >= m)][0]
+            raise UnknownLabel(f"label index {bad} outside [0, {m})")
+        counts = np.bincount(self.labels, minlength=m)
+        for i, c in enumerate(counts):
+            if c == 0:
+                raise EmptyClass(f"class {self.label_space.class_names[i]!r} has no samples")
 
     @property
     def n(self) -> int:
@@ -166,45 +207,6 @@ class MultiViewDataset:
             groups=tuple(GroupView(g.name, g.features[idx]) for g in self.groups),
             sample_ids=tuple(self.sample_ids[i] for i in idx),
         )
-
-
-def validate_dataset(d: MultiViewDataset) -> MultiViewDataset:
-    """Check every dataset invariant; returns ``d`` unchanged when they hold.
-
-    Raises MisalignedGroup, NonFiniteFeature (with group/row/col address),
-    UnknownLabel, or EmptyClass.
-    """
-    n = d.n
-    if len(d.groups) < 1:
-        raise MisalignedGroup("dataset has no feature groups")
-    if d.labels.shape != (n,):
-        raise MisalignedGroup(
-            f"labels have length {d.labels.shape[0]}, expected {n}"
-        )
-    if len(set(d.sample_ids)) != n:
-        raise MisalignedGroup("sample_ids contain duplicates")
-    names = d.group_names
-    for i, g in enumerate(d.groups):
-        if g.name in names[:i]:
-            raise MisalignedGroup(f"group name {g.name!r} is used twice")
-        if g.n != n:
-            raise MisalignedGroup(
-                f"group {g.name!r} has {g.n} rows, expected {n}"
-            )
-        if not np.all(np.isfinite(g.features)):
-            row, col = np.argwhere(~np.isfinite(g.features))[0]
-            raise NonFiniteFeature(
-                f"non-finite feature in group {g.name!r} at row {row}, col {col}"
-            )
-    m = d.label_space.m
-    if n > 0 and (d.labels.min() < 0 or d.labels.max() >= m):
-        bad = d.labels[(d.labels < 0) | (d.labels >= m)][0]
-        raise UnknownLabel(f"label index {bad} outside [0, {m})")
-    counts = np.bincount(d.labels, minlength=m)
-    for i, c in enumerate(counts):
-        if c == 0:
-            raise EmptyClass(f"class {d.label_space.class_names[i]!r} has no samples")
-    return d
 
 
 @dataclass(frozen=True)
@@ -276,7 +278,7 @@ class Standardizer:
 def standardize_fit(train_features: np.ndarray) -> Standardizer:
     X = np.asarray(train_features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
-        raise ValueError("standardize_fit needs a 2-D matrix with >= 2 rows")
+        raise BadSpec("train_features must be a 2-D matrix with >= 2 rows")
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     scale = np.where(std < DEGENERATE_STD, 0.0, 1.0 / np.where(std == 0, 1.0, std))

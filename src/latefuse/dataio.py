@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from .core import GroupView, LabelSpace, MultiViewDataset, validate_dataset
+from .core import GroupView, LabelSpace, MultiViewDataset
 from .errors import DataError, MisalignedGroup, NonFiniteFeature
 from .pipeline import Prediction
 
@@ -208,13 +208,8 @@ def load_dataset(
     names = join_ids(label_by_id, ids, f"labels file {labels_path!r}", "without features")
     space = label_space_of(labels_path, names)
     y = np.array([space.index(name) for name in names], dtype=np.int64)
-    return validate_dataset(
-        MultiViewDataset(
-            label_space=space,
-            labels=y,
-            groups=tuple(groups),
-            sample_ids=tuple(ids),
-        )
+    return MultiViewDataset(
+        label_space=space, labels=y, groups=tuple(groups), sample_ids=tuple(ids)
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import classifiers
 from .core import LabelSpace
-from .errors import AllZeroPriorities, BadSpec, EmptyEnsemble
+from .errors import AllZeroPriorities, BadSpec, EmptyEnsemble, InvalidProbabilities
 
 STRATEGY_KINDS = ("confidence_sum", "rank_sum", "stacking")
 STACKING_MODES = ("naive", "out_of_fold")
@@ -72,7 +72,7 @@ class EnsembleStrategy:
     @classmethod
     def from_dict(cls, d: dict) -> "EnsembleStrategy":
         if "kind" not in d:
-            raise ValueError("strategy is missing the required field 'kind'")
+            raise BadSpec("strategy is missing the required field 'kind'")
         meta = d.get("stacking_meta_spec")
         return cls(
             kind=d["kind"],
@@ -105,7 +105,7 @@ def _combine(vectors_fn, probs: Sequence, priorities, weighted: bool) -> np.ndar
                 f"{len(probs)} probability vectors but {len(w)} priorities"
             )
         if any(v < 0 or not np.isfinite(v) for v in w):
-            raise ValueError("priorities must be finite and nonnegative")
+            raise BadSpec("priorities must be finite and nonnegative")
         if all(v == 0.0 for v in w):
             raise AllZeroPriorities(
                 "every group priority is zero; the ensemble carries no signal"
@@ -133,7 +133,7 @@ def decide(scores):
     score vector gives an int, an (n, m) matrix an array of n decisions."""
     s = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(s)):
-        raise ValueError("scores must be finite")
+        raise InvalidProbabilities("scores must be finite")
     best = np.argmax(s, axis=-1)
     return int(best) if s.ndim == 1 else best
 

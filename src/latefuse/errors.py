@@ -54,9 +54,10 @@ class InvalidProbabilities(DataError, ValueError):
 # --- specifications -------------------------------------------------------
 
 class BadSpec(ConfigError, ValueError):
-    """A field of a classifier, synthetic-data or split specification, or a
-    training argument, is invalid; the message starts with the field's name.
-    Also a ValueError, so a caller that reads outside values can catch both."""
+    """A field of a specification or of a built value (a strategy, a trained
+    ensemble), or an argument of a library call, is invalid; the message
+    starts with the field's name. Also a ValueError, so a caller that reads
+    outside values can catch both."""
 
 
 # --- training -------------------------------------------------------------

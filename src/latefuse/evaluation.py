@@ -8,11 +8,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import classifiers, ensemble, pipeline
-from .core import MultiViewDataset, validate_dataset
+from .core import MultiViewDataset
 # Not called here; kept as module attributes because the traced benchmark
 # (perfbench/spans.py) wraps them by name.
 from .core import standardize_apply, standardize_fit  # noqa: F401
-from .errors import LengthMismatch, UnknownGroupName
+from .errors import BadSpec, LengthMismatch, UnknownGroupName, UnknownLabel
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,8 @@ def _decided(preds) -> np.ndarray:
 
 
 def evaluate(preds, truth, m: Optional[int] = None) -> EvaluationReport:
-    """Score predictions against ground-truth class indices."""
+    """Score predictions against ground-truth class indices, each in [0, m);
+    UnknownLabel names the first index outside that range."""
     decided = _decided(preds)
     truth = np.asarray(truth, dtype=np.int64)
     if len(decided) != len(truth):
@@ -53,6 +54,10 @@ def evaluate(preds, truth, m: Optional[int] = None) -> EvaluationReport:
         )
     if m is None:
         m = int(max(decided.max(), truth.max())) + 1 if len(truth) else 0
+    for what, indices in (("true", truth), ("predicted", decided)):
+        bad = indices[(indices < 0) | (indices >= m)]
+        if len(bad):
+            raise UnknownLabel(f"{what} class index {bad[0]} outside [0, {m})")
     confusion = np.zeros((m, m), dtype=np.int64)
     np.add.at(confusion, (truth, decided), 1)
     n = len(truth)
@@ -101,8 +106,6 @@ def compare_strategies(
 ) -> list[tuple[str, float]]:
     """Accuracy of all five strategies sharing one set of per-group
     classifiers and priorities."""
-    validate_dataset(train)
-    validate_dataset(test)
     fits = pipeline.fit_groups(train, spec, k, seed)
     rows = []
     for strategy in five_strategies(meta_spec or spec):
@@ -120,8 +123,6 @@ def compare_classifiers(
     specs: Optional[Sequence[classifiers.ClassifierSpec]] = None,
 ) -> list[tuple[str, float]]:
     """One row per classifier kind under a fixed ensemble strategy."""
-    validate_dataset(train)
-    validate_dataset(test)
     if specs is None:
         specs = [classifiers.ClassifierSpec(kind, seed=seed) for kind in classifiers.KINDS]
     rows = []
@@ -142,7 +143,7 @@ class AblationReport:
     def __post_init__(self):
         full = tuple(self.all_groups)
         if not any(tuple(subset) == full for subset, _, _ in self.entries):
-            raise ValueError("ablation must include the full group subset")
+            raise BadSpec("entries must include the full group subset")
 
 
 def nested_subsets(ordered_names: Sequence[str]) -> list[tuple[str, ...]]:
@@ -169,8 +170,6 @@ def ablate(
     fitted classifier, priority and out-of-fold rows are identical in every
     subset containing it; they are computed once and reused.
     """
-    validate_dataset(train)
-    validate_dataset(test)
     names = train.group_names
     for subset in subset_plan or []:
         if len(subset) == 0:

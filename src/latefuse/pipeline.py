@@ -32,7 +32,6 @@ from .core import (
     real,
     standardize_apply,
     standardize_fit,
-    validate_dataset,
 )
 from .errors import BadSpec, CorruptModel, GroupSchemaMismatch, IoFailure, VersionMismatch
 
@@ -64,7 +63,13 @@ class TrainedEnsemble:
 
     def __post_init__(self):
         if (self.meta is not None) != (self.strategy.kind == "stacking"):
-            raise ValueError("meta classifier present iff strategy is stacking")
+            raise BadSpec("meta classifier present iff strategy is stacking")
+        width = len(self.per_group) * self.label_space.m
+        if self.meta is not None and self.meta.input_dim != width:
+            raise BadSpec(
+                f"meta input_dim {self.meta.input_dim}, expected "
+                f"{len(self.per_group)} groups x {self.label_space.m} classes"
+            )
 
     @property
     def group_names(self) -> tuple[str, ...]:
@@ -169,7 +174,6 @@ def train_ensemble(
     seed: int = 0,
 ) -> TrainedEnsemble:
     """Fit the whole ensemble on the training set; test data never enters."""
-    validate_dataset(train)
     return assemble(fit_groups(train, spec, k, seed), strategy, spec, train, k, seed)
 
 
@@ -256,7 +260,6 @@ def train_concat_baseline(
 ) -> ConcatBaseline:
     """The classical alternative to late fusion: concatenate all groups
     horizontally (after per-group standardization) and train one classifier."""
-    validate_dataset(train)
     standardizers = tuple(standardize_fit(g.features) for g in train.groups)
     X = np.hstack(
         [standardize_apply(s, g.features) for s, g in zip(standardizers, train.groups)]
@@ -372,11 +375,6 @@ def _ensemble_from_payload(payload: dict, version: int) -> TrainedEnsemble:
     meta = None
     if payload["meta"] is not None:
         meta = _classifier_from_record(payload["meta"], labels, version)
-        if meta.input_dim != len(per_group) * labels.m:
-            raise ValueError(
-                f"meta input_dim {meta.input_dim}, expected "
-                f"{len(per_group)} groups x {labels.m} classes"
-            )
     return TrainedEnsemble(
         per_group=tuple(per_group),
         strategy=strategy,

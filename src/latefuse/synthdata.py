@@ -22,7 +22,6 @@ from .core import (
     integer,
     real,
     stratified_split,
-    validate_dataset,
 )
 from .errors import BadSpec
 
@@ -84,10 +83,8 @@ def generate(spec: SynthSpec) -> MultiViewDataset:
         groups.append(GroupView(view.name, feats))
     label_space = LabelSpace(tuple(f"class_{i:02d}" for i in range(spec.m)))
     ids = tuple(f"s{i:05d}" for i in range(n))
-    return validate_dataset(
-        MultiViewDataset(
-            label_space=label_space, labels=labels, groups=tuple(groups), sample_ids=ids
-        )
+    return MultiViewDataset(
+        label_space=label_space, labels=labels, groups=tuple(groups), sample_ids=ids
     )
 
 

@@ -17,7 +17,7 @@ from latefuse.classifiers import (
 from latefuse.classifiers import forest, stumps
 from latefuse.classifiers.stumps import sorted_columns
 from latefuse.core import LabelSpace
-from latefuse.errors import SingleClassData
+from latefuse.errors import BadSpec, SingleClassData
 
 from conftest import DETERMINISTIC, gaussian_blobs, nested_tree
 
@@ -113,6 +113,11 @@ class TestStump:
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassData):
             train_stump(np.zeros((4, 1)), np.zeros(4, dtype=int), np.ones(4))
+
+    @pytest.mark.parametrize("w", [[1.0, -0.5, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+    def test_bad_weights_rejected(self, w):
+        with pytest.raises(BadSpec, match="sample_weights"):
+            train_stump(np.zeros((4, 1)), np.array([0, 0, 1, 1]), np.array(w))
 
     def test_column_blocks_match_one_pass(self, monkeypatch):
         rng = np.random.default_rng(3)

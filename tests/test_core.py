@@ -10,7 +10,6 @@ from latefuse.core import (
     standardize_apply,
     standardize_fit,
     stratified_split,
-    validate_dataset,
 )
 from latefuse.errors import (
     BadSpec,
@@ -48,68 +47,80 @@ class TestLabelSpace:
 
 
 class TestValidateDataset:
+    """A MultiViewDataset checks every invariant when it is built."""
+
     def test_valid_dataset_passes(self, rng):
         d = make_dataset(
             [("g0", rng.standard_normal((6, 2))), ("g1", rng.standard_normal((6, 4)))],
             [0, 0, 0, 1, 1, 1],
         )
-        assert validate_dataset(d) is d
+        assert d.n == 6 and d.labels.dtype == np.int64
+        assert d.take([0, 3]).n == 2 and d.subset_groups(["g1"]).group_names == ("g1",)
 
     def test_misaligned_group(self, rng):
-        d = MultiViewDataset(
-            label_space=LabelSpace(("c0", "c1")),
-            labels=np.array([0, 0, 0, 1, 1, 1]),
-            groups=(
-                GroupView("a", rng.standard_normal((5, 2))),
-                GroupView("b", rng.standard_normal((6, 2))),
-            ),
-            sample_ids=tuple(f"s{i}" for i in range(6)),
-        )
         with pytest.raises(MisalignedGroup, match="'a'"):
-            validate_dataset(d)
+            MultiViewDataset(
+                label_space=LabelSpace(("c0", "c1")),
+                labels=np.array([0, 0, 0, 1, 1, 1]),
+                groups=(
+                    GroupView("a", rng.standard_normal((5, 2))),
+                    GroupView("b", rng.standard_normal((6, 2))),
+                ),
+                sample_ids=tuple(f"s{i}" for i in range(6)),
+            )
 
     def test_non_finite_feature_reports_address(self, rng):
         feats = rng.standard_normal((6, 3))
         feats[2, 1] = np.nan
-        d = make_dataset([("g0", feats)], [0, 0, 0, 1, 1, 1])
         with pytest.raises(NonFiniteFeature, match="group 'g0' at row 2, col 1"):
-            validate_dataset(d)
+            make_dataset([("g0", feats)], [0, 0, 0, 1, 1, 1])
 
     def test_unknown_label_index(self, rng):
-        d = MultiViewDataset(
-            label_space=LabelSpace(("c0", "c1")),
-            labels=np.array([0, 0, 0, 1, 1, 5]),
-            groups=(GroupView("a", rng.standard_normal((6, 2))),),
-            sample_ids=tuple(f"s{i}" for i in range(6)),
-        )
-        with pytest.raises(UnknownLabel):
-            validate_dataset(d)
+        with pytest.raises(UnknownLabel, match="label index 5 outside"):
+            MultiViewDataset(
+                label_space=LabelSpace(("c0", "c1")),
+                labels=np.array([0, 0, 0, 1, 1, 5]),
+                groups=(GroupView("a", rng.standard_normal((6, 2))),),
+                sample_ids=tuple(f"s{i}" for i in range(6)),
+            )
+
+    @pytest.mark.parametrize("labels", [[0.2, 1.9, 0.7, 1.1], [0.0, 1.0, 0.0, 1.0], [False, True, False, True]])
+    def test_labels_that_are_not_integers_rejected(self, rng, labels):
+        with pytest.raises(UnknownLabel, match="integer"):
+            MultiViewDataset(
+                label_space=LabelSpace(("c0", "c1")),
+                labels=labels,
+                groups=(GroupView("a", rng.standard_normal((4, 2))),),
+                sample_ids=tuple(f"s{i}" for i in range(4)),
+            )
 
     def test_empty_class(self, rng):
-        d = MultiViewDataset(
-            label_space=LabelSpace(("c0", "c1", "c2")),
-            labels=np.array([0, 0, 0, 1, 1, 1]),
-            groups=(GroupView("a", rng.standard_normal((6, 2))),),
-            sample_ids=tuple(f"s{i}" for i in range(6)),
-        )
         with pytest.raises(EmptyClass, match="'c2'"):
-            validate_dataset(d)
+            MultiViewDataset(
+                label_space=LabelSpace(("c0", "c1", "c2")),
+                labels=np.array([0, 0, 0, 1, 1, 1]),
+                groups=(GroupView("a", rng.standard_normal((6, 2))),),
+                sample_ids=tuple(f"s{i}" for i in range(6)),
+            )
 
     def test_duplicate_sample_ids(self, rng):
-        d = MultiViewDataset(
-            label_space=LabelSpace(("c0", "c1")),
-            labels=np.array([0, 1]),
-            groups=(GroupView("a", rng.standard_normal((2, 2))),),
-            sample_ids=("same", "same"),
-        )
         with pytest.raises(MisalignedGroup, match="duplicate"):
-            validate_dataset(d)
+            MultiViewDataset(
+                label_space=LabelSpace(("c0", "c1")),
+                labels=np.array([0, 1]),
+                groups=(GroupView("a", rng.standard_normal((2, 2))),),
+                sample_ids=("same", "same"),
+            )
 
     def test_duplicate_group_name(self, rng):
         feats = rng.standard_normal((6, 2))
-        d = make_dataset([("a", feats), ("b", feats), ("a", feats)], [0, 0, 0, 1, 1, 1])
         with pytest.raises(MisalignedGroup, match="'a'"):
-            validate_dataset(d)
+            make_dataset([("a", feats), ("b", feats), ("a", feats)], [0, 0, 0, 1, 1, 1])
+
+    @pytest.mark.parametrize("shape", [(6,), (6, 0), (2, 3, 1)])
+    def test_group_that_is_not_a_matrix_rejected(self, shape):
+        with pytest.raises(DimensionMismatch, match="'a' must be a 2-D matrix"):
+            GroupView("a", np.zeros(shape))
 
 
 class TestStratifiedSplit:
@@ -186,7 +197,7 @@ class TestStandardizer:
         )
 
     def test_needs_two_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadSpec, match="train_features"):
             standardize_fit(np.ones((1, 3)))
 
 

@@ -13,7 +13,7 @@ from latefuse.ensemble import (
     stack_meta_features,
     train_stacking,
 )
-from latefuse.errors import AllZeroPriorities, BadSpec, EmptyEnsemble
+from latefuse.errors import AllZeroPriorities, BadSpec, EmptyEnsemble, InvalidProbabilities
 
 
 # --- independent straightforward reimplementation (oracle) -----------------
@@ -121,6 +121,11 @@ class TestConfidenceSum:
         with pytest.raises(EmptyEnsemble):
             confidence_sum([], [], False)
 
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    def test_negative_or_non_finite_priority_rejected(self, bad):
+        with pytest.raises(BadSpec, match="priorities"):
+            confidence_sum([np.array([0.5, 0.5])] * 2, [1.0, bad], True)
+
 
 class TestRankSum:
     def test_unweighted_example(self):
@@ -159,9 +164,9 @@ class TestDecide:
             assert decide(c * s) == decide(s)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidProbabilities, match="scores"):
             decide([np.nan, 1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidProbabilities, match="scores"):
             decide([[0.0, 1.0], [np.inf, 1.0]])
 
 
@@ -259,6 +264,10 @@ class TestStrategyType:
         assert EnsembleStrategy("rank_sum").label == "rank_sum"
         s = EnsembleStrategy("stacking", stacking_mode="naive", stacking_meta_spec=meta)
         assert s.label == "stacking_naive"
+
+    def test_from_dict_without_kind_rejected(self):
+        with pytest.raises(BadSpec, match="missing the required field 'kind'"):
+            EnsembleStrategy.from_dict({"weighted": True})
 
     def test_round_trip_dict(self):
         meta = ClassifierSpec("logreg", seed=3)

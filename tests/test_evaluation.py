@@ -4,7 +4,7 @@ import pytest
 from latefuse.classifiers import ClassifierSpec
 from latefuse.ensemble import EnsembleStrategy
 from latefuse.pipeline import train_ensemble
-from latefuse.errors import LengthMismatch, UnknownGroupName
+from latefuse.errors import BadSpec, LengthMismatch, UnknownGroupName, UnknownLabel
 from latefuse.evaluation import (
     AblationReport,
     ablate,
@@ -58,6 +58,20 @@ class TestEvaluate:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             evaluate([0, 1], [0, 1, 0])
+
+    @pytest.mark.parametrize(
+        "preds, truth, m, message",
+        [
+            ([-1], [0], None, "predicted class index -1 outside"),
+            ([-1, 1], [0, 1], 2, "predicted class index -1 outside"),
+            ([0, 2], [0, 1], 2, r"predicted class index 2 outside \[0, 2\)"),
+            ([0, 1], [3, 1], 2, r"true class index 3 outside \[0, 2\)"),
+            ([0], [-2], None, "true class index -2 outside"),
+        ],
+    )
+    def test_index_outside_the_classes_rejected(self, preds, truth, m, message):
+        with pytest.raises(UnknownLabel, match=message):
+            evaluate(preds, truth, m=m)
 
     def test_conservation_on_random_predictions(self, rng):
         for _ in range(25):
@@ -200,7 +214,7 @@ class TestAblate:
             )
 
     def test_full_subset_required_by_report(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadSpec, match="entries"):
             AblationReport(
                 entries=((("a",), "confidence_sum", 0.5),), all_groups=("a", "b")
             )

@@ -7,7 +7,7 @@ from latefuse import classifiers, pipeline
 from latefuse.classifiers import ClassifierSpec, FittedClassifier
 from latefuse.core import LabelSpace, Standardizer, standardize_fit
 from latefuse.ensemble import EnsembleStrategy
-from latefuse.errors import CorruptModel, GroupSchemaMismatch, VersionMismatch
+from latefuse.errors import BadSpec, CorruptModel, GroupSchemaMismatch, VersionMismatch
 from latefuse.pipeline import (
     TrainedEnsemble,
     load_ensemble,
@@ -313,6 +313,38 @@ class TestPredict:
                 assert np.all(gp >= 0) and abs(gp.sum() - 1.0) <= 1e-9
 
 
+class TestTrainedEnsembleChecks:
+    """A TrainedEnsemble checks its meta model against its strategy and
+    width when built."""
+
+    LABELS = LabelSpace(("x", "y"))
+    STACKING = EnsembleStrategy(
+        "stacking", stacking_mode="naive", stacking_meta_spec=ClassifierSpec("logreg")
+    )
+
+    def build(self, strategy, meta_dim):
+        group = pipeline.GroupModel(
+            "a", identity_standardizer(2), ConstantClassifier(self.LABELS, 2, [0.6, 0.4]), 1.0
+        )
+        meta = None if meta_dim is None else ConstantClassifier(self.LABELS, meta_dim, [0.5, 0.5])
+        return TrainedEnsemble((group,), strategy, meta, self.LABELS, "hand-built")
+
+    def test_stacking_with_a_meta_of_width_g_times_m(self):
+        assert self.build(self.STACKING, 2).meta.input_dim == 2
+
+    @pytest.mark.parametrize(
+        "stacking, meta_dim", [(False, 2), (True, None)], ids=["meta-without-stacking", "stacking-without-meta"]
+    )
+    def test_meta_iff_stacking(self, stacking, meta_dim):
+        strategy = self.STACKING if stacking else EnsembleStrategy("confidence_sum")
+        with pytest.raises(BadSpec, match="meta classifier present iff strategy is stacking"):
+            self.build(strategy, meta_dim)
+
+    def test_meta_width_must_be_g_times_m(self):
+        with pytest.raises(BadSpec, match="meta input_dim 3, expected 1 groups x 2 classes"):
+            self.build(self.STACKING, 3)
+
+
 class TestConcatBaseline:
     def test_concatenated_width(self, rng):
         d = make_dataset(
@@ -462,6 +494,19 @@ class TestPersistence:
         probe = small_dataset(np.random.default_rng(123))
         for a, b in zip(predict(e, probe), predict(loaded, probe)):
             np.testing.assert_array_equal(a.scores, b.scores)
+
+    def test_checksummed_meta_without_stacking_is_corrupt(self, tmp_path, rng):
+        d = small_dataset(rng)
+        meta = ClassifierSpec("logreg")
+        strategy = EnsembleStrategy("stacking", stacking_mode="naive", stacking_meta_spec=meta)
+        path = tmp_path / "model.json"
+        save_ensemble(train_ensemble(d, meta, strategy, 3, 0), str(path))
+        doc = json.loads(path.read_text())
+        doc["payload"]["strategy"] = EnsembleStrategy("confidence_sum").to_dict()
+        doc["checksum"] = pipeline._checksum(doc["payload"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptModel, match="model.json.*iff strategy is stacking"):
+            load_ensemble(str(path))
 
     def test_checksummed_meta_width_mismatch_is_corrupt(self, tmp_path, rng):
         d = small_dataset(rng)
