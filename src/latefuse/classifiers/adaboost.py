@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import LabelSpace, integer, real
-from .base import ClassifierSpec, FittedClassifier, check_training_data, state_array
+from ..core import LabelSpace, integer, persisted_array, real
+from .base import ClassifierSpec, FittedClassifier, check_training_data
 from .logreg import softmax
 from .stumps import DecisionStump, sorted_columns, train_stump
 
@@ -75,7 +75,7 @@ class AdaBoostModel(FittedClassifier):
             )
             for f, t, lc, rc in state["stumps"]
         ]
-        alphas = state_array(state, "alphas", (len(stumps),))
+        alphas = persisted_array(state, "alphas", (len(stumps),))
         return cls(spec, label_space, input_dim, stumps, alphas)
 
 

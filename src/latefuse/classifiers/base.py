@@ -203,23 +203,6 @@ def lbfgs(evaluate, gradient, x: np.ndarray):
     return x, history
 
 
-def state_array(state: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Read a persisted array of JSON numbers (not bools or strings) that
-    must have ``shape`` and finite entries; ValueError otherwise."""
-    a = np.array(state[key], dtype=object)
-    if a.shape != shape:
-        raise ValueError(f"{key} has shape {a.shape}, expected {shape}")
-    if not set(map(type, a.flat)) <= {int, float}:
-        raise ValueError(f"{key} holds a value that is not a number")
-    try:
-        a = a.astype(np.float64)
-    except OverflowError:
-        raise ValueError(f"{key} holds a number beyond the float range") from None
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{key} has non-finite entries")
-    return a
-
-
 def check_training_data(X, y, labels: LabelSpace) -> tuple[np.ndarray, np.ndarray]:
     """Validate the common training preconditions shared by every kind."""
     X = np.asarray(X, dtype=np.float64)

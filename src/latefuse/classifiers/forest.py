@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import LabelSpace
+from ..core import LabelSpace, frozen_array, persisted_array
+from ..errors import BadSpec
 from . import stumps
 from .base import ClassifierSpec, FittedClassifier, check_training_data
 
@@ -202,42 +203,25 @@ def grow_forest(X, y, m: int, trees: int, min_leaf: int, seed: int) -> dict:
     }
 
 
-def _node_array(state: dict, name: str) -> np.ndarray:
-    """One persisted node array: a JSON list of integers, or of numbers for
-    the thresholds (bools and strings are rejected)."""
-    values = state[name]
-    types, dtype = ((int, float), np.float64) if name == "threshold" else ((int,), np.int64)
-    if not isinstance(values, list) or any(type(v) not in types for v in values):
-        raise ValueError(f"{name} must be a list of {dtype.__name__} values")
-    try:
-        return np.array(values, dtype=dtype)
-    except OverflowError as exc:
-        raise ValueError(f"{name} holds a number beyond {dtype.__name__}") from exc
-
-
 def _check_forest(nodes: dict, trees: int, input_dim: int, m: int) -> None:
-    """ValueError unless ``nodes`` are ``trees`` trees rooted at nodes
-    0..trees-1 in which every node but a root has one parent with a smaller
-    id, so every descent ends at a leaf."""
-    feature, threshold, left, right, leaf = (nodes[name] for name in NODE_ARRAYS)
+    """BadSpec unless ``nodes``, arrays of one length, are ``trees`` trees
+    rooted at nodes 0..trees-1 in which every node but a root has one parent
+    with a smaller id, so every descent ends at a leaf."""
+    feature, _, left, right, leaf = (nodes[name] for name in NODE_ARRAYS)
     size = len(feature)
-    if any(len(a) != size for a in (threshold, left, right, leaf)):
-        raise ValueError("forest node arrays differ in length")
     if size < trees:
-        raise ValueError(f"{size} nodes cannot hold {trees} trees")
-    if not np.all(np.isfinite(threshold)):
-        raise ValueError("a split threshold is not finite")
+        raise BadSpec(f"feature has {size} nodes, too few for {trees} trees")
     inner = (left != -1) | (right != -1)
     if np.any(inner & ((feature < 0) | (feature >= input_dim))):
-        raise ValueError(f"a split feature is outside [0, {input_dim})")
+        raise BadSpec(f"feature holds a split feature outside [0, {input_dim})")
     if np.any(~inner & ((leaf < 0) | (leaf >= m))):
-        raise ValueError(f"a leaf class is outside [0, {m})")
+        raise BadSpec(f"leaf holds a class outside [0, {m})")
     ids = np.arange(size)
     children = np.concatenate([left[inner], right[inner]])
     if np.any((children <= np.tile(ids[inner], 2)) | (children >= size)):
-        raise ValueError("a child id is not above its parent's, or is beyond the node count")
+        raise BadSpec("left or right holds a child id not above its parent's or beyond the nodes")
     if not np.array_equal(np.bincount(children, minlength=size), ids >= trees):
-        raise ValueError("a node other than a root has no parent or two")
+        raise BadSpec("left and right give a node other than a root no parent or two")
 
 
 def arrays_from_trees(trees) -> dict:
@@ -260,14 +244,17 @@ def arrays_from_trees(trees) -> dict:
 class RandomForestModel(FittedClassifier):
     def __init__(self, spec, label_space, input_dim, nodes: dict):
         super().__init__(spec, label_space, input_dim)
-        self.nodes = nodes
-        leaf = nodes["left"] == -1
+        self.nodes = {
+            name: frozen_array(nodes[name], np.float64 if name == "threshold" else np.int64)
+            for name in NODE_ARRAYS
+        }
+        left, right = self.nodes["left"], self.nodes["right"]
+        leaf = left == -1
         ids = np.arange(len(leaf))
         # a leaf is its own child (through feature 0), so a descent rests there
-        self._children = np.stack(
-            [np.where(leaf, ids, nodes["left"]), np.where(leaf, ids, nodes["right"])], axis=1
-        ).ravel()
-        self._feature = np.where(leaf, 0, nodes["feature"])
+        children = np.stack([np.where(leaf, ids, left), np.where(leaf, ids, right)], axis=1)
+        self._children = frozen_array(children.ravel(), np.int64)
+        self._feature = frozen_array(np.where(leaf, 0, self.nodes["feature"]), np.int64)
 
     def _proba_matrix(self, X: np.ndarray) -> np.ndarray:
         (r, d), m, trees = X.shape, self.label_space.m, self.spec.trees
@@ -295,7 +282,10 @@ class RandomForestModel(FittedClassifier):
 
     @classmethod
     def from_state(cls, spec, label_space, input_dim, state: dict):
-        nodes = {name: _node_array(state, name) for name in NODE_ARRAYS}
+        nodes = {}
+        for name in NODE_ARRAYS:  # each as long as the first
+            shape = (len(nodes["feature"]),) if nodes else None
+            nodes[name] = persisted_array(state, name, shape, integral=name != "threshold")
         _check_forest(nodes, spec.trees, input_dim, label_space.m)
         return cls(spec, label_space, input_dim, nodes)
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import LabelSpace
+from ..core import LabelSpace, frozen_array, persisted_array
 from ..errors import DimensionMismatch
-from .base import ClassifierSpec, FittedClassifier, check_training_data, lbfgs, state_array
+from .base import ClassifierSpec, FittedClassifier, check_training_data, lbfgs
 
 
 def _row_max(Z: np.ndarray) -> np.ndarray:
@@ -75,8 +75,7 @@ class LogisticModel(FittedClassifier):
 
     def __init__(self, spec, label_space, input_dim, weights: np.ndarray):
         super().__init__(spec, label_space, input_dim)
-        self.weights = np.ascontiguousarray(weights, dtype=np.float64)
-        self.weights.setflags(write=False)
+        self.weights = frozen_array(weights)
 
     def _proba_matrix(self, X: np.ndarray) -> np.ndarray:
         Xb = np.hstack([X, np.ones((X.shape[0], 1))])
@@ -87,7 +86,7 @@ class LogisticModel(FittedClassifier):
 
     @classmethod
     def from_state(cls, spec, label_space, input_dim, state: dict):
-        weights = state_array(state, "weights", (input_dim + 1, label_space.m))
+        weights = persisted_array(state, "weights", (input_dim + 1, label_space.m))
         return cls(spec, label_space, input_dim, weights)
 
 

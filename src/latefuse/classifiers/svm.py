@@ -19,9 +19,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from ..core import LabelSpace, fold_assignments, real
+from ..core import LabelSpace, fold_assignments, frozen_array, persisted_array, real
+from ..core import shuffled_classes
 from ..errors import BadSpec
-from .base import ClassifierSpec, FittedClassifier, backtrack, check_training_data, state_array
+from .base import ClassifierSpec, FittedClassifier, backtrack, check_training_data
 from .logreg import softmax
 
 NEWTON_MAX_STEPS = 50
@@ -110,13 +111,11 @@ def _stratified_indices(y: np.ndarray, fraction: float, rng) -> np.ndarray:
     """Pick roughly ``fraction`` of each class, at least 1 and at most
     class_size - 1, so both slices keep every class that has >= 2 samples."""
     held = []
-    for k in np.unique(y):
-        members = np.flatnonzero(y == k)
+    for members in shuffled_classes(y, rng):
         if len(members) < 2:
             continue
         take = int(round(fraction * len(members)))
-        take = min(max(take, 1), len(members) - 1)
-        held.append(rng.permutation(members)[:take])
+        held.append(members[: min(max(take, 1), len(members) - 1)])
     if not held:
         return np.empty(0, dtype=np.int64)
     return np.sort(np.concatenate(held))
@@ -158,8 +157,7 @@ class LinearSvmOvrModel(FittedClassifier):
 
     def __init__(self, spec, label_space, input_dim, hyperplanes, temperature, chosen_c):
         super().__init__(spec, label_space, input_dim)
-        self.hyperplanes = np.ascontiguousarray(hyperplanes, dtype=np.float64)
-        self.hyperplanes.setflags(write=False)
+        self.hyperplanes = frozen_array(hyperplanes)
         self.temperature = float(temperature)
         self.chosen_c = float(chosen_c)
 
@@ -184,7 +182,7 @@ class LinearSvmOvrModel(FittedClassifier):
             spec,
             label_space,
             input_dim,
-            state_array(state, "hyperplanes", (label_space.m, input_dim + 1)),
+            persisted_array(state, "hyperplanes", (label_space.m, input_dim + 1)),
             real(state["temperature"], "temperature", above=0.0),
             real(state["chosen_c"], "chosen_c", above=0.0),
         )
@@ -204,12 +202,8 @@ def train_linear_svm_ovr(
         c = spec.c_grid[0]
 
     cal_idx = _stratified_indices(y, 0.2, rng)
-    fit_mask = np.ones(len(y), dtype=bool)
-    fit_mask[cal_idx] = False
-    if len(np.unique(y[fit_mask])) < 2:
-        fit_mask[:] = True  # degenerate tiny data: calibrate in-sample
-
-    planes = _fit_ovr(X[fit_mask], y[fit_mask], m, c)
+    fit_idx = np.delete(np.arange(len(y)), cal_idx)
+    planes = _fit_ovr(X[fit_idx], y[fit_idx], m, c)
     margins = _ovr_margins(planes, X[cal_idx])
     temperature = _fit_temperature(margins, y[cal_idx]) if len(cal_idx) else 1.0
     return LinearSvmOvrModel(spec, labels, X.shape[1], planes, temperature, c)

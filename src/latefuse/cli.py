@@ -154,23 +154,17 @@ def _require(value, name: str):
     return value
 
 
-def _load_train_dataset(cfg: RunConfig):
-    labels = _require(cfg.labels_path, "data.labels")
-    groups = _require(cfg.group_paths, "data.groups")
-    return dataio.load_dataset(labels, groups)
-
-
-def _load_test_dataset(cfg: RunConfig):
-    labels = _require(cfg.test_labels_path, "test_data.labels")
-    groups = _require(cfg.test_group_paths, "test_data.groups")
-    return dataio.load_dataset(labels, groups)
+def _load_dataset(labels_path, group_paths, field: str):
+    """The dataset of the config block ``field`` (``data`` or ``test_data``)."""
+    labels = _require(labels_path, f"{field}.labels")
+    return dataio.load_dataset(labels, _require(group_paths, f"{field}.groups"))
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.seed)
     model_path = args.model or cfg.model_path
     _require(model_path, "model output path (--model or config 'model')")
-    train = _load_train_dataset(cfg)
+    train = _load_dataset(cfg.labels_path, cfg.group_paths, "data")
     e = pipeline.train_ensemble(train, cfg.spec, cfg.strategy, cfg.k, cfg.seed)
     pipeline.save_ensemble(e, model_path)
     print(f"trained on {train.n} samples, {len(train.groups)} groups, "
@@ -215,8 +209,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config, args.seed)
-    train = _load_train_dataset(cfg)
-    test = _load_test_dataset(cfg)
+    train = _load_dataset(cfg.labels_path, cfg.group_paths, "data")
+    test = _load_dataset(cfg.test_labels_path, cfg.test_group_paths, "test_data")
     report = evaluation.ablate(
         train, test, cfg.spec, [cfg.strategy], cfg.subsets, cfg.k, cfg.seed
     )
@@ -227,8 +221,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config, args.seed)
-    train = _load_train_dataset(cfg)
-    test = _load_test_dataset(cfg)
+    train = _load_dataset(cfg.labels_path, cfg.group_paths, "data")
+    test = _load_dataset(cfg.test_labels_path, cfg.test_group_paths, "test_data")
     if args.classifiers:
         rows = evaluation.compare_classifiers(train, test, cfg.strategy, cfg.k, cfg.seed)
         header = ["classifier", "accuracy"]

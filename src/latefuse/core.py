@@ -63,10 +63,51 @@ def real(value, what: str, above: Optional[float] = None) -> float:
     return x
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
+def frozen_array(values, dtype=np.float64) -> np.ndarray:
+    """``values`` as a read-only contiguous ``dtype`` array, frozen in place if
+    it is one already: how datasets, fold plans and fitted models hold arrays."""
     a = np.ascontiguousarray(values, dtype=dtype)
     a.setflags(write=False)
     return a
+
+
+def persisted_array(state: dict, key: str, shape: Optional[tuple], integral=False) -> np.ndarray:
+    """``state[key]``, JSON numbers read from a file, as a read-only array of
+    ``shape`` (any flat list when None): plain ints for an int64 array when
+    ``integral``, else finite ints and floats for a float64 one. BadSpec
+    naming ``key`` otherwise, such as for a bool, a string or a ragged list."""
+    a = np.array(state[key], dtype=object)
+    if a.shape != shape and not (shape is None and a.ndim == 1):
+        raise BadSpec(f"{key} has shape {a.shape}, expected {shape or 'a flat list'}")
+    dtype, kinds = (np.int64, {int}) if integral else (np.float64, {int, float})
+    if not set(map(type, a.flat)) <= kinds:
+        kind = "an integer" if integral else "a number"
+        raise BadSpec(f"{key} holds a value that is not {kind}")
+    try:
+        a = a.astype(dtype)
+    except OverflowError:
+        raise BadSpec(f"{key} holds a number beyond the {dtype.__name__} range") from None
+    if not np.all(np.isfinite(a)):
+        raise BadSpec(f"{key} has non-finite entries")
+    return frozen_array(a, dtype)
+
+
+def class_indices(values, what: str) -> np.ndarray:
+    """``values`` as int64 class indices, their range unchecked; UnknownLabel
+    naming ``what`` unless they are a rectangular array of integers."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # ragged nesting, such as [[0], [1, 1]]
+        raise UnknownLabel(f"{what} must be a rectangular array of class indices") from None
+    if a.size and a.dtype.kind not in "iu":
+        raise UnknownLabel(f"{what} must be integer class indices, got {a.dtype}")
+    return a.astype(np.int64)
+
+
+def shuffled_classes(y: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
+    """The indices of each class in ``y``, in label order, each shuffled by one
+    ``rng.permutation`` (which draws nothing for a single index)."""
+    return [rng.permutation(np.flatnonzero(y == c)) for c in np.unique(y)]
 
 
 @dataclass(frozen=True)
@@ -112,7 +153,7 @@ class GroupView:
             raise DimensionMismatch(
                 f"group {self.name!r} must be a 2-D matrix with >= 1 column"
             )
-        object.__setattr__(self, "features", _frozen_array(feats))
+        object.__setattr__(self, "features", frozen_array(feats))
 
     @property
     def n(self) -> int:
@@ -138,10 +179,8 @@ class MultiViewDataset:
     sample_ids: tuple[str, ...]
 
     def __post_init__(self):
-        labels = np.asarray(self.labels)
-        if labels.size and labels.dtype.kind not in "iu":
-            raise UnknownLabel(f"labels must be integer class indices, got {labels.dtype}")
-        object.__setattr__(self, "labels", _frozen_array(labels, dtype=np.int64))
+        labels = class_indices(self.labels, "labels")
+        object.__setattr__(self, "labels", frozen_array(labels, np.int64))
         object.__setattr__(self, "groups", tuple(self.groups))
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
         n = self.n
@@ -230,14 +269,12 @@ def stratified_split(
     rng = np.random.default_rng(spec.seed)
     need = spec.train_per_class + spec.test_per_class
     train_idx, test_idx = [], []
-    for c in range(d.label_space.m):
-        members = np.flatnonzero(d.labels == c)
-        if len(members) < need:
+    # every class of a dataset has a sample, so class c is entry c
+    for name, picked in zip(d.label_space.class_names, shuffled_classes(d.labels, rng)):
+        if len(picked) < need:
             raise InsufficientClassPopulation(
-                f"class {d.label_space.class_names[c]!r} has {len(members)} "
-                f"samples, split needs {need}"
+                f"class {name!r} has {len(picked)} samples, split needs {need}"
             )
-        picked = members[rng.permutation(len(members))]
         train_idx.append(picked[: spec.train_per_class])
         test_idx.append(picked[spec.train_per_class : need])
     train = np.sort(np.concatenate(train_idx))
@@ -249,9 +286,8 @@ def fold_assignments(y: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     """Stratified fold per sample: each class in label order is shuffled by
     ``rng`` and dealt round-robin into folds 0..k-1."""
     assignments = np.empty(len(y), dtype=np.int64)
-    for c in np.unique(y):
-        members = np.flatnonzero(y == c)
-        assignments[members[rng.permutation(len(members))]] = np.arange(len(members)) % k
+    for picked in shuffled_classes(y, rng):
+        assignments[picked] = np.arange(len(picked)) % k
     return assignments
 
 
@@ -267,8 +303,8 @@ class Standardizer:
     scale: np.ndarray  # 1/std for live columns, 0 for degenerate ones
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", _frozen_array(self.mean))
-        object.__setattr__(self, "scale", _frozen_array(self.scale))
+        object.__setattr__(self, "mean", frozen_array(self.mean))
+        object.__setattr__(self, "scale", frozen_array(self.scale))
 
     @property
     def dim(self) -> int:
@@ -318,4 +354,4 @@ def probability_vector(p) -> np.ndarray:
         if np.any(rows[i] < 0):
             raise InvalidProbabilities(f"{where}negative probability {rows[i].min()}")
         raise InvalidProbabilities(f"{where}probabilities sum to {totals[i]}, expected 1")
-    return _frozen_array(v)
+    return frozen_array(v)

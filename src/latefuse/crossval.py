@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classifiers
-from .core import LabelSpace, fold_assignments, integer
+from .core import LabelSpace, fold_assignments, frozen_array, integer
 from .errors import BadK, BadSpec, LengthMismatch, TooFewSamplesPerClass
 
 
@@ -25,9 +25,7 @@ class FoldPlan:
     assignments: np.ndarray
 
     def __post_init__(self):
-        a = np.ascontiguousarray(self.assignments, dtype=np.int64)
-        a.setflags(write=False)
-        object.__setattr__(self, "assignments", a)
+        object.__setattr__(self, "assignments", frozen_array(self.assignments, np.int64))
 
     @property
     def n(self) -> int:

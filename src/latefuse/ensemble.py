@@ -88,11 +88,16 @@ def assign_ranks(p) -> np.ndarray:
     """Fractional ranks of a confidence vector, or of each row of an (n, m)
     matrix: the highest probability gets rank m, the lowest gets 1, and ties
     share the mean of the ranks they jointly occupy, so the rank sum is
-    always m(m+1)/2."""
+    always m(m+1)/2 (the "average" ranks of ``scipy.stats.rankdata``)."""
     p = np.asarray(p, dtype=np.float64)
-    below = (p[..., :, None] > p[..., None, :]).sum(axis=-1)  # entries strictly below p[i]
-    equal = (p[..., :, None] == p[..., None, :]).sum(axis=-1) - 1  # ties excluding self
-    return 1.0 + below + 0.5 * equal
+    # ties ranked in index order, then in reverse index order: each tie's
+    # two positions average to the mean of the positions its group holds
+    return 1.0 + 0.5 * (_positions(p) + _positions(p[..., ::-1])[..., ::-1])
+
+
+def _positions(p: np.ndarray) -> np.ndarray:
+    """Each entry's 0-based position in its row's stable ascending sort."""
+    return np.argsort(np.argsort(p, axis=-1, kind="stable"), axis=-1)
 
 
 def _combine(vectors_fn, probs: Sequence, priorities, weighted: bool) -> np.ndarray:

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import classifiers, ensemble, pipeline
-from .core import MultiViewDataset
+from .core import MultiViewDataset, class_indices
 # Not called here; kept as module attributes because the traced benchmark
 # (perfbench/spans.py) wraps them by name.
 from .core import standardize_apply, standardize_fit  # noqa: F401
@@ -36,18 +36,14 @@ class EvaluationReport:
         return out
 
 
-def _decided(preds) -> np.ndarray:
-    return np.array(
-        [p.decided if hasattr(p, "decided") else int(p) for p in preds],
-        dtype=np.int64,
-    )
-
-
 def evaluate(preds, truth, m: Optional[int] = None) -> EvaluationReport:
-    """Score predictions against ground-truth class indices, each in [0, m);
-    UnknownLabel names the first index outside that range."""
-    decided = _decided(preds)
-    truth = np.asarray(truth, dtype=np.int64)
+    """Score predictions (``Prediction``s or class indices) against true
+    class indices, each an integer in [0, m); UnknownLabel otherwise, naming
+    the first index outside that range."""
+    decided = class_indices(
+        [p.decided if hasattr(p, "decided") else p for p in preds], "predictions"
+    )
+    truth = class_indices(truth, "truth")
     if len(decided) != len(truth):
         raise LengthMismatch(
             f"{len(decided)} predictions for {len(truth)} ground-truth labels"

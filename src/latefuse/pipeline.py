@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import classifiers, crossval, ensemble
-from .classifiers.base import state_array
 from .classifiers.forest import arrays_from_trees
 from .core import (
     GroupView,
@@ -29,6 +28,7 @@ from .core import (
     MultiViewDataset,
     Standardizer,
     integer,
+    persisted_array,
     real,
     standardize_apply,
     standardize_fit,
@@ -368,8 +368,8 @@ def _ensemble_from_payload(payload: dict, version: int) -> TrainedEnsemble:
         model = _classifier_from_record(g, labels, version)
         shape = (model.input_dim,)
         s = Standardizer(
-            mean=state_array(g["standardizer"], "mean", shape),
-            scale=state_array(g["standardizer"], "scale", shape),
+            mean=persisted_array(g["standardizer"], "mean", shape),
+            scale=persisted_array(g["standardizer"], "scale", shape),
         )
         per_group.append(GroupModel(g["name"], s, model, real(g["priority"], "priority")))
     meta = None

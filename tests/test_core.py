@@ -7,6 +7,7 @@ from latefuse.core import (
     MultiViewDataset,
     SplitSpec,
     probability_vector,
+    shuffled_classes,
     standardize_apply,
     standardize_fit,
     stratified_split,
@@ -163,6 +164,24 @@ class TestStratifiedSplit:
     def test_bad_counts_rejected(self):
         with pytest.raises(ValueError):
             SplitSpec(0, 20, seed=0)
+
+
+class TestShuffledClasses:
+    def test_each_class_is_one_permutation_of_its_members(self):
+        y = np.array([2, 0, 1, 0, 2, 2, 0, 1, 4])
+        drawn, reference = np.random.default_rng(5), np.random.default_rng(5)
+        got = shuffled_classes(y, drawn)
+        assert len(got) == 4
+        for c, picked in zip([0, 1, 2, 4], got):
+            members = np.flatnonzero(y == c)
+            np.testing.assert_array_equal(picked, members[reference.permutation(len(members))])
+        assert drawn.bit_generator.state == reference.bit_generator.state
+
+    def test_a_class_of_one_sample_draws_nothing(self):
+        rng = np.random.default_rng(9)
+        before = rng.bit_generator.state
+        assert [a.tolist() for a in shuffled_classes(np.array([3, 1]), rng)] == [[1], [0]]
+        assert rng.bit_generator.state == before
 
 
 class TestStandardizer:

@@ -4,9 +4,9 @@ MultiViewDataset whose invariants hold or are rejected by a LateFuseError.
 Each example starts from a valid three-class dataset and replaces its
 labels, its sample ids or one group's features with arbitrary values:
 label lists of integers (some outside the classes or beyond int64), floats
-and bools, in one or two dimensions; id lists with repeats and of any
-length; and float arrays of any shape from 0 to 3 dimensions, NaN and
-infinities too.
+and bools, in one or two dimensions, and ragged or nested at any depth; id
+lists with repeats and of any length; and float arrays of any shape from 0
+to 3 dimensions, NaN and infinities too.
 """
 
 import numpy as np
@@ -33,6 +33,10 @@ LABELS = st.one_of(
     st.lists(LABEL, min_size=N, max_size=N),
     st.lists(LABEL, max_size=8),
     st.lists(st.lists(st.integers(0, 2), min_size=2, max_size=2), max_size=6),
+    # entries that are labels or lists of them at any depth: mostly ragged
+    st.lists(st.recursive(LABEL, lambda inner: st.lists(inner, max_size=3), max_leaves=8),
+             min_size=N, max_size=N),
+    st.lists(st.lists(st.integers(0, 2), max_size=3), min_size=1, max_size=N),
 )
 IDS = st.one_of(
     st.lists(st.text(alphabet="abc", max_size=2), min_size=N, max_size=N),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from latefuse import classifiers, crossval, pipeline, synthdata
 from latefuse.classifiers import ClassifierSpec
@@ -89,6 +90,13 @@ class TestAssignRanks:
             r = assign_ranks(p)
             assert r.sum() == m * (m + 1) / 2
             assert r.min() >= 1 and r.max() <= m
+
+    def test_matches_scipy_average_ranks(self, rng):
+        for n, m in ((500, 6), (50, 67), (3, 2)):
+            P = rng.integers(0, 4, (n, m)) / 4.0  # many ties
+            expected = rankdata(P, method="average", axis=-1)
+            np.testing.assert_array_equal(assign_ranks(P), expected)
+            np.testing.assert_array_equal(assign_ranks(P[0]), expected[0])
 
     def test_matches_oracle(self, rng):
         for _ in range(200):

@@ -3,7 +3,7 @@ import pytest
 
 from latefuse.classifiers import ClassifierSpec
 from latefuse.ensemble import EnsembleStrategy
-from latefuse.pipeline import train_ensemble
+from latefuse.pipeline import predict, train_ensemble
 from latefuse.errors import BadSpec, LengthMismatch, UnknownGroupName, UnknownLabel
 from latefuse.evaluation import (
     AblationReport,
@@ -72,6 +72,32 @@ class TestEvaluate:
     def test_index_outside_the_classes_rejected(self, preds, truth, m, message):
         with pytest.raises(UnknownLabel, match=message):
             evaluate(preds, truth, m=m)
+
+    @pytest.mark.parametrize(
+        "preds, truth, message",
+        [
+            ([1.7, 0.2], [1, 0], "predictions must be integer"),
+            ([1.0, 0.0], [1, 0], "predictions must be integer"),
+            ([True, False], [1, 0], "predictions must be integer"),
+            ([1, 0], [1.7, 0.2], "truth must be integer"),
+            ([1, 0], np.array([1.0, 0.0]), "truth must be integer"),
+            ([1, 0], ["1", "0"], "truth must be integer"),
+            ([[0], [1, 1]], [0, 1], "predictions must be a rectangular"),
+        ],
+    )
+    def test_class_indices_that_are_not_integers_rejected(self, preds, truth, message):
+        with pytest.raises(UnknownLabel, match=message):
+            evaluate(preds, truth)
+
+    def test_predictions_and_integer_arrays_accepted(self, rng):
+        d = two_view_data(rng)
+        e = train_ensemble(d, ClassifierSpec("logreg"), EnsembleStrategy("confidence_sum"), 3, 0)
+        preds = predict(e, d)
+        decided = np.array([p.decided for p in preds])
+        for truth in (d.labels, d.labels.tolist(), d.labels.astype(np.int32)):
+            rep = evaluate(preds, truth, m=3)
+            assert rep.accuracy == evaluate(decided, truth, m=3).accuracy
+            assert rep.accuracy == evaluate(decided.tolist(), truth).accuracy
 
     def test_conservation_on_random_predictions(self, rng):
         for _ in range(25):
