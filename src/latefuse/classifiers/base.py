@@ -13,15 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import LabelSpace, integer, probability_vector, real
-from ..errors import (
-    BadSpec,
-    DimensionMismatch,
-    EmptyClass,
-    NonFiniteFeature,
-    SingleClassData,
-    UnknownLabel,
-)
+from ..core import LabelSpace, class_indices, feature_matrix, integer, probability_vector, real
+from ..errors import BadSpec, DimensionMismatch, EmptyClass, SingleClassData
 
 KINDS = ("logreg", "linear_svm_ovr", "adaboost_stumps", "random_forest")
 
@@ -106,14 +99,7 @@ class FittedClassifier:
     def _check_input(self, x) -> tuple[np.ndarray, bool]:
         X = np.asarray(x, dtype=np.float64)
         one_row = X.ndim == 1
-        if one_row:
-            X = X[None, :]
-        if X.ndim != 2 or X.shape[1] != self.input_dim:
-            raise DimensionMismatch(
-                f"expected input width {self.input_dim}, got shape {X.shape}"
-            )
-        if not np.all(np.isfinite(X)):
-            raise NonFiniteFeature("prediction input contains NaN or inf")
+        X = feature_matrix(X[None, :] if one_row else X, "prediction input", self.input_dim)
         return X, one_row
 
     def predict_proba(self, x) -> np.ndarray:
@@ -204,29 +190,19 @@ def lbfgs(evaluate, gradient, x: np.ndarray):
 
 
 def check_training_data(X, y, labels: LabelSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Validate the common training preconditions shared by every kind."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2:
-        raise DimensionMismatch("X must be a 2-D matrix")
+    """Validate the common training preconditions shared by every kind: a
+    finite matrix, one class index in [0, m) per row, and a sample of each
+    of the m classes."""
+    X = feature_matrix(X, "training features")
+    y = class_indices(y, "training label", labels.m)
     if y.shape != (X.shape[0],):
         raise DimensionMismatch(
             f"y has shape {y.shape}, expected ({X.shape[0]},)"
         )
-    if not np.all(np.isfinite(X)):
-        row, col = np.argwhere(~np.isfinite(X))[0]
-        raise NonFiniteFeature(f"non-finite training feature at row {row}, col {col}")
-    present = np.unique(y)
-    if len(present) < 2:
+    counts = np.bincount(y, minlength=labels.m)
+    if np.count_nonzero(counts) < 2:
         raise SingleClassData("training data contains a single class")
-    if present.min() < 0 or present.max() >= labels.m:
-        raise UnknownLabel(f"labels outside [0, {labels.m})")
-    if len(present) != labels.m:
-        missing = sorted(set(range(labels.m)) - set(present.tolist()))
-        names = [labels.class_names[i] for i in missing]
+    if not counts.all():
+        names = [labels.class_names[i] for i in np.flatnonzero(counts == 0)]
         raise EmptyClass(f"classes with no training samples: {names}")
-    if X.shape[0] < labels.m:
-        raise SingleClassData(
-            f"need at least m={labels.m} samples, got {X.shape[0]}"
-        )
     return X, y

@@ -31,6 +31,7 @@ from .errors import (
 )
 
 PROB_SUM_TOL = 1e-9
+INDEX_LIMIT = 2**63  # class indices are int64
 DEGENERATE_STD = 1e-12
 
 
@@ -92,15 +93,46 @@ def persisted_array(state: dict, key: str, shape: Optional[tuple], integral=Fals
     return frozen_array(a, dtype)
 
 
-def class_indices(values, what: str) -> np.ndarray:
-    """``values`` as int64 class indices, their range unchecked; UnknownLabel
-    naming ``what`` unless they are a rectangular array of integers."""
+def feature_matrix(values, what: str, width: Optional[int] = None) -> np.ndarray:
+    """``values`` as a float64 (n, d) matrix with d >= 1, or d == ``width``
+    when that is given. DimensionMismatch otherwise, and NonFiniteFeature
+    naming ``what`` and the row and column of the first NaN or infinity."""
+    X = np.asarray(values, dtype=np.float64)
+    if not (X.ndim == 2 and X.shape[1] >= 1 and width in (None, X.shape[1])):
+        columns = ">= 1 column" if width is None else f"{width} columns"
+        raise DimensionMismatch(
+            f"{what} must be a 2-D matrix with {columns}, got shape {X.shape}"
+        )
+    finite = np.isfinite(X)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise NonFiniteFeature(f"non-finite feature in {what} at row {row}, col {col}")
+    return X
+
+
+def class_indices(values, what: str, m: Optional[int] = None) -> np.ndarray:
+    """``values`` as int64 class indices, each in [0, ``m``), or any int64
+    index >= 0 when ``m`` is None. UnknownLabel naming ``what`` (such as
+    "label" or "true class") unless they are a rectangular array of integers
+    with no bool or float entry, inside a list too (numpy reads ``[True, 1]``
+    as int64)."""
     try:
         a = np.asarray(values)
     except ValueError:  # ragged nesting, such as [[0], [1, 1]]
-        raise UnknownLabel(f"{what} must be a rectangular array of class indices") from None
-    if a.size and a.dtype.kind not in "iu":
-        raise UnknownLabel(f"{what} must be integer class indices, got {a.dtype}")
+        raise UnknownLabel(f"{what} indices must be a rectangular array") from None
+    if a.size == 0:
+        return a.astype(np.int64)
+    if a.dtype.kind not in "iu":
+        raise UnknownLabel(f"{what} indices must be integers, got {a.dtype}")
+    if not isinstance(values, np.ndarray):
+        types = set(map(type, np.asarray(values, dtype=object).flat))
+        if any(issubclass(t, (bool, np.bool_)) for t in types):
+            raise UnknownLabel(f"{what} indices must be integers, got a bool")
+    upper = INDEX_LIMIT if m is None else m
+    if a.min() < 0 or a.max() >= upper:
+        flat = a.ravel()
+        bad = flat[(flat < 0) | (flat >= upper)][0]
+        raise UnknownLabel(f"{what} index {bad} outside [0, {upper})")
     return a.astype(np.int64)
 
 
@@ -142,17 +174,15 @@ class LabelSpace:
 
 @dataclass(frozen=True)
 class GroupView:
-    """One feature group: an n x d_g dense matrix plus its name."""
+    """One feature group: a finite n x d_g dense matrix plus its name;
+    DimensionMismatch or NonFiniteFeature (naming the group, row and column)
+    otherwise."""
 
     name: str
     features: np.ndarray
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[1] < 1:
-            raise DimensionMismatch(
-                f"group {self.name!r} must be a 2-D matrix with >= 1 column"
-            )
+        feats = feature_matrix(self.features, f"group {self.name!r}")
         object.__setattr__(self, "features", frozen_array(feats))
 
     @property
@@ -168,9 +198,9 @@ class GroupView:
 class MultiViewDataset:
     """Labels plus G aligned feature groups for n samples.
 
-    Building one checks every invariant: MisalignedGroup, NonFiniteFeature
-    (with group/row/col address), UnknownLabel (also for labels that are not
-    integers) or EmptyClass otherwise.
+    Building one checks every invariant: MisalignedGroup, UnknownLabel (for
+    labels that are not class indices in [0, m)) or EmptyClass otherwise. Its
+    groups are finite, as every GroupView is.
     """
 
     label_space: LabelSpace
@@ -179,7 +209,8 @@ class MultiViewDataset:
     sample_ids: tuple[str, ...]
 
     def __post_init__(self):
-        labels = class_indices(self.labels, "labels")
+        m = self.label_space.m
+        labels = class_indices(self.labels, "label", m)
         object.__setattr__(self, "labels", frozen_array(labels, np.int64))
         object.__setattr__(self, "groups", tuple(self.groups))
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
@@ -187,9 +218,7 @@ class MultiViewDataset:
         if len(self.groups) < 1:
             raise MisalignedGroup("dataset has no feature groups")
         if self.labels.shape != (n,):
-            raise MisalignedGroup(
-                f"labels have length {self.labels.shape[0]}, expected {n}"
-            )
+            raise MisalignedGroup(f"labels have shape {self.labels.shape}, expected ({n},)")
         if len(set(self.sample_ids)) != n:
             raise MisalignedGroup("sample_ids contain duplicates")
         names = self.group_names
@@ -200,15 +229,6 @@ class MultiViewDataset:
                 raise MisalignedGroup(
                     f"group {g.name!r} has {g.n} rows, expected {n}"
                 )
-            if not np.all(np.isfinite(g.features)):
-                row, col = np.argwhere(~np.isfinite(g.features))[0]
-                raise NonFiniteFeature(
-                    f"non-finite feature in group {g.name!r} at row {row}, col {col}"
-                )
-        m = self.label_space.m
-        if n > 0 and (self.labels.min() < 0 or self.labels.max() >= m):
-            bad = self.labels[(self.labels < 0) | (self.labels >= m)][0]
-            raise UnknownLabel(f"label index {bad} outside [0, {m})")
         counts = np.bincount(self.labels, minlength=m)
         for i, c in enumerate(counts):
             if c == 0:

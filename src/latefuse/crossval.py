@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classifiers
-from .core import LabelSpace, fold_assignments, frozen_array, integer
+from .core import LabelSpace, class_indices, feature_matrix, fold_assignments, frozen_array, integer
 from .errors import BadK, BadSpec, LengthMismatch, TooFewSamplesPerClass
 
 
@@ -39,14 +39,14 @@ class FoldPlan:
 
 def make_folds(y, k: int, seed: int) -> FoldPlan:
     """Deterministic stratified fold assignment from the seed. Raises BadK
-    unless ``k`` is an integer >= 2, and BadSpec unless ``seed`` is an
-    integer >= 0."""
+    unless ``k`` is an integer >= 2, BadSpec unless ``seed`` is an integer
+    >= 0, and UnknownLabel unless ``y`` holds class indices."""
     try:
         k = integer(k, "k", 2)
     except BadSpec as exc:
         raise BadK(str(exc)) from None
     seed = integer(seed, "seed", 0)
-    y = np.asarray(y, dtype=np.int64)
+    y = class_indices(y, "label")
     for c, count in zip(*np.unique(y, return_counts=True)):
         if count < k:
             raise TooFewSamplesPerClass(
@@ -66,8 +66,8 @@ def group_priority(
     (n, m) out-of-fold probability matrix, whose row i comes from the fold
     model that never saw sample i.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    X = feature_matrix(X, "X")
+    y = class_indices(y, "label", labels.m)
     if len(y) != plan.n:
         raise LengthMismatch(
             f"fold plan covers {plan.n} samples, labels have {len(y)}"

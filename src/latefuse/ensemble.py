@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import classifiers
-from .core import LabelSpace
+from .core import LabelSpace, real
 from .errors import AllZeroPriorities, BadSpec, EmptyEnsemble, InvalidProbabilities
 
 STRATEGY_KINDS = ("confidence_sum", "rank_sum", "stacking")
@@ -104,12 +104,12 @@ def _combine(vectors_fn, probs: Sequence, priorities, weighted: bool) -> np.ndar
     if len(probs) == 0:
         raise EmptyEnsemble("no classifier outputs to combine")
     if weighted:
-        w = [float(v) for v in priorities]
+        w = [real(v, "priorities value") for v in priorities]
         if len(w) != len(probs):
             raise EmptyEnsemble(
                 f"{len(probs)} probability vectors but {len(w)} priorities"
             )
-        if any(v < 0 or not np.isfinite(v) for v in w):
+        if any(v < 0 for v in w):
             raise BadSpec("priorities must be finite and nonnegative")
         if all(v == 0.0 for v in w):
             raise AllZeroPriorities(

@@ -8,11 +8,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import classifiers, ensemble, pipeline
-from .core import MultiViewDataset, class_indices
+from .core import MultiViewDataset, class_indices, integer
 # Not called here; kept as module attributes because the traced benchmark
 # (perfbench/spans.py) wraps them by name.
 from .core import standardize_apply, standardize_fit  # noqa: F401
-from .errors import BadSpec, LengthMismatch, UnknownGroupName, UnknownLabel
+from .errors import BadSpec, LengthMismatch, UnknownGroupName
 
 
 @dataclass(frozen=True)
@@ -39,21 +39,20 @@ class EvaluationReport:
 def evaluate(preds, truth, m: Optional[int] = None) -> EvaluationReport:
     """Score predictions (``Prediction``s or class indices) against true
     class indices, each an integer in [0, m); UnknownLabel otherwise, naming
-    the first index outside that range."""
+    the first index outside that range. Without ``m``, the classes are 0 to
+    the largest index given."""
+    if m is not None:
+        m = integer(m, "m", 0)
     decided = class_indices(
-        [p.decided if hasattr(p, "decided") else p for p in preds], "predictions"
+        [p.decided if hasattr(p, "decided") else p for p in preds], "predicted class", m
     )
-    truth = class_indices(truth, "truth")
-    if len(decided) != len(truth):
+    truth = class_indices(truth, "true class", m)
+    if truth.ndim != 1 or decided.shape != truth.shape:
         raise LengthMismatch(
-            f"{len(decided)} predictions for {len(truth)} ground-truth labels"
+            f"predictions of shape {decided.shape} for ground truth of shape {truth.shape}"
         )
     if m is None:
         m = int(max(decided.max(), truth.max())) + 1 if len(truth) else 0
-    for what, indices in (("true", truth), ("predicted", decided)):
-        bad = indices[(indices < 0) | (indices >= m)]
-        if len(bad):
-            raise UnknownLabel(f"{what} class index {bad[0]} outside [0, {m})")
     confusion = np.zeros((m, m), dtype=np.int64)
     np.add.at(confusion, (truth, decided), 1)
     n = len(truth)
@@ -98,13 +97,13 @@ def compare_strategies(
     spec: classifiers.ClassifierSpec,
     k: int = 5,
     seed: int = 0,
-    meta_spec: Optional[classifiers.ClassifierSpec] = None,
 ) -> list[tuple[str, float]]:
     """Accuracy of all five strategies sharing one set of per-group
-    classifiers and priorities."""
+    classifiers and priorities; naive stacking's meta model is of ``spec``
+    too."""
     fits = pipeline.fit_groups(train, spec, k, seed)
     rows = []
-    for strategy in five_strategies(meta_spec or spec):
+    for strategy in five_strategies(spec):
         e = pipeline.assemble(fits, strategy, spec, train, k, seed)
         rows.append((strategy.label, evaluate_ensemble(e, test).accuracy))
     return rows

@@ -177,8 +177,10 @@ def train_ensemble(
     return assemble(fit_groups(train, spec, k, seed), strategy, spec, train, k, seed)
 
 
-def check_group_schema(e: TrainedEnsemble, groups: Sequence[GroupView]) -> None:
-    trained = {gm.name: gm.classifier.input_dim for gm in e.per_group}
+def check_group_schema(schema: Sequence[tuple[str, int]], groups: Sequence[GroupView]) -> None:
+    """GroupSchemaMismatch unless ``groups`` are the trained (name, width)
+    pairs of ``schema``, in that order."""
+    trained = dict(schema)
     offered = {g.name: g.dim for g in groups}
     for name in trained:
         if name not in offered:
@@ -187,9 +189,9 @@ def check_group_schema(e: TrainedEnsemble, groups: Sequence[GroupView]) -> None:
         if name not in trained:
             raise GroupSchemaMismatch(f"unexpected group {name!r}")
     names = [g.name for g in groups]
-    if names != list(e.group_names):
+    if names != list(trained):
         raise GroupSchemaMismatch(
-            f"group order {names} does not match training order {list(e.group_names)}"
+            f"group order {names} does not match training order {list(trained)}"
         )
     for g in groups:
         if g.dim != trained[g.name]:
@@ -202,7 +204,7 @@ def predict_groups(
     e: TrainedEnsemble, groups: Sequence[GroupView], sample_ids: Sequence[str]
 ) -> list[Prediction]:
     """Predict from raw feature groups (labels not required)."""
-    check_group_schema(e, groups)
+    check_group_schema([(gm.name, gm.classifier.input_dim) for gm in e.per_group], groups)
     group_probs = []
     for gm, g in zip(e.per_group, groups):
         X = standardize_apply(gm.standardizer, g.features)
@@ -236,23 +238,21 @@ class ConcatBaseline:
     standardizers: tuple[Standardizer, ...]
     classifier: classifiers.FittedClassifier
 
-    def _concat(self, groups: Sequence[GroupView]) -> np.ndarray:
-        if tuple(g.name for g in groups) != self.group_names:
-            raise GroupSchemaMismatch(
-                f"expected groups {list(self.group_names)}, "
-                f"got {[g.name for g in groups]}"
-            )
-        parts = [
-            standardize_apply(s, g.features)
-            for s, g in zip(self.standardizers, groups)
-        ]
-        return np.hstack(parts)
-
     def predict_proba(self, test: MultiViewDataset) -> np.ndarray:
-        return self.classifier.predict_proba(self._concat(test.groups))
+        X = _concat(self.group_names, self.standardizers, test.groups)
+        return self.classifier.predict_proba(X)
 
     def predict(self, test: MultiViewDataset) -> np.ndarray:
-        return self.classifier.predict(self._concat(test.groups))
+        X = _concat(self.group_names, self.standardizers, test.groups)
+        return self.classifier.predict(X)
+
+
+def _concat(names, standardizers, groups: Sequence[GroupView]) -> np.ndarray:
+    """``groups``, each standardized by its own standardizer, side by side;
+    GroupSchemaMismatch unless they are the named groups in that order, of
+    the standardizers' widths."""
+    check_group_schema([(name, s.dim) for name, s in zip(names, standardizers)], groups)
+    return np.hstack([standardize_apply(s, g.features) for s, g in zip(standardizers, groups)])
 
 
 def train_concat_baseline(
@@ -261,9 +261,7 @@ def train_concat_baseline(
     """The classical alternative to late fusion: concatenate all groups
     horizontally (after per-group standardization) and train one classifier."""
     standardizers = tuple(standardize_fit(g.features) for g in train.groups)
-    X = np.hstack(
-        [standardize_apply(s, g.features) for s, g in zip(standardizers, train.groups)]
-    )
+    X = _concat(train.group_names, standardizers, train.groups)
     model = classifiers.train(spec, X, train.labels, train.label_space)
     return ConcatBaseline(
         group_names=train.group_names,

@@ -4,9 +4,10 @@ MultiViewDataset whose invariants hold or are rejected by a LateFuseError.
 Each example starts from a valid three-class dataset and replaces its
 labels, its sample ids or one group's features with arbitrary values:
 label lists of integers (some outside the classes or beyond int64), floats
-and bools, in one or two dimensions, and ragged or nested at any depth; id
-lists with repeats and of any length; and float arrays of any shape from 0
-to 3 dimensions, NaN and infinities too.
+and bools, ints mixed with bools, in zero to two dimensions, and ragged or
+nested at any depth; id lists with repeats and of any length; and float
+arrays of any shape from 0 to 3 dimensions, NaN and infinities too. Accepted
+labels hold no bool or float entry.
 """
 
 import numpy as np
@@ -31,6 +32,8 @@ LABEL = st.one_of(
 LABELS = st.one_of(
     st.lists(st.integers(0, 2), min_size=N, max_size=N),
     st.lists(LABEL, min_size=N, max_size=N),
+    st.lists(st.one_of(st.integers(0, 2), st.booleans()), min_size=N, max_size=N),
+    st.integers(0, 2),
     st.lists(LABEL, max_size=8),
     st.lists(st.lists(st.integers(0, 2), min_size=2, max_size=2), max_size=6),
     # entries that are labels or lists of them at any depth: mostly ragged
@@ -66,6 +69,15 @@ def edit(field, value, group):
     return MultiViewDataset(**fields)
 
 
+def entries(labels):
+    """Every entry of a label list, inside nested lists and arrays too."""
+    if isinstance(labels, (list, tuple, np.ndarray)):
+        for x in labels:
+            yield from entries(x)
+    else:
+        yield labels
+
+
 def assert_invariants(d):
     n, m = d.n, d.label_space.m
     assert d.labels.dtype == np.int64 and d.labels.shape == (n,)
@@ -92,3 +104,6 @@ def test_dataset_is_valid_or_rejected(change, group):
     except LateFuseError:
         return
     assert_invariants(d)
+    if change[0] == "labels":
+        not_integers = (bool, np.bool_, float, np.floating)
+        assert not any(isinstance(x, not_integers) for x in entries(change[1]))

@@ -76,13 +76,13 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "preds, truth, message",
         [
-            ([1.7, 0.2], [1, 0], "predictions must be integer"),
-            ([1.0, 0.0], [1, 0], "predictions must be integer"),
-            ([True, False], [1, 0], "predictions must be integer"),
-            ([1, 0], [1.7, 0.2], "truth must be integer"),
-            ([1, 0], np.array([1.0, 0.0]), "truth must be integer"),
-            ([1, 0], ["1", "0"], "truth must be integer"),
-            ([[0], [1, 1]], [0, 1], "predictions must be a rectangular"),
+            ([1.7, 0.2], [1, 0], "predicted class indices must be integer"),
+            ([1.0, 0.0], [1, 0], "predicted class indices must be integer"),
+            ([True, False], [1, 0], "predicted class indices must be integer"),
+            ([1, 0], [1.7, 0.2], "true class indices must be integer"),
+            ([1, 0], np.array([1.0, 0.0]), "true class indices must be integer"),
+            ([1, 0], ["1", "0"], "true class indices must be integer"),
+            ([[0], [1, 1]], [0, 1], "predicted class indices must be a rectangular"),
         ],
     )
     def test_class_indices_that_are_not_integers_rejected(self, preds, truth, message):
