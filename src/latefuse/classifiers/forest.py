@@ -224,23 +224,6 @@ def _check_forest(nodes: dict, trees: int, input_dim: int, m: int) -> None:
         raise BadSpec("left and right give a node other than a root no parent or two")
 
 
-def arrays_from_trees(trees) -> dict:
-    """Node arrays (as in ``RandomForestModel.state``) of format-1 nested
-    trees, whose nodes are ``{"leaf": c}`` or ``{"f", "t", "l", "r"}``;
-    nodes are numbered breadth first, without recursion."""
-    nodes = list(trees)
-    state = {name: [] for name in NODE_ARRAYS}
-    for node in nodes:  # children are appended while iterating
-        if "leaf" in node:
-            values = (-1, 0.0, -1, -1, node["leaf"])
-        else:
-            values = (node["f"], node["t"], len(nodes), len(nodes) + 1, -1)
-            nodes += [node["l"], node["r"]]
-        for name, value in zip(NODE_ARRAYS, values):
-            state[name].append(value)
-    return state
-
-
 class RandomForestModel(FittedClassifier):
     def __init__(self, spec, label_space, input_dim, nodes: dict):
         super().__init__(spec, label_space, input_dim)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import LabelSpace, frozen_array, persisted_array
+from ..core import LabelSpace, class_indices, frozen_array, persisted_array
 from ..errors import DimensionMismatch
 from .base import ClassifierSpec, FittedClassifier, check_training_data, lbfgs
 
@@ -64,7 +64,7 @@ def logreg_loss_grad(W: np.ndarray, X: np.ndarray, y: np.ndarray, lam: float):
     X = np.asarray(X, dtype=np.float64)
     if W.shape[0] != X.shape[1]:
         raise DimensionMismatch(f"W has {W.shape[0]} rows, X has {X.shape[1]} columns")
-    evaluate, gradient = _loss_and_gradient(X, np.asarray(y, dtype=np.int64), lam)
+    evaluate, gradient = _loss_and_gradient(X, class_indices(y, "label", W.shape[1]), lam)
     loss, shifted = evaluate(W)
     return float(loss), gradient(W, shifted)
 

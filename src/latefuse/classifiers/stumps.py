@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core import class_indices
 from ..errors import BadSpec, SingleClassData
 
 SCAN_BYTES = 1 << 21  # bytes of float64 class weights one block's scan may hold
@@ -66,11 +67,11 @@ def train_stump(
     """Exact weighted-error-minimizing stump from one scan of every feature;
     ``columns`` is ``sorted_columns(X)``, computed here when not given."""
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = class_indices(y, "label")
     w = np.asarray(sample_weights, dtype=np.float64)
     if np.any(w < 0) or w.sum() <= 0:
         raise BadSpec("sample_weights must be nonnegative with positive sum")
-    if len(np.unique(y)) < 2:
+    if y.size == 0 or y.min() == y.max():
         raise SingleClassData("stump training needs at least two classes")
 
     order, xs, cuts = sorted_columns(X) if columns is None else columns

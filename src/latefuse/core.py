@@ -65,9 +65,12 @@ def real(value, what: str, above: Optional[float] = None) -> float:
 
 
 def frozen_array(values, dtype=np.float64) -> np.ndarray:
-    """``values`` as a read-only contiguous ``dtype`` array, frozen in place if
-    it is one already: how datasets, fold plans and fitted models hold arrays."""
+    """``values`` as a read-only contiguous ``dtype`` array: how datasets, fold
+    plans and fitted models hold arrays. A read-only array of that kind is
+    shared; a writeable one is copied, so the caller's array stays writeable."""
     a = np.ascontiguousarray(values, dtype=dtype)
+    if a is values and a.flags.writeable:
+        a = a.copy()
     a.setflags(write=False)
     return a
 
@@ -123,7 +126,7 @@ def class_indices(values, what: str, m: Optional[int] = None) -> np.ndarray:
     if a.size == 0:
         return a.astype(np.int64)
     if a.dtype.kind not in "iu":
-        raise UnknownLabel(f"{what} indices must be integers, got {a.dtype}")
+        raise UnknownLabel(f"{what} indices must be integers, got {a.dtype} entry {a.flat[0]}")
     if not isinstance(values, np.ndarray):
         types = set(map(type, np.asarray(values, dtype=object).flat))
         if any(issubclass(t, (bool, np.bool_)) for t in types):
@@ -257,9 +260,12 @@ class MultiViewDataset:
             sample_ids=self.sample_ids,
         )
 
-    def take(self, indices: np.ndarray) -> "MultiViewDataset":
-        """Row subset by index, preserving group alignment."""
-        idx = np.asarray(indices, dtype=np.int64)
+    def take(self, indices) -> "MultiViewDataset":
+        """Row subset by index, preserving group alignment: a flat list of
+        integers in [0, n), UnknownLabel naming the first that is not."""
+        idx = class_indices(indices, "row", self.n)
+        if idx.ndim != 1:
+            raise UnknownLabel(f"row indices must be a flat list, got shape {idx.shape}")
         return MultiViewDataset(
             label_space=self.label_space,
             labels=self.labels[idx],
@@ -342,16 +348,12 @@ def standardize_fit(train_features: np.ndarray) -> Standardizer:
 
 
 def standardize_apply(s: Standardizer, features: np.ndarray) -> np.ndarray:
+    """``features``, an (n, d) matrix of the standardizer's width d, in
+    z-scores; DimensionMismatch for any other shape."""
     X = np.asarray(features, dtype=np.float64)
-    one_row = X.ndim == 1
-    if one_row:
-        X = X[None, :]
-    if X.shape[1] != s.dim:
-        raise DimensionMismatch(
-            f"standardizer expects {s.dim} columns, got {X.shape[1]}"
-        )
-    out = (X - s.mean) * s.scale
-    return out[0] if one_row else out
+    if X.ndim != 2 or X.shape[1] != s.dim:
+        raise DimensionMismatch(f"standardizer expects an (n, {s.dim}) matrix, got {X.shape}")
+    return (X - s.mean) * s.scale
 
 
 def probability_vector(p) -> np.ndarray:

@@ -100,9 +100,20 @@ def _positions(p: np.ndarray) -> np.ndarray:
     return np.argsort(np.argsort(p, axis=-1, kind="stable"), axis=-1)
 
 
-def _combine(vectors_fn, probs: Sequence, priorities, weighted: bool) -> np.ndarray:
+def _first_layer(probs: Sequence, what: str) -> list[np.ndarray]:
+    """The groups' outputs as float64 arrays, all of the first one's shape;
+    EmptyEnsemble (naming ``what`` when there are none) otherwise."""
     if len(probs) == 0:
-        raise EmptyEnsemble("no classifier outputs to combine")
+        raise EmptyEnsemble(f"no {what}")
+    mats = [np.asarray(p, dtype=np.float64) for p in probs]
+    for mat in mats[1:]:
+        if mat.shape != mats[0].shape:
+            raise EmptyEnsemble(f"first-layer output shapes disagree: {mats[0].shape}, {mat.shape}")
+    return mats
+
+
+def _combine(vectors_fn, probs: Sequence, priorities, weighted: bool) -> np.ndarray:
+    probs = _first_layer(probs, "classifier outputs to combine")
     if weighted:
         w = [real(v, "priorities value") for v in priorities]
         if len(w) != len(probs):
@@ -125,7 +136,7 @@ def _combine(vectors_fn, probs: Sequence, priorities, weighted: bool) -> np.ndar
 
 def confidence_sum(probs, priorities, weighted: bool) -> np.ndarray:
     """Sum of the groups' confidence vectors, optionally priority-weighted."""
-    return _combine(lambda p: np.asarray(p, dtype=np.float64), probs, priorities, weighted)
+    return _combine(lambda p: p, probs, priorities, weighted)
 
 
 def rank_sum(probs, priorities, weighted: bool) -> np.ndarray:
@@ -146,14 +157,8 @@ def decide(scores):
 def stack_meta_features(groups_probs: Sequence[np.ndarray]) -> np.ndarray:
     """Concatenate per-group probability rows into the meta-learner's input
     of width G*m."""
-    if len(groups_probs) == 0:
-        raise EmptyEnsemble("no first-layer outputs to stack")
-    mats = [np.atleast_2d(np.asarray(p, dtype=np.float64)) for p in groups_probs]
-    n = mats[0].shape[0]
-    for mat in mats:
-        if mat.shape[0] != n:
-            raise EmptyEnsemble("first-layer outputs disagree on sample count")
-    return np.hstack(mats)
+    mats = _first_layer(groups_probs, "first-layer outputs to stack")
+    return np.hstack([np.atleast_2d(mat) for mat in mats])
 
 
 def train_stacking(

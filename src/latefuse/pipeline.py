@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import classifiers, crossval, ensemble
-from .classifiers.forest import arrays_from_trees
 from .core import (
     GroupView,
     LabelSpace,
@@ -33,9 +32,16 @@ from .core import (
     standardize_apply,
     standardize_fit,
 )
-from .errors import BadSpec, CorruptModel, GroupSchemaMismatch, IoFailure, VersionMismatch
+from .errors import (
+    BadSpec,
+    CorruptModel,
+    GroupSchemaMismatch,
+    IoFailure,
+    MisalignedGroup,
+    VersionMismatch,
+)
 
-MODEL_FORMAT_VERSION = 2  # version 1 nested each forest tree in dicts; it still loads
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -203,8 +209,12 @@ def check_group_schema(schema: Sequence[tuple[str, int]], groups: Sequence[Group
 def predict_groups(
     e: TrainedEnsemble, groups: Sequence[GroupView], sample_ids: Sequence[str]
 ) -> list[Prediction]:
-    """Predict from raw feature groups (labels not required)."""
+    """Predict from raw feature groups (labels not required), one row of each
+    per sample id; MisalignedGroup names a group with another row count."""
     check_group_schema([(gm.name, gm.classifier.input_dim) for gm in e.per_group], groups)
+    for g in groups:
+        if g.n != len(sample_ids):
+            raise MisalignedGroup(f"group {g.name!r} has {g.n} rows, expected {len(sample_ids)}")
     group_probs = []
     for gm, g in zip(e.per_group, groups):
         X = standardize_apply(gm.standardizer, g.features)
@@ -282,15 +292,11 @@ def _classifier_record(model: classifiers.FittedClassifier) -> dict:
     return {"spec": model.spec.to_dict(), "input_dim": model.input_dim, "state": model.state()}
 
 
-def _classifier_from_record(record: dict, labels: LabelSpace, version: int):
-    """Rebuild a classifier from ``_classifier_record``'s fields of ``record``;
-    a format-1 forest's nested trees become node arrays."""
+def _classifier_from_record(record: dict, labels: LabelSpace):
+    """Rebuild a classifier from ``_classifier_record``'s fields of ``record``."""
     spec = classifiers.ClassifierSpec.from_dict(record["spec"])
     input_dim = integer(record["input_dim"], "input_dim", 1)
-    state = record["state"]
-    if version == 1 and spec.kind == "random_forest":
-        state = arrays_from_trees(state["trees"])
-    return classifiers.model_from_state(spec, labels, input_dim, state)
+    return classifiers.model_from_state(spec, labels, input_dim, record["state"])
 
 
 def _ensemble_payload(e: TrainedEnsemble) -> dict:
@@ -344,26 +350,27 @@ def load_ensemble(path: str) -> TrainedEnsemble:
     if not isinstance(document, dict) or "format_version" not in document:
         raise CorruptModel(f"model file {path!r} has no format_version")
     version = document["format_version"]
-    if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise VersionMismatch(
-            f"model format version {version!r}, supported: 1 and {MODEL_FORMAT_VERSION}"
+            f"model file {path!r} has format version {version!r}; "
+            f"only format {MODEL_FORMAT_VERSION} is read"
         )
     payload = document.get("payload")
     if payload is None or document.get("checksum") != _checksum(payload):
         raise CorruptModel(f"model file {path!r} fails its checksum")
 
     try:
-        return _ensemble_from_payload(payload, version)
+        return _ensemble_from_payload(payload)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CorruptModel(f"model file {path!r} has a malformed payload: {exc!r}") from exc
 
 
-def _ensemble_from_payload(payload: dict, version: int) -> TrainedEnsemble:
+def _ensemble_from_payload(payload: dict) -> TrainedEnsemble:
     labels = LabelSpace(tuple(payload["label_space"]))
     strategy = ensemble.EnsembleStrategy.from_dict(payload["strategy"])
     per_group = []
     for g in payload["groups"]:
-        model = _classifier_from_record(g, labels, version)
+        model = _classifier_from_record(g, labels)
         shape = (model.input_dim,)
         s = Standardizer(
             mean=persisted_array(g["standardizer"], "mean", shape),
@@ -372,7 +379,7 @@ def _ensemble_from_payload(payload: dict, version: int) -> TrainedEnsemble:
         per_group.append(GroupModel(g["name"], s, model, real(g["priority"], "priority")))
     meta = None
     if payload["meta"] is not None:
-        meta = _classifier_from_record(payload["meta"], labels, version)
+        meta = _classifier_from_record(payload["meta"], labels)
     return TrainedEnsemble(
         per_group=tuple(per_group),
         strategy=strategy,

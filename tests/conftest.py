@@ -99,7 +99,7 @@ def two_blob_dataset(rng):
 
 def nested_tree(state, node):
     """The tree under ``node`` of a forest's node arrays (a random forest's
-    model state), as the nested dicts of model format 1."""
+    model state), as nested dicts: ``{"leaf": c}`` or ``{"f", "t", "l", "r"}``."""
     if state["left"][node] == -1:
         return {"leaf": state["leaf"][node]}
     return {

@@ -421,13 +421,6 @@ class TestRandomForest:
         for t in range(3):
             assert nested_tree(small, t) == nested_tree(large, t)
 
-    def test_format_one_trees_convert_to_the_same_arrays(self, rng):
-        X, y = gaussian_blobs(rng, 15, [[0, 0, 0], [2, 1, 0], [0, 2, 1]])
-        state = train(
-            ClassifierSpec("random_forest", seed=1, trees=4), X, y, LabelSpace(("a", "b", "c"))
-        ).state()
-        assert forest.arrays_from_trees([nested_tree(state, t) for t in range(4)]) == state
-
     def _xor_data(self, rng, n=30, gap=4.0):
         centers = np.array([[0, 0], [gap, gap], [0, gap], [gap, 0]])
         cls = np.array([0, 0, 1, 1])

@@ -14,7 +14,6 @@ from conftest import (
     shorten_standardizer,
 )
 
-FOREST_V1 = os.path.join(os.path.dirname(__file__), "data", "forest_v1")
 
 SMALL_SPEC = {
     "m": 3,
@@ -243,16 +242,6 @@ class TestTrainPredictEvaluate:
         rc, err = predict_with_edited_model(workdir, capsys, edit)
         assert rc == 1
         assert str(workdir / "model.json") in err and "priority" in err
-
-    def test_format_1_forest_model_predicts_the_same_bytes(self, tmp_path):
-        groups = [{"name": g, "path": os.path.join(FOREST_V1, f"{g}.csv")} for g in ("sig", "weak")]
-        cfg = tmp_path / "predict.json"
-        cfg.write_text(json.dumps({"data": {"groups": groups}}))
-        out = tmp_path / "p.csv"
-        model = os.path.join(FOREST_V1, "model.json")
-        assert main(["predict", "--model", model, "--config", str(cfg), "--out", str(out)]) == 0
-        with open(os.path.join(FOREST_V1, "predictions.csv"), "rb") as fh:
-            assert out.read_bytes() == fh.read()
 
     @pytest.mark.parametrize("target", ["features", "labels", "model"])
     def test_undecodable_input_file_exit_1(self, workdir, capsys, target):

@@ -6,6 +6,7 @@ from latefuse.core import (
     LabelSpace,
     MultiViewDataset,
     SplitSpec,
+    Standardizer,
     probability_vector,
     shuffled_classes,
     standardize_apply,
@@ -124,6 +125,17 @@ class TestValidateDataset:
             GroupView("a", np.zeros(shape))
 
 
+class TestFrozenArrays:
+    def test_building_leaves_the_callers_arrays_writeable(self):
+        X, mean, scale = np.zeros((4, 2)), np.zeros(2), np.ones(2)
+        g, s = GroupView("g", X), Standardizer(mean, scale)
+        assert X.flags.writeable and mean.flags.writeable and scale.flags.writeable
+        X[0, 0] = mean[0] = 5.0
+        assert g.features[0, 0] == 0.0 and s.mean[0] == 0.0
+        assert not g.features.flags.writeable and not s.mean.flags.writeable
+        assert GroupView("h", g.features).features is g.features  # read-only: shared
+
+
 class TestStratifiedSplit:
     def _population(self, rng, per_class=100, m=2, d=3):
         X = rng.standard_normal((per_class * m, d))
@@ -199,6 +211,12 @@ class TestStandardizer:
         s = standardize_fit(rng.standard_normal((10, 4)))
         with pytest.raises(DimensionMismatch):
             standardize_apply(s, rng.standard_normal((3, 5)))
+
+    @pytest.mark.parametrize("shape", [(4,), (), (2, 4, 4)])
+    def test_only_a_matrix_is_standardized(self, rng, shape):
+        s = standardize_fit(rng.standard_normal((10, 4)))
+        with pytest.raises(DimensionMismatch, match=r"expects an \(n, 4\) matrix"):
+            standardize_apply(s, rng.standard_normal(shape))
 
     def test_fit_statistics_property(self, rng):
         for _ in range(20):

@@ -1,16 +1,18 @@
 """Feature matrices and class indices are read by one reader each, so every
-entry point accepts and rejects the same inputs with the same error."""
+entry point accepts and rejects the same inputs with the same error. Row
+indices and the groups' rows and outputs must line up too."""
 
 import numpy as np
 import pytest
 
 from latefuse import classifiers
-from latefuse.classifiers import ClassifierSpec
+from latefuse.classifiers import ClassifierSpec, logreg_loss_grad, train_stump
 from latefuse.core import GroupView, LabelSpace, MultiViewDataset
 from latefuse.crossval import group_priority, make_folds
-from latefuse.ensemble import confidence_sum, rank_sum
+from latefuse.ensemble import confidence_sum, rank_sum, stack_meta_features
 from latefuse.errors import (
     BadSpec,
+    EmptyEnsemble,
     GroupSchemaMismatch,
     LengthMismatch,
     MisalignedGroup,
@@ -53,6 +55,8 @@ READERS = {
     ),
     "evaluate truth": (lambda y: evaluate(VALID, y, m=2), True),
     "evaluate predictions": (lambda y: evaluate(y, VALID), False),
+    "train_stump": (lambda y: train_stump(X, y, np.ones(len(VALID))), False),
+    "logreg_loss_grad": (lambda y: logreg_loss_grad(np.zeros((2, 2)), X, y, 0.1), True),
 }
 
 
@@ -68,6 +72,38 @@ def test_every_reader_rejects_the_same_bad_labels(reader):
             continue
         accepted.append(labels)
     assert accepted == []
+
+
+@pytest.mark.parametrize(
+    "indices,message",
+    [
+        ([0.7, 3.2, 1.0, 5.9], "row indices must be integers, got float64 entry 0.7"),
+        ([-1, 0, 1, 2], r"row index -1 outside \[0, 6\)"),
+        ([0, 1, 6], r"row index 6 outside \[0, 6\)"),
+        ([[0, 1]], r"row indices must be a flat list, got shape \(1, 2\)"),
+    ],
+    ids=["float", "negative", "past_n", "nested"],
+)
+def test_take_reads_row_indices_in_range(indices, message):
+    d = MultiViewDataset(SPACE, VALID[2:], (GroupView("a", X[2:]),), tuple("abcdef"))
+    assert d.take([5, 0]).sample_ids == ("f", "a")
+    with pytest.raises(UnknownLabel, match=message):
+        d.take(indices)
+
+
+@pytest.mark.parametrize(
+    "fuse",
+    [
+        lambda probs: confidence_sum(probs, [0.5, 0.5], True),
+        lambda probs: rank_sum(probs, [0.5, 0.5], False),
+        stack_meta_features,
+    ],
+    ids=["confidence_sum", "rank_sum", "stack_meta_features"],
+)
+def test_fusion_rejects_group_outputs_of_another_shape(fuse):
+    one, five = np.full((1, 2), 0.5), np.full((5, 2), 0.5)
+    with pytest.raises(EmptyEnsemble, match=r"output shapes disagree: \(1, 2\), \(5, 2\)"):
+        fuse([one, five])
 
 
 def test_group_view_with_nan_names_group_row_and_column():

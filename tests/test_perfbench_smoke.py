@@ -24,3 +24,15 @@ def test_benchmark_smoke_check_passes():
         timeout=900,
     )
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+
+
+def test_every_traced_name_exists(monkeypatch):
+    """Each module attribute the tracer would wrap exists, checked without
+    installing the wrappers, so a renamed or deleted name fails in well under
+    a second."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import spans
+
+    plan = spans._patch_plan(spans.Tracer("names"))
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in plan if not hasattr(owner, attr)]
+    assert plan and missing == []

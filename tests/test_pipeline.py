@@ -5,13 +5,21 @@ import pytest
 
 from latefuse import classifiers, pipeline
 from latefuse.classifiers import ClassifierSpec, FittedClassifier
-from latefuse.core import LabelSpace, Standardizer, standardize_fit
+from latefuse.cli import main
+from latefuse.core import GroupView, LabelSpace, Standardizer, standardize_fit
 from latefuse.ensemble import EnsembleStrategy
-from latefuse.errors import BadSpec, CorruptModel, GroupSchemaMismatch, VersionMismatch
+from latefuse.errors import (
+    BadSpec,
+    CorruptModel,
+    GroupSchemaMismatch,
+    MisalignedGroup,
+    VersionMismatch,
+)
 from latefuse.pipeline import (
     TrainedEnsemble,
     load_ensemble,
     predict,
+    predict_groups,
     save_ensemble,
     train_concat_baseline,
     train_ensemble,
@@ -282,6 +290,19 @@ class TestPredict:
         with pytest.raises(GroupSchemaMismatch, match="order"):
             predict(e, reordered)
 
+    def test_every_group_has_one_row_per_sample_id(self, rng):
+        d = small_dataset(rng)
+        e = train_ensemble(d, ClassifierSpec("logreg"), EnsembleStrategy("confidence_sum"), 3, 0)
+        sig, noise = d.groups
+        cases = [
+            ([GroupView("sig", sig.features[:1]), noise], d.sample_ids, "'sig' has 1 rows, expected 45"),
+            ([sig, noise], d.sample_ids[:5], "'sig' has 45 rows, expected 5"),
+            ([sig, GroupView("noise", noise.features[:7])], d.sample_ids, "'noise' has 7 rows"),
+        ]
+        for groups, ids, message in cases:
+            with pytest.raises(MisalignedGroup, match=message):
+                predict_groups(e, groups, ids)
+
     def test_hand_built_constant_ensemble(self):
         labels = LabelSpace(("x", "y"))
         e = TrainedEnsemble(
@@ -442,7 +463,7 @@ class TestPersistence:
         doc = json.loads(path.read_text())
         doc["format_version"] = 999
         path.write_text(json.dumps(doc))
-        with pytest.raises(VersionMismatch):
+        with pytest.raises(VersionMismatch, match="model.json' has format version 999"):
             load_ensemble(str(path))
 
     def test_checksummed_malformed_payload_is_corrupt(self, tmp_path, rng):
@@ -475,7 +496,7 @@ class TestPersistence:
         with pytest.raises(CorruptModel, match="model.json"):
             load_ensemble(str(path))
 
-    def test_nested_forest_trees_load_in_format_1_only(self, tmp_path, rng):
+    def test_format_1_nested_forest_trees_are_not_read(self, tmp_path, rng, capsys):
         d = small_dataset(rng)
         spec = ClassifierSpec("random_forest", seed=1, trees=4)
         e = train_ensemble(d, spec, EnsembleStrategy("confidence_sum"), 3, 0)
@@ -490,10 +511,14 @@ class TestPersistence:
             load_ensemble(str(path))
         doc["format_version"] = 1
         path.write_text(json.dumps(doc))
-        loaded = load_ensemble(str(path))
-        probe = small_dataset(np.random.default_rng(123))
-        for a, b in zip(predict(e, probe), predict(loaded, probe)):
-            np.testing.assert_array_equal(a.scores, b.scores)
+        with pytest.raises(VersionMismatch, match="model.json.*version 1; only format 2 is read"):
+            load_ensemble(str(path))
+        cfg = tmp_path / "predict.json"
+        cfg.write_text(json.dumps({"data": {"groups": [{"name": "g", "path": "unused.csv"}]}}))
+        out = str(tmp_path / "p.csv")
+        argv = ["predict", "--model", str(path), "--config", str(cfg), "--out", out]
+        assert main(argv) == 1
+        assert str(path) in capsys.readouterr().err
 
     def test_checksummed_meta_without_stacking_is_corrupt(self, tmp_path, rng):
         d = small_dataset(rng)
