@@ -6,38 +6,20 @@ configurable combination rules (confidence summation, rank summation, or a
 stacked meta-classifier) to reach a final decision.
 """
 
-from .classifiers import ClassifierSpec, FittedClassifier, train
+from .classifiers import ClassifierSpec, train
 from .core import (
     GroupView,
     LabelSpace,
     MultiViewDataset,
     SplitSpec,
-    Standardizer,
     probability_vector,
     standardize_apply,
     standardize_fit,
-    stratified_split,
 )
-from .crossval import FoldPlan, group_priority, make_folds
-from .ensemble import (
-    EnsembleStrategy,
-    assign_ranks,
-    confidence_sum,
-    decide,
-    rank_sum,
-    train_stacking,
-)
-from .evaluation import (
-    AblationReport,
-    EvaluationReport,
-    ablate,
-    compare_classifiers,
-    compare_strategies,
-    evaluate,
-    evaluate_ensemble,
-)
+from .crossval import group_priority, make_folds
+from .ensemble import EnsembleStrategy, assign_ranks, confidence_sum, decide, rank_sum
+from .evaluation import ablate, compare_strategies, evaluate, evaluate_ensemble
 from .pipeline import (
-    ConcatBaseline,
     Prediction,
     TrainedEnsemble,
     load_ensemble,
@@ -46,24 +28,20 @@ from .pipeline import (
     train_concat_baseline,
     train_ensemble,
 )
-from .synthdata import SynthSpec, ViewSpec, default_benchmark, generate
+from .synthdata import SynthSpec, ViewSpec, default_benchmark
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ClassifierSpec",
-    "FittedClassifier",
     "train",
     "GroupView",
     "LabelSpace",
     "MultiViewDataset",
     "SplitSpec",
-    "Standardizer",
     "probability_vector",
     "standardize_apply",
     "standardize_fit",
-    "stratified_split",
-    "FoldPlan",
     "group_priority",
     "make_folds",
     "EnsembleStrategy",
@@ -71,15 +49,10 @@ __all__ = [
     "confidence_sum",
     "decide",
     "rank_sum",
-    "train_stacking",
-    "AblationReport",
-    "EvaluationReport",
     "ablate",
-    "compare_classifiers",
     "compare_strategies",
     "evaluate",
     "evaluate_ensemble",
-    "ConcatBaseline",
     "Prediction",
     "TrainedEnsemble",
     "load_ensemble",
@@ -90,5 +63,4 @@ __all__ = [
     "SynthSpec",
     "ViewSpec",
     "default_benchmark",
-    "generate",
 ]

@@ -9,7 +9,7 @@ and safe to use concurrently.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -74,8 +74,7 @@ class ClassifierSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClassifierSpec":
-        allowed = {"kind", "seed", "lam", "c_grid", "rounds", "trees", "min_leaf"}
-        unknown = set(d) - allowed
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise BadSpec(f"unknown classifier spec fields: {sorted(unknown)}")
         if "kind" not in d:
@@ -189,16 +188,21 @@ def lbfgs(evaluate, gradient, x: np.ndarray):
     return x, history
 
 
+def row_labels(X: np.ndarray, y, what: str, m=None) -> np.ndarray:
+    """``y`` read by ``class_indices`` as one class index per row of ``X``;
+    DimensionMismatch for any other shape."""
+    y = class_indices(y, what, m)
+    if y.shape != (X.shape[0],):
+        raise DimensionMismatch(f"y has shape {y.shape}, expected ({X.shape[0]},)")
+    return y
+
+
 def check_training_data(X, y, labels: LabelSpace) -> tuple[np.ndarray, np.ndarray]:
     """Validate the common training preconditions shared by every kind: a
     finite matrix, one class index in [0, m) per row, and a sample of each
     of the m classes."""
     X = feature_matrix(X, "training features")
-    y = class_indices(y, "training label", labels.m)
-    if y.shape != (X.shape[0],):
-        raise DimensionMismatch(
-            f"y has shape {y.shape}, expected ({X.shape[0]},)"
-        )
+    y = row_labels(X, y, "training label", labels.m)
     counts = np.bincount(y, minlength=labels.m)
     if np.count_nonzero(counts) < 2:
         raise SingleClassData("training data contains a single class")

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import LabelSpace, class_indices, frozen_array, persisted_array
+from ..core import LabelSpace, feature_matrix, frozen_array, persisted_array
 from ..errors import DimensionMismatch
-from .base import ClassifierSpec, FittedClassifier, check_training_data, lbfgs
+from .base import ClassifierSpec, FittedClassifier, check_training_data, lbfgs, row_labels
 
 
 def _row_max(Z: np.ndarray) -> np.ndarray:
@@ -61,10 +61,10 @@ def logreg_loss_grad(W: np.ndarray, X: np.ndarray, y: np.ndarray, lam: float):
     same shape as W.
     """
     W = np.asarray(W, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    if W.shape[0] != X.shape[1]:
-        raise DimensionMismatch(f"W has {W.shape[0]} rows, X has {X.shape[1]} columns")
-    evaluate, gradient = _loss_and_gradient(X, class_indices(y, "label", W.shape[1]), lam)
+    X = feature_matrix(X, "X")
+    if W.ndim != 2 or W.shape[0] != X.shape[1]:
+        raise DimensionMismatch(f"W has shape {W.shape}, expected ({X.shape[1]}, m)")
+    evaluate, gradient = _loss_and_gradient(X, row_labels(X, y, "label", W.shape[1]), lam)
     loss, shifted = evaluate(W)
     return float(loss), gradient(W, shifted)
 

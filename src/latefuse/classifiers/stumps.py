@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import class_indices
-from ..errors import BadSpec, SingleClassData
+from ..core import feature_matrix
+from ..errors import BadSpec, DimensionMismatch, SingleClassData
+from .base import row_labels
 
 SCAN_BYTES = 1 << 21  # bytes of float64 class weights one block's scan may hold
 
@@ -66,9 +67,11 @@ def train_stump(
 ) -> DecisionStump:
     """Exact weighted-error-minimizing stump from one scan of every feature;
     ``columns`` is ``sorted_columns(X)``, computed here when not given."""
-    X = np.asarray(X, dtype=np.float64)
-    y = class_indices(y, "label")
+    X = feature_matrix(X, "stump features")
+    y = row_labels(X, y, "label")
     w = np.asarray(sample_weights, dtype=np.float64)
+    if w.shape != y.shape:
+        raise DimensionMismatch(f"sample_weights has shape {w.shape}, expected {y.shape}")
     if np.any(w < 0) or w.sum() <= 0:
         raise BadSpec("sample_weights must be nonnegative with positive sum")
     if y.size == 0 or y.min() == y.max():

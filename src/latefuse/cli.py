@@ -40,9 +40,15 @@ class RunConfig:
 # file ("config 'run.json'"); every error names it and the field.
 
 
-def _object(value, where: str, field: str, required: tuple[str, ...] = ()) -> dict:
+def _object(value, where: str, field: str, required=(), optional=None) -> dict:
+    """``value``, a JSON object holding every ``required`` key. With
+    ``optional`` given, any other key outside it is an error too; without
+    it, the block's own reader checks its keys."""
     if not isinstance(value, dict):
         raise ConfigError(f"{where}: {field} must be a JSON object, got {value!r}")
+    unknown = [] if optional is None else sorted(set(value) - {*required, *optional})
+    if unknown:
+        raise ConfigError(f"{where}: {field} has unknown fields {unknown}")
     for key in required:
         if key not in value:
             raise ConfigError(f"{where}: {field} is missing the required field {key!r}")
@@ -75,14 +81,14 @@ def _file_name(value, where: str, field: str) -> str:
 
 
 def _data_block(block, where: str, field: str) -> tuple[Optional[str], list[tuple[str, str]]]:
-    block = _object(block, where, field)
+    block = _object(block, where, field, optional=("labels", "groups"))
     groups = block.get("groups")
     if not isinstance(groups, list) or not groups:
         raise ConfigError(f"{where}: {field}.groups must be a non-empty list")
     group_paths = []
     for i, g in enumerate(groups):
         item = f"{field}.groups[{i}]"
-        _object(g, where, item, ("name", "path"))
+        _object(g, where, item, ("name", "path"), ())
         name = _string(g, "name", where, f"{item}.name")
         if name in dict(group_paths):
             raise ConfigError(f"{where}: {item}.name {name!r} is listed twice")
@@ -106,6 +112,9 @@ def _read_json_object(path: str, what: str) -> dict:
 def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     raw = _read_json_object(path, "config")
     where = f"config {path!r}"
+    _object(raw, where, "the top level", optional=(
+        "classifier", "strategy", "k", "seed", "data", "test_data", "model", "out", "subsets"
+    ))
     try:
         spec = classifiers.ClassifierSpec.from_dict(
             _object(raw.get("classifier", {"kind": "logreg"}), where, "classifier")
@@ -239,13 +248,19 @@ def _synth_spec_from_json(
 ) -> tuple[synthdata.SynthSpec, SplitSpec]:
     """Build the specs, which check their own fields; an error names the
     field's path in the spec file."""
-    _object(raw, where, "the spec", ("m", "n_per_class", "train_per_class", "test_per_class"))
+    _object(
+        raw,
+        where,
+        "the spec",
+        ("m", "n_per_class", "train_per_class", "test_per_class"),
+        ("views", "separation", "seed"),
+    )
     views = raw.get("views")
     if not isinstance(views, list) or not views:
         raise ConfigError(f"{where}: views must be a non-empty list")
     view_specs = []
     for i, v in enumerate(views):
-        _object(v, where, f"views[{i}]", ("name", "dim", "informativeness"))
+        _object(v, where, f"views[{i}]", ("name", "dim", "informativeness"), ("scale",))
         name = _file_name(v["name"], where, f"views[{i}].name")
         try:
             view_specs.append(
@@ -268,7 +283,10 @@ def cmd_gendata(args) -> int:
     where = f"spec {args.spec!r}"
     seed = raw.get("seed", 0) if args.seed is None else args.seed
     try:
-        if raw.get("benchmark") == "default":
+        if "benchmark" in raw:
+            _object(raw, where, "the spec", optional=("benchmark", "seed"))
+            if raw["benchmark"] != "default":
+                raise ConfigError(f"{where}: benchmark must be 'default', got {raw['benchmark']!r}")
             train, test = synthdata.default_benchmark(seed)
         else:
             spec, split = _synth_spec_from_json(raw, where, seed)

@@ -25,7 +25,6 @@ import numpy as np
 
 from .core import GroupView, LabelSpace, MultiViewDataset
 from .errors import DataError, MisalignedGroup, NonFiniteFeature
-from .pipeline import Prediction
 
 T = TypeVar("T")
 
@@ -243,11 +242,10 @@ def write_dataset(d: MultiViewDataset, out_dir: str) -> None:
         )
 
 
-def write_predictions(
-    preds: Sequence[Prediction], class_names: Sequence[str], path: str
-) -> None:
-    """One row per sample: id, decided class name, then the m score columns
-    printed with 6 significant digits."""
+def write_predictions(preds: Sequence, class_names: Sequence[str], path: str) -> None:
+    """One row per prediction (anything with ``sample_id``, ``scores`` and
+    ``decided``, as ``pipeline.predict`` returns): id, decided class name,
+    then the m score columns printed with 6 significant digits."""
     scores = np.array([p.scores for p in preds], dtype=np.float64).reshape(len(preds), len(class_names))
     _write_csv(
         path,

@@ -11,7 +11,7 @@ priorities. The sums and the decision take one (m,) vector per group, or an
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -71,6 +71,9 @@ class EnsembleStrategy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnsembleStrategy":
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise BadSpec(f"unknown strategy fields: {sorted(unknown)}")
         if "kind" not in d:
             raise BadSpec("strategy is missing the required field 'kind'")
         meta = d.get("stacking_meta_spec")

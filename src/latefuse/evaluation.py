@@ -104,7 +104,7 @@ def compare_strategies(
     fits = pipeline.fit_groups(train, spec, k, seed)
     rows = []
     for strategy in five_strategies(spec):
-        e = pipeline.assemble(fits, strategy, spec, train, k, seed)
+        e = pipeline.assemble(fits, strategy, train)
         rows.append((strategy.label, evaluate_ensemble(e, test).accuracy))
     return rows
 
@@ -189,7 +189,7 @@ def ablate(
         sub_test = test.subset_groups(subset)
         group_fits = [fits[n] for n in subset]
         for strategy in strategies:
-            e = pipeline.assemble(group_fits, strategy, spec, train, k, seed)
+            e = pipeline.assemble(group_fits, strategy, train)
             acc = evaluate_ensemble(e, sub_test).accuracy
             entries.append((subset, strategy.label, acc))
     # normalize the recorded full subset to the dataset's group order

@@ -65,7 +65,6 @@ class TrainedEnsemble:
     strategy: ensemble.EnsembleStrategy
     meta: Optional[classifiers.FittedClassifier]
     label_space: LabelSpace
-    config_fingerprint: str
 
     def __post_init__(self):
         if (self.meta is not None) != (self.strategy.kind == "stacking"):
@@ -100,22 +99,6 @@ def _checksum(payload: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def config_fingerprint(
-    spec: classifiers.ClassifierSpec,
-    strategy: ensemble.EnsembleStrategy,
-    k: int,
-    seed: int,
-    group_schema: Sequence[tuple[str, int]],
-) -> str:
-    return _checksum({
-        "spec": spec.to_dict(),
-        "strategy": strategy.to_dict(),
-        "k": k,
-        "seed": seed,
-        "groups": [[name, dim] for name, dim in group_schema],
-    })
-
-
 @dataclass(frozen=True)
 class GroupFit:
     """One group's training-time fit: its deployable model, plus the
@@ -145,12 +128,7 @@ def fit_groups(
 
 
 def assemble(
-    fits: Sequence[GroupFit],
-    strategy: ensemble.EnsembleStrategy,
-    spec: classifiers.ClassifierSpec,
-    train: MultiViewDataset,
-    k: int,
-    seed: int,
+    fits: Sequence[GroupFit], strategy: ensemble.EnsembleStrategy, train: MultiViewDataset
 ) -> TrainedEnsemble:
     """Combine fitted groups under one strategy. Only stacking trains more:
     its meta-classifier learns from the full models' training-set
@@ -162,14 +140,7 @@ def assemble(
         else:
             probs = [f.oof for f in fits]
         meta = ensemble.train_stacking(probs, train.labels, strategy, train.label_space)
-    schema = [(f.model.name, f.model.classifier.input_dim) for f in fits]
-    return TrainedEnsemble(
-        per_group=tuple(f.model for f in fits),
-        strategy=strategy,
-        meta=meta,
-        label_space=train.label_space,
-        config_fingerprint=config_fingerprint(spec, strategy, k, seed, schema),
-    )
+    return TrainedEnsemble(tuple(f.model for f in fits), strategy, meta, train.label_space)
 
 
 def train_ensemble(
@@ -180,7 +151,7 @@ def train_ensemble(
     seed: int = 0,
 ) -> TrainedEnsemble:
     """Fit the whole ensemble on the training set; test data never enters."""
-    return assemble(fit_groups(train, spec, k, seed), strategy, spec, train, k, seed)
+    return assemble(fit_groups(train, spec, k, seed), strategy, train)
 
 
 def check_group_schema(schema: Sequence[tuple[str, int]], groups: Sequence[GroupView]) -> None:
@@ -303,7 +274,6 @@ def _ensemble_payload(e: TrainedEnsemble) -> dict:
     return {
         "label_space": list(e.label_space.class_names),
         "strategy": e.strategy.to_dict(),
-        "config_fingerprint": e.config_fingerprint,
         "groups": [
             {
                 "name": gm.name,
@@ -380,10 +350,4 @@ def _ensemble_from_payload(payload: dict) -> TrainedEnsemble:
     meta = None
     if payload["meta"] is not None:
         meta = _classifier_from_record(payload["meta"], labels)
-    return TrainedEnsemble(
-        per_group=tuple(per_group),
-        strategy=strategy,
-        meta=meta,
-        label_space=labels,
-        config_fingerprint=payload["config_fingerprint"],
-    )
+    return TrainedEnsemble(tuple(per_group), strategy, meta, labels)

@@ -444,6 +444,24 @@ class TestConfigFields:
         err = capsys.readouterr().err
         assert repr(str(cfg)) in err and f"{block}.groups[1].name" in err
 
+    @pytest.mark.parametrize("message, edit", [
+        ("the top level has unknown fields ['sed']", lambda cfg: cfg.update(sed=4)),
+        ("classifier spec fields: ['lamda']", lambda cfg: cfg["classifier"].update(lamda=1)),
+        ("strategy fields: ['weigted']", lambda cfg: cfg["strategy"].update(weigted=False)),
+        (": data has unknown fields ['lables']", lambda cfg: cfg["data"].update(lables="x")),
+        ("test_data has unknown fields ['lables']", lambda cfg: cfg["test_data"].update(lables="x")),
+        ("data.groups[1] has unknown fields ['pth']", lambda cfg: cfg["data"]["groups"][1].update(pth="x")),
+    ], ids=["top", "classifier", "strategy", "data", "test_data", "group"])
+    def test_unknown_field_exit_2(self, workdir, capsys, message, edit):
+        cfg = write_config(workdir)
+        doc = json.loads(cfg.read_text())
+        edit(doc)
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert repr(str(cfg)) in err and message in err
+        assert not (workdir / "model.json").exists()
+
     def test_predict_out_exit_2(self, workdir, capsys):
         assert main(["train", "--config", str(write_config(workdir))]) == 0
         cfg = predict_config(workdir)
@@ -506,6 +524,23 @@ class TestGenData:
         spec.write_text(json.dumps(raw))
         assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, message", [
+        ({**SMALL_SPEC, "separaton": 2.0}, "the spec has unknown fields ['separaton']"),
+        (
+            {**SMALL_SPEC, "views": [SMALL_SPEC["views"][0], {**SMALL_SPEC["views"][1], "scal": 5}]},
+            "views[1] has unknown fields ['scal']",
+        ),
+        ({"benchmark": "default", "seed": 3, "m": 4}, "the spec has unknown fields ['m']"),
+        ({"benchmark": "defualt", "seed": 3}, "benchmark must be 'default', got 'defualt'"),
+    ], ids=["spec", "view", "benchmark", "benchmark-name"])
+    def test_unknown_field_exit_2(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(spec))
+        assert main(["gen-data", "--spec", str(path), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert repr(str(path)) in err and message in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("view", ["sig", None, [1, 2]])
     def test_view_not_an_object_exit_2(self, tmp_path, capsys, view):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import rankdata
@@ -277,6 +279,14 @@ class TestStrategyType:
         with pytest.raises(BadSpec, match="missing the required field 'kind'"):
             EnsembleStrategy.from_dict({"weighted": True})
 
+    @pytest.mark.parametrize("d, unknown", [
+        ({"kind": "rank_sum", "weigted": True}, "['weigted']"),
+        ({"kind": "confidence_sum", "seed": 4, "mode": "x"}, "['mode', 'seed']"),
+    ])
+    def test_from_dict_rejects_unknown_fields(self, d, unknown):
+        with pytest.raises(BadSpec, match=re.escape(f"unknown strategy fields: {unknown}")):
+            EnsembleStrategy.from_dict(d)
+
     def test_round_trip_dict(self):
         meta = ClassifierSpec("logreg", seed=3)
         s = EnsembleStrategy("stacking", stacking_mode="out_of_fold", stacking_meta_spec=meta)
@@ -358,7 +368,6 @@ class TestStacking:
                     strategy=strategy,
                     meta=meta,
                     label_space=labels,
-                    config_fingerprint="test",
                 )
                 preds = pipeline.predict(e, test_d)
                 accs[mode] = float(

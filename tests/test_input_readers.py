@@ -12,6 +12,7 @@ from latefuse.crossval import group_priority, make_folds
 from latefuse.ensemble import confidence_sum, rank_sum, stack_meta_features
 from latefuse.errors import (
     BadSpec,
+    DimensionMismatch,
     EmptyEnsemble,
     GroupSchemaMismatch,
     LengthMismatch,
@@ -59,6 +60,15 @@ READERS = {
     "logreg_loss_grad": (lambda y: logreg_loss_grad(np.zeros((2, 2)), X, y, 0.1), True),
 }
 
+# the exported kernels, called directly with an array of the wrong shape
+MISSHAPED = {
+    "logreg_loss_grad W": lambda: logreg_loss_grad(np.zeros(2), X, VALID, 0.1),
+    "logreg_loss_grad y": lambda: logreg_loss_grad(np.zeros((2, 2)), X[:4], [0, 1], 0.1),
+    "train_stump X": lambda: train_stump(np.zeros(4), VALID[3:7], np.ones(4)),
+    "train_stump y": lambda: train_stump(X[2:6], [0, 1], np.ones(4)),
+    "train_stump weights": lambda: train_stump(X, VALID, np.ones(3)),
+}
+
 
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_every_reader_rejects_the_same_bad_labels(reader):
@@ -72,6 +82,12 @@ def test_every_reader_rejects_the_same_bad_labels(reader):
             continue
         accepted.append(labels)
     assert accepted == []
+
+
+@pytest.mark.parametrize("call", sorted(MISSHAPED))
+def test_kernels_reject_misshaped_input(call):
+    with pytest.raises(DimensionMismatch, match="shape"):
+        MISSHAPED[call]()
 
 
 @pytest.mark.parametrize(

@@ -214,26 +214,20 @@ class TestTrainEnsemble:
         assert abs(by_name["noise"] - 1 / 3) <= band
         assert by_name["sig"] > 0.8
 
-    def test_deterministic_fingerprint_and_predictions(self, rng):
+    def test_deterministic_model_file_and_predictions(self, tmp_path, rng):
         d = small_dataset(rng)
         spec = ClassifierSpec("logreg", seed=2)
         strategy = EnsembleStrategy("rank_sum", weighted=True)
         e1 = train_ensemble(d, spec, strategy, 3, 9)
         e2 = train_ensemble(d, spec, strategy, 3, 9)
-        assert e1.config_fingerprint == e2.config_fingerprint
+        save_ensemble(e1, str(tmp_path / "1.json"))
+        save_ensemble(e2, str(tmp_path / "2.json"))
+        assert (tmp_path / "1.json").read_bytes() == (tmp_path / "2.json").read_bytes()
         p1 = predict(e1, d)
         p2 = predict(e2, d)
         assert [p.decided for p in p1] == [p.decided for p in p2]
         for a, b in zip(p1, p2):
             np.testing.assert_array_equal(a.scores, b.scores)
-
-    def test_fingerprint_ignores_test_data(self, rng):
-        d = small_dataset(rng)
-        spec = ClassifierSpec("logreg")
-        strategy = EnsembleStrategy("confidence_sum")
-        f1 = train_ensemble(d, spec, strategy, 3, 1).config_fingerprint
-        f2 = train_ensemble(d, spec, strategy, 3, 1).config_fingerprint
-        assert f1 == f2
 
     def test_stacking_meta_present(self, rng):
         d = small_dataset(rng)
@@ -313,7 +307,6 @@ class TestPredict:
             strategy=EnsembleStrategy("confidence_sum", weighted=True),
             meta=None,
             label_space=labels,
-            config_fingerprint="hand-built",
         )
         probe = make_dataset(
             [("a", np.zeros((4, 2))), ("b", np.zeros((4, 2)))], [0, 0, 1, 1], ["x", "y"]
@@ -348,7 +341,7 @@ class TestTrainedEnsembleChecks:
             "a", identity_standardizer(2), ConstantClassifier(self.LABELS, 2, [0.6, 0.4]), 1.0
         )
         meta = None if meta_dim is None else ConstantClassifier(self.LABELS, meta_dim, [0.5, 0.5])
-        return TrainedEnsemble((group,), strategy, meta, self.LABELS, "hand-built")
+        return TrainedEnsemble((group,), strategy, meta, self.LABELS)
 
     def test_stacking_with_a_meta_of_width_g_times_m(self):
         assert self.build(self.STACKING, 2).meta.input_dim == 2
@@ -412,7 +405,6 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_ensemble(e, str(path))
         loaded = load_ensemble(str(path))
-        assert loaded.config_fingerprint == e.config_fingerprint
         probe = small_dataset(np.random.default_rng(123))
         for a, b in zip(predict(e, probe), predict(loaded, probe)):
             np.testing.assert_array_equal(a.scores, b.scores)
@@ -433,6 +425,28 @@ class TestPersistence:
         probe = small_dataset(np.random.default_rng(5))
         for a, b in zip(predict(e, probe), predict(loaded, probe)):
             np.testing.assert_array_equal(a.scores, b.scores)
+
+    def test_file_with_a_config_fingerprint_still_loads(self, tmp_path, rng):
+        # files written before the fingerprint was dropped carry it in the
+        # payload; the loader ignores it
+        d = small_dataset(rng)
+        e = train_ensemble(d, ClassifierSpec("logreg"), EnsembleStrategy("rank_sum"), 3, 0)
+        path = tmp_path / "model.json"
+        save_ensemble(e, str(path))
+        doc = json.loads(path.read_text())
+        assert "config_fingerprint" not in doc["payload"]
+        doc["payload"]["config_fingerprint"] = "0" * 64
+        doc["checksum"] = pipeline._checksum(doc["payload"])
+        path.write_text(json.dumps(doc))
+        old = load_ensemble(str(path))
+        probe = small_dataset(np.random.default_rng(7))
+        for a, b in zip(predict(e, probe), predict(old, probe)):
+            assert a.scores.tobytes() == b.scores.tobytes()
+            assert a.decided == b.decided
+        resaved = tmp_path / "resaved.json"
+        save_ensemble(old, str(resaved))
+        save_ensemble(e, str(path))
+        assert resaved.read_bytes() == path.read_bytes()
 
     def test_truncated_file_is_corrupt(self, tmp_path, rng):
         d = small_dataset(rng)
