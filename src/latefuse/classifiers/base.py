@@ -95,17 +95,13 @@ class FittedClassifier:
     def _proba_matrix(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _check_input(self, x) -> tuple[np.ndarray, bool]:
-        X = np.asarray(x, dtype=np.float64)
-        one_row = X.ndim == 1
-        X = feature_matrix(X[None, :] if one_row else X, "prediction input", self.input_dim)
-        return X, one_row
-
     def predict_proba(self, x) -> np.ndarray:
         """Validated, read-only per-class probabilities; 1-D input gives a
         vector, 2-D a matrix. InvalidProbabilities when the parameters, such
         as huge weights read from a model file, make a row non-finite."""
-        X, one_row = self._check_input(x)
+        X = np.asarray(x, dtype=np.float64)
+        one_row = X.ndim == 1
+        X = feature_matrix(X[None, :] if one_row else X, "prediction input", self.input_dim)
         with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
             P = self._proba_matrix(X)
         P = probability_vector(P)

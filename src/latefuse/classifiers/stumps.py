@@ -72,7 +72,7 @@ def train_stump(
     w = np.asarray(sample_weights, dtype=np.float64)
     if w.shape != y.shape:
         raise DimensionMismatch(f"sample_weights has shape {w.shape}, expected {y.shape}")
-    if np.any(w < 0) or w.sum() <= 0:
+    if not (np.all(w >= 0) and 0 < w.sum() < np.inf):  # False for a NaN too
         raise BadSpec("sample_weights must be nonnegative with positive sum")
     if y.size == 0 or y.min() == y.max():
         raise SingleClassData("stump training needs at least two classes")

@@ -161,11 +161,6 @@ class LinearSvmOvrModel(FittedClassifier):
         self.temperature = float(temperature)
         self.chosen_c = float(chosen_c)
 
-    def decision_function(self, x) -> np.ndarray:
-        X, one_row = self._check_input(x)
-        margins = _ovr_margins(self.hyperplanes, X)
-        return margins[0] if one_row else margins
-
     def _proba_matrix(self, X: np.ndarray) -> np.ndarray:
         return softmax(_ovr_margins(self.hyperplanes, X) / self.temperature)
 

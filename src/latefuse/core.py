@@ -23,10 +23,10 @@ from .errors import (
     BadSpec,
     DimensionMismatch,
     EmptyClass,
-    InsufficientClassPopulation,
     InvalidProbabilities,
     MisalignedGroup,
     NonFiniteFeature,
+    TooFewSamplesPerClass,
     UnknownLabel,
 )
 
@@ -261,11 +261,12 @@ class MultiViewDataset:
         )
 
     def take(self, indices) -> "MultiViewDataset":
-        """Row subset by index, preserving group alignment: a flat list of
-        integers in [0, n), UnknownLabel naming the first that is not."""
+        """Row subset by index, preserving group alignment: integers in
+        [0, n) (UnknownLabel naming the first that is not) in a flat list
+        (DimensionMismatch otherwise)."""
         idx = class_indices(indices, "row", self.n)
         if idx.ndim != 1:
-            raise UnknownLabel(f"row indices must be a flat list, got shape {idx.shape}")
+            raise DimensionMismatch(f"row indices must be a flat list, got shape {idx.shape}")
         return MultiViewDataset(
             label_space=self.label_space,
             labels=self.labels[idx],
@@ -298,7 +299,7 @@ def stratified_split(
     # every class of a dataset has a sample, so class c is entry c
     for name, picked in zip(d.label_space.class_names, shuffled_classes(d.labels, rng)):
         if len(picked) < need:
-            raise InsufficientClassPopulation(
+            raise TooFewSamplesPerClass(
                 f"class {name!r} has {len(picked)} samples, split needs {need}"
             )
         train_idx.append(picked[: spec.train_per_class])
@@ -322,15 +323,25 @@ class Standardizer:
     """Per-column z-score statistics learned from training data.
 
     Columns whose training stddev is below DEGENERATE_STD map to all zeros so
-    constant features cannot blow up downstream classifiers.
+    constant features cannot blow up downstream classifiers. ``mean`` and
+    ``scale`` are finite 1-D arrays of one length; BadSpec naming the field
+    otherwise.
     """
 
     mean: np.ndarray
     scale: np.ndarray  # 1/std for live columns, 0 for degenerate ones
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", frozen_array(self.mean))
-        object.__setattr__(self, "scale", frozen_array(self.scale))
+        mean, scale = frozen_array(self.mean), frozen_array(self.scale)
+        if mean.ndim != 1:
+            raise BadSpec(f"mean has shape {mean.shape}, expected a flat array")
+        if scale.shape != mean.shape:
+            raise BadSpec(f"scale has shape {scale.shape}, expected {mean.shape} as mean has")
+        for name, a in (("mean", mean), ("scale", scale)):
+            if not np.all(np.isfinite(a)):
+                raise BadSpec(f"{name} has non-finite entries")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "scale", scale)
 
     @property
     def dim(self) -> int:
@@ -338,10 +349,17 @@ class Standardizer:
 
 
 def standardize_fit(train_features: np.ndarray) -> Standardizer:
-    X = np.asarray(train_features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 2:
+    """Statistics of ``train_features``, checked by ``feature_matrix`` as
+    any features are; BadSpec unless it has >= 2 rows, and NonFiniteFeature
+    for a column whose finite values sum beyond the float range."""
+    X = feature_matrix(train_features, "train_features")
+    if X.shape[0] < 2:
         raise BadSpec("train_features must be a 2-D matrix with >= 2 rows")
-    mean = X.mean(axis=0)
+    with np.errstate(over="ignore"):  # reported below
+        mean = X.mean(axis=0)
+    if not np.all(np.isfinite(mean)):
+        col = int(np.argmin(np.isfinite(mean)))
+        raise NonFiniteFeature(f"train_features column {col} has a mean beyond the float range")
     std = X.std(axis=0)
     scale = np.where(std < DEGENERATE_STD, 0.0, 1.0 / np.where(std == 0, 1.0, std))
     return Standardizer(mean=mean, scale=scale)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import classifiers
 from .core import LabelSpace, class_indices, feature_matrix, fold_assignments, frozen_array, integer
-from .errors import BadK, BadSpec, LengthMismatch, TooFewSamplesPerClass
+from .errors import DimensionMismatch, TooFewSamplesPerClass
 
 
 @dataclass(frozen=True)
@@ -38,13 +38,10 @@ class FoldPlan:
 
 
 def make_folds(y, k: int, seed: int) -> FoldPlan:
-    """Deterministic stratified fold assignment from the seed. Raises BadK
-    unless ``k`` is an integer >= 2, BadSpec unless ``seed`` is an integer
-    >= 0, and UnknownLabel unless ``y`` holds class indices."""
-    try:
-        k = integer(k, "k", 2)
-    except BadSpec as exc:
-        raise BadK(str(exc)) from None
+    """Deterministic stratified fold assignment from the seed. Raises BadSpec
+    unless ``k`` is an integer >= 2 and ``seed`` an integer >= 0, and
+    UnknownLabel unless ``y`` holds class indices."""
+    k = integer(k, "k", 2)
     seed = integer(seed, "seed", 0)
     y = class_indices(y, "label")
     for c, count in zip(*np.unique(y, return_counts=True)):
@@ -69,7 +66,7 @@ def group_priority(
     X = feature_matrix(X, "X")
     y = class_indices(y, "label", labels.m)
     if len(y) != plan.n:
-        raise LengthMismatch(
+        raise DimensionMismatch(
             f"fold plan covers {plan.n} samples, labels have {len(y)}"
         )
     oof = np.zeros((len(y), labels.m))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import classifiers
 from .core import LabelSpace, real
-from .errors import AllZeroPriorities, BadSpec, EmptyEnsemble, InvalidProbabilities
+from .errors import AllZeroPriorities, BadSpec, DimensionMismatch, EmptyEnsemble, InvalidProbabilities
 
 STRATEGY_KINDS = ("confidence_sum", "rank_sum", "stacking")
 STACKING_MODES = ("naive", "out_of_fold")
@@ -104,14 +104,15 @@ def _positions(p: np.ndarray) -> np.ndarray:
 
 
 def _first_layer(probs: Sequence, what: str) -> list[np.ndarray]:
-    """The groups' outputs as float64 arrays, all of the first one's shape;
-    EmptyEnsemble (naming ``what`` when there are none) otherwise."""
+    """The groups' outputs as float64 arrays, all of the first one's shape:
+    EmptyEnsemble naming ``what`` when there are none, DimensionMismatch
+    when the shapes disagree."""
     if len(probs) == 0:
         raise EmptyEnsemble(f"no {what}")
     mats = [np.asarray(p, dtype=np.float64) for p in probs]
     for mat in mats[1:]:
         if mat.shape != mats[0].shape:
-            raise EmptyEnsemble(f"first-layer output shapes disagree: {mats[0].shape}, {mat.shape}")
+            raise DimensionMismatch(f"first-layer output shapes disagree: {mats[0].shape}, {mat.shape}")
     return mats
 
 
@@ -120,7 +121,7 @@ def _combine(vectors_fn, probs: Sequence, priorities, weighted: bool) -> np.ndar
     if weighted:
         w = [real(v, "priorities value") for v in priorities]
         if len(w) != len(probs):
-            raise EmptyEnsemble(
+            raise DimensionMismatch(
                 f"{len(probs)} probability vectors but {len(w)} priorities"
             )
         if any(v < 0 for v in w):

@@ -13,7 +13,7 @@ class LateFuseError(Exception):
 
 
 class DataError(LateFuseError):
-    """A dataset, file, or model artifact is unusable."""
+    """A dataset, file, or model artifact is unreadable or unusable."""
 
 
 class ConfigError(LateFuseError):
@@ -38,12 +38,9 @@ class EmptyClass(DataError):
     """A class in the label space has no samples."""
 
 
-class InsufficientClassPopulation(DataError):
-    """A class is too small for the requested split."""
-
-
 class DimensionMismatch(DataError):
-    """Input width does not match what a fitted object expects."""
+    """Arrays that must agree in shape do not: an input of the wrong rank or
+    width, or inputs of unequal length."""
 
 
 class InvalidProbabilities(DataError, ValueError):
@@ -67,11 +64,7 @@ class SingleClassData(DataError):
 
 
 class TooFewSamplesPerClass(DataError):
-    """A class has fewer samples than the requested fold count."""
-
-
-class BadK(BadSpec):
-    """Fold count must be an integer >= 2."""
+    """A class has fewer samples than the requested folds or split need."""
 
 
 # --- ensemble -------------------------------------------------------------
@@ -92,17 +85,7 @@ class UnknownGroupName(ConfigError):
     """A subset plan names a group the dataset does not have."""
 
 
-# --- evaluation -----------------------------------------------------------
-
-class LengthMismatch(DataError):
-    """Predictions and ground truth have different lengths."""
-
-
 # --- persistence ----------------------------------------------------------
-
-class IoFailure(DataError):
-    """Reading or writing a model file failed."""
-
 
 class VersionMismatch(DataError):
     """Model file format version is not supported."""

@@ -12,7 +12,7 @@ from .core import MultiViewDataset, class_indices, integer
 # Not called here; kept as module attributes because the traced benchmark
 # (perfbench/spans.py) wraps them by name.
 from .core import standardize_apply, standardize_fit  # noqa: F401
-from .errors import BadSpec, LengthMismatch, UnknownGroupName
+from .errors import BadSpec, DimensionMismatch, UnknownGroupName
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def evaluate(preds, truth, m: Optional[int] = None) -> EvaluationReport:
     )
     truth = class_indices(truth, "true class", m)
     if truth.ndim != 1 or decided.shape != truth.shape:
-        raise LengthMismatch(
+        raise DimensionMismatch(
             f"predictions of shape {decided.shape} for ground truth of shape {truth.shape}"
         )
     if m is None:

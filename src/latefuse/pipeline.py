@@ -35,8 +35,8 @@ from .core import (
 from .errors import (
     BadSpec,
     CorruptModel,
+    DataError,
     GroupSchemaMismatch,
-    IoFailure,
     MisalignedGroup,
     VersionMismatch,
 )
@@ -302,7 +302,7 @@ def save_ensemble(e: TrainedEnsemble, path: str) -> None:
             json.dump(document, fh)
         os.replace(tmp, path)
     except OSError as exc:
-        raise IoFailure(f"cannot write model file {path!r}: {exc}") from exc
+        raise DataError(f"cannot write model file {path!r}: {exc}") from exc
 
 
 def load_ensemble(path: str) -> TrainedEnsemble:
@@ -310,7 +310,7 @@ def load_ensemble(path: str) -> TrainedEnsemble:
         with open(path, "r") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise IoFailure(f"cannot read model file {path!r}: {exc}") from exc
+        raise DataError(f"cannot read model file {path!r}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CorruptModel(f"model file {path!r} is not UTF-8 text: {exc}") from exc
     try:

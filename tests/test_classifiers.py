@@ -283,7 +283,8 @@ class TestLinearSvm:
         X, y = gaussian_blobs(rng, 30, [[0, 0], [5, 0], [0, 5]])
         model = train(ClassifierSpec("linear_svm_ovr", seed=1), X, y, LABELS3)
         probe = rng.standard_normal((50, 2)) * 4
-        margins = model.decision_function(probe)
+        # each hyperplane row is the class's weights, then its intercept
+        margins = probe @ model.hyperplanes[:, :-1].T + model.hyperplanes[:, -1]
         np.testing.assert_array_equal(
             np.argmax(margins, axis=1), np.argmax(model.predict_proba(probe), axis=1)
         )

@@ -17,10 +17,10 @@ from latefuse.errors import (
     BadSpec,
     DimensionMismatch,
     EmptyClass,
-    InsufficientClassPopulation,
     InvalidProbabilities,
     MisalignedGroup,
     NonFiniteFeature,
+    TooFewSamplesPerClass,
     UnknownLabel,
 )
 
@@ -163,7 +163,7 @@ class TestStratifiedSplit:
         X = rng.standard_normal((150, 2))
         y = np.array([0] * 100 + [1] * 50)
         d = make_dataset([("g", X)], y, class_names=["big", "small"])
-        with pytest.raises(InsufficientClassPopulation, match="'small'"):
+        with pytest.raises(TooFewSamplesPerClass, match="class 'small' has 50 samples, split needs 100"):
             stratified_split(d, SplitSpec(80, 20, seed=0))
 
     def test_deterministic(self, rng):
@@ -236,6 +236,28 @@ class TestStandardizer:
     def test_needs_two_rows(self):
         with pytest.raises(BadSpec, match="train_features"):
             standardize_fit(np.ones((1, 3)))
+
+    def test_fit_reads_features_as_a_group_does(self):
+        with pytest.raises(NonFiniteFeature, match="train_features at row 0, col 0"):
+            standardize_fit([[np.nan, 1.0], [2.0, 3.0], [1.0, 1.0]])
+        with pytest.raises(DimensionMismatch, match="train_features must be a 2-D matrix"):
+            standardize_fit(np.ones(3))
+        with pytest.raises(NonFiniteFeature, match="column 1 has a mean beyond the float range"):
+            standardize_fit([[0.0, 1.7e308], [1.0, 1.7e308], [2.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "mean,scale,message",
+        [
+            ([0.0, 0.0], [2.0], r"scale has shape \(1,\), expected \(2,\)"),
+            ([[0.0, 0.0]], [[1.0, 1.0]], r"mean has shape \(1, 2\), expected a flat array"),
+            ([np.nan, 0.0], [1.0, 1.0], "mean has non-finite entries"),
+            ([0.0, 0.0], [1.0, np.inf], "scale has non-finite entries"),
+        ],
+        ids=["short_scale", "matrix", "nan_mean", "inf_scale"],
+    )
+    def test_standardizer_checks_its_fields(self, mean, scale, message):
+        with pytest.raises(BadSpec, match=message):
+            Standardizer(mean=mean, scale=scale)
 
 
 class TestProbabilityVector:

@@ -5,7 +5,7 @@ from latefuse import classifiers, pipeline
 from latefuse.classifiers import ClassifierSpec
 from latefuse.core import LabelSpace, standardize_fit
 from latefuse.crossval import group_priority, make_folds
-from latefuse.errors import BadK, BadSpec, LengthMismatch, TooFewSamplesPerClass
+from latefuse.errors import BadSpec, DimensionMismatch, TooFewSamplesPerClass
 
 from conftest import cross_val_accuracy, gaussian_blobs
 
@@ -40,7 +40,7 @@ class TestMakeFolds:
             make_folds(y, 7, seed=0)
 
     def test_bad_k(self):
-        with pytest.raises(BadK):
+        with pytest.raises(BadSpec, match="k must be >= 2, got 1"):
             make_folds(np.array([0, 1, 0, 1]), 1, seed=0)
 
     def test_deterministic(self):
@@ -116,7 +116,7 @@ class TestCrossValAccuracy:
     def test_plan_must_cover_the_labels(self, rng):
         X, y = gaussian_blobs(rng, 6, [[0, 0], [2, 2]])
         plan = make_folds(y[:-2], 3, seed=0)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch, match="fold plan covers 10 samples, labels have 12"):
             group_priority(ClassifierSpec("logreg"), X, y, LabelSpace(("a", "b")), plan)
 
 

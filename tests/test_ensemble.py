@@ -16,7 +16,13 @@ from latefuse.ensemble import (
     stack_meta_features,
     train_stacking,
 )
-from latefuse.errors import AllZeroPriorities, BadSpec, EmptyEnsemble, InvalidProbabilities
+from latefuse.errors import (
+    AllZeroPriorities,
+    BadSpec,
+    DimensionMismatch,
+    EmptyEnsemble,
+    InvalidProbabilities,
+)
 
 
 # --- independent straightforward reimplementation (oracle) -----------------
@@ -128,8 +134,13 @@ class TestConfidenceSum:
             confidence_sum([np.array([0.5, 0.5])], [0.0], True)
 
     def test_empty_ensemble(self):
-        with pytest.raises(EmptyEnsemble):
+        with pytest.raises(EmptyEnsemble, match="no classifier outputs to combine"):
             confidence_sum([], [], False)
+
+    @pytest.mark.parametrize("fuse", [confidence_sum, rank_sum])
+    def test_one_priority_per_group(self, fuse):
+        with pytest.raises(DimensionMismatch, match="2 probability vectors but 3 priorities"):
+            fuse([np.array([0.5, 0.5])] * 2, [0.5, 0.5, 0.5], True)
 
     @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
     def test_negative_or_non_finite_priority_rejected(self, bad):

@@ -4,7 +4,7 @@ import pytest
 from latefuse.classifiers import ClassifierSpec
 from latefuse.ensemble import EnsembleStrategy
 from latefuse.pipeline import predict, train_ensemble
-from latefuse.errors import BadSpec, LengthMismatch, UnknownGroupName, UnknownLabel
+from latefuse.errors import BadSpec, DimensionMismatch, UnknownGroupName, UnknownLabel
 from latefuse.evaluation import (
     AblationReport,
     ablate,
@@ -56,7 +56,7 @@ class TestEvaluate:
         np.testing.assert_array_equal(rep.confusion, [[1, 1], [0, 2]])
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch, match=r"shape \(2,\) for ground truth of shape \(3,\)"):
             evaluate([0, 1], [0, 1, 0])
 
     @pytest.mark.parametrize(

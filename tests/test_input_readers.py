@@ -13,9 +13,7 @@ from latefuse.ensemble import confidence_sum, rank_sum, stack_meta_features
 from latefuse.errors import (
     BadSpec,
     DimensionMismatch,
-    EmptyEnsemble,
     GroupSchemaMismatch,
-    LengthMismatch,
     MisalignedGroup,
     NonFiniteFeature,
     UnknownLabel,
@@ -69,6 +67,21 @@ MISSHAPED = {
     "train_stump weights": lambda: train_stump(X, VALID, np.ones(3)),
 }
 
+# the exported kernels, called directly with a weight or setting that is not
+# finite or is out of range, and the field the error must name
+BAD_VALUES = {
+    "train_stump nan weight": (lambda: train_stump(X, VALID, [np.nan] + [1.0] * 7), "sample_weights"),
+    "train_stump inf weight": (lambda: train_stump(X, VALID, [np.inf] + [1.0] * 7), "sample_weights"),
+    "train_stump negative weight": (lambda: train_stump(X, VALID, [-1.0] + [1.0] * 7), "sample_weights"),
+    "train_stump zero weights": (lambda: train_stump(X, VALID, np.zeros(8)), "sample_weights"),
+    "logreg_loss_grad nan W": (lambda: logreg_loss_grad(np.full((2, 2), np.nan), X, VALID, 0.0), "W"),
+    "logreg_loss_grad inf W": (lambda: logreg_loss_grad(np.full((2, 2), np.inf), X, VALID, 0.0), "W"),
+    "logreg_loss_grad nan lam": (lambda: logreg_loss_grad(np.zeros((2, 2)), X, VALID, np.nan), "lam"),
+    "logreg_loss_grad inf lam": (lambda: logreg_loss_grad(np.zeros((2, 2)), X, VALID, np.inf), "lam"),
+    "logreg_loss_grad negative lam": (lambda: logreg_loss_grad(np.zeros((2, 2)), X, VALID, -0.1), "lam"),
+    "logreg_loss_grad bool lam": (lambda: logreg_loss_grad(np.zeros((2, 2)), X, VALID, True), "lam"),
+}
+
 
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_every_reader_rejects_the_same_bad_labels(reader):
@@ -90,20 +103,27 @@ def test_kernels_reject_misshaped_input(call):
         MISSHAPED[call]()
 
 
+@pytest.mark.parametrize("call", sorted(BAD_VALUES))
+def test_kernels_reject_bad_weights_and_settings(call):
+    run, field = BAD_VALUES[call]
+    with pytest.raises(BadSpec, match=f"^{field} "):
+        run()
+
+
 @pytest.mark.parametrize(
-    "indices,message",
+    "indices,error,message",
     [
-        ([0.7, 3.2, 1.0, 5.9], "row indices must be integers, got float64 entry 0.7"),
-        ([-1, 0, 1, 2], r"row index -1 outside \[0, 6\)"),
-        ([0, 1, 6], r"row index 6 outside \[0, 6\)"),
-        ([[0, 1]], r"row indices must be a flat list, got shape \(1, 2\)"),
+        ([0.7, 3.2, 1.0, 5.9], UnknownLabel, "row indices must be integers, got float64 entry 0.7"),
+        ([-1, 0, 1, 2], UnknownLabel, r"row index -1 outside \[0, 6\)"),
+        ([0, 1, 6], UnknownLabel, r"row index 6 outside \[0, 6\)"),
+        ([[0, 1]], DimensionMismatch, r"row indices must be a flat list, got shape \(1, 2\)"),
     ],
     ids=["float", "negative", "past_n", "nested"],
 )
-def test_take_reads_row_indices_in_range(indices, message):
+def test_take_reads_row_indices_in_range(indices, error, message):
     d = MultiViewDataset(SPACE, VALID[2:], (GroupView("a", X[2:]),), tuple("abcdef"))
     assert d.take([5, 0]).sample_ids == ("f", "a")
-    with pytest.raises(UnknownLabel, match=message):
+    with pytest.raises(error, match=message):
         d.take(indices)
 
 
@@ -118,7 +138,7 @@ def test_take_reads_row_indices_in_range(indices, message):
 )
 def test_fusion_rejects_group_outputs_of_another_shape(fuse):
     one, five = np.full((1, 2), 0.5), np.full((5, 2), 0.5)
-    with pytest.raises(EmptyEnsemble, match=r"output shapes disagree: \(1, 2\), \(5, 2\)"):
+    with pytest.raises(DimensionMismatch, match=r"output shapes disagree: \(1, 2\), \(5, 2\)"):
         fuse([one, five])
 
 
@@ -147,7 +167,7 @@ def test_dataset_labels_of_the_wrong_shape_rejected():
 
 
 def test_evaluate_rejects_label_matrices():
-    with pytest.raises(LengthMismatch, match=r"shape \(1, 2\)"):
+    with pytest.raises(DimensionMismatch, match=r"shape \(1, 2\)"):
         evaluate([[0, 1]], [[0, 1]])
 
 

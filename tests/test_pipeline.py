@@ -11,6 +11,7 @@ from latefuse.ensemble import EnsembleStrategy
 from latefuse.errors import (
     BadSpec,
     CorruptModel,
+    DataError,
     GroupSchemaMismatch,
     MisalignedGroup,
     VersionMismatch,
@@ -457,6 +458,14 @@ class TestPersistence:
         path.write_text(blob[: len(blob) // 2])
         with pytest.raises(CorruptModel):
             load_ensemble(str(path))
+
+    def test_unreadable_or_unwritable_file_is_a_data_error(self, tmp_path, rng):
+        d = small_dataset(rng)
+        e = train_ensemble(d, ClassifierSpec("logreg"), EnsembleStrategy("confidence_sum"), 3, 0)
+        with pytest.raises(DataError, match="cannot write model file .*No such file"):
+            save_ensemble(e, str(tmp_path / "missing" / "model.json"))
+        with pytest.raises(DataError, match="cannot read model file .*No such file"):
+            load_ensemble(str(tmp_path / "model.json"))
 
     def test_tampered_payload_fails_checksum(self, tmp_path, rng):
         d = small_dataset(rng)
