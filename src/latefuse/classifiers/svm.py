@@ -6,9 +6,12 @@ method for fast solution of large scale linear SVMs"): every step solves one
 (d+1)x(d+1) system in the generalized Hessian over the rows with margin < 1
 and backtracks until the Armijo condition holds, so the objective decreases
 strictly over accepted steps. The m margin values are mapped to
-probabilities through softmax(margins / temperature); the temperature is
-fitted by minimizing negative log-likelihood on a stratified 20% calibration
-slice that the hyperplanes never saw. The regularization constant is chosen
+probabilities through softmax(margins / temperature); the temperature
+minimizes negative log-likelihood on a stratified 20% calibration slice that
+the hyperplanes never saw (Guo et al. 2017). That loss is convex in
+1/temperature, so its slope in 1/temperature never decreases: bisection of
+log(temperature) on [-6, 6] keeps the half across which the slope changes
+sign, down to a bracket 1e-6 wide. The regularization constant is chosen
 from ``spec.c_grid`` by internal 3-fold cross-validation on argmax accuracy
 (calibration cannot change the argmax, so accuracy of raw margins is the
 same as accuracy of calibrated probabilities).
@@ -17,7 +20,6 @@ same as accuracy of calibrated probabilities).
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ..core import LabelSpace, fold_assignments, frozen_array, persisted_array, real
 from ..core import shuffled_classes
@@ -27,6 +29,8 @@ from .logreg import softmax
 
 NEWTON_MAX_STEPS = 50
 GRAD_TOL = 1e-8  # stop once ||gradient|| <= GRAD_TOL * ||gradient at zero||
+LOG_T_BOUNDS = (-6.0, 6.0)  # the calibrated temperature lies in [e^-6, e^6]
+LOG_T_TOL = 1e-6  # bisection stops once the log-temperature bracket is this wide
 
 
 def svm_objective(w: np.ndarray, margins: np.ndarray, c: float) -> float:
@@ -121,22 +125,20 @@ def _stratified_indices(y: np.ndarray, fraction: float, rng) -> np.ndarray:
     return np.sort(np.concatenate(held))
 
 
-def _nll_of_temperature(log_t: float, margins: np.ndarray, y: np.ndarray) -> float:
-    t = float(np.exp(log_t))
-    P = softmax(margins / t)
-    picked = np.clip(P[np.arange(len(y)), y], 1e-300, None)
-    return -float(np.log(picked).mean())
-
-
 def _fit_temperature(margins: np.ndarray, y: np.ndarray) -> float:
-    res = minimize_scalar(
-        _nll_of_temperature,
-        bounds=(-6.0, 6.0),
-        args=(margins, y),
-        method="bounded",
-        options={"xatol": 1e-6},
-    )
-    return float(np.exp(res.x))
+    """The temperature T in exp(LOG_T_BOUNDS) that minimizes the mean
+    negative log-likelihood of softmax(margins / T) at the labels ``y``.
+    With gaps z_ik = margins_ik - margins_iy, that loss is convex in 1/T with
+    slope mean_i(sum_k p_ik z_ik): a positive slope means T must rise."""
+    gaps = margins - margins[np.arange(len(y)), y][:, None]
+    lo, hi = LOG_T_BOUNDS
+    while hi - lo > LOG_T_TOL:
+        mid = 0.5 * (lo + hi)
+        if np.einsum("ik,ik->", softmax(gaps / np.exp(mid)), gaps) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return float(np.exp(0.5 * (lo + hi)))
 
 
 def _cv_accuracy(X, y, m, c, k, rng) -> float:

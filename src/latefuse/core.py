@@ -68,7 +68,7 @@ def frozen_array(values, dtype=np.float64) -> np.ndarray:
     """``values`` as a read-only contiguous ``dtype`` array: how datasets, fold
     plans and fitted models hold arrays. A read-only array of that kind is
     shared; a writeable one is copied, so the caller's array stays writeable."""
-    a = np.ascontiguousarray(values, dtype=dtype)
+    a = np.asarray(values, dtype=dtype, order="C")
     if a is values and a.flags.writeable:
         a = a.copy()
     a.setflags(write=False)
@@ -348,19 +348,21 @@ class Standardizer:
         return self.mean.shape[0]
 
 
-def standardize_fit(train_features: np.ndarray) -> Standardizer:
+def standardize_fit(train_features: np.ndarray, what: str = "train_features") -> Standardizer:
     """Statistics of ``train_features``, checked by ``feature_matrix`` as
     any features are; BadSpec unless it has >= 2 rows, and NonFiniteFeature
-    for a column whose finite values sum beyond the float range."""
-    X = feature_matrix(train_features, "train_features")
+    for a column whose finite values have a mean or variance beyond the
+    float range. Messages name the input ``what``, such as "group 'color'"."""
+    X = feature_matrix(train_features, what)
     if X.shape[0] < 2:
-        raise BadSpec("train_features must be a 2-D matrix with >= 2 rows")
+        raise BadSpec(f"{what} must be a 2-D matrix with >= 2 rows")
     with np.errstate(over="ignore"):  # reported below
         mean = X.mean(axis=0)
-    if not np.all(np.isfinite(mean)):
-        col = int(np.argmin(np.isfinite(mean)))
-        raise NonFiniteFeature(f"train_features column {col} has a mean beyond the float range")
-    std = X.std(axis=0)
+        std = X.std(axis=0)
+    for stat, values in (("mean", mean), ("variance", std)):
+        if not np.all(np.isfinite(values)):
+            col = int(np.argmin(np.isfinite(values)))
+            raise NonFiniteFeature(f"{what} column {col} has a {stat} beyond the float range")
     scale = np.where(std < DEGENERATE_STD, 0.0, 1.0 / np.where(std == 0, 1.0, std))
     return Standardizer(mean=mean, scale=scale)
 

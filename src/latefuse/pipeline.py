@@ -119,7 +119,7 @@ def fit_groups(
     plan = crossval.make_folds(y, k, seed)
     fits = []
     for g in train.groups:
-        s = standardize_fit(g.features)
+        s = standardize_fit(g.features, f"group {g.name!r}")
         X = standardize_apply(s, g.features)
         model = classifiers.train(spec, X, y, labels)
         priority, oof = crossval.group_priority(spec, X, y, labels, plan)
@@ -219,10 +219,6 @@ class ConcatBaseline:
     standardizers: tuple[Standardizer, ...]
     classifier: classifiers.FittedClassifier
 
-    def predict_proba(self, test: MultiViewDataset) -> np.ndarray:
-        X = _concat(self.group_names, self.standardizers, test.groups)
-        return self.classifier.predict_proba(X)
-
     def predict(self, test: MultiViewDataset) -> np.ndarray:
         X = _concat(self.group_names, self.standardizers, test.groups)
         return self.classifier.predict(X)
@@ -241,7 +237,7 @@ def train_concat_baseline(
 ) -> ConcatBaseline:
     """The classical alternative to late fusion: concatenate all groups
     horizontally (after per-group standardization) and train one classifier."""
-    standardizers = tuple(standardize_fit(g.features) for g in train.groups)
+    standardizers = tuple(standardize_fit(g.features, f"group {g.name!r}") for g in train.groups)
     X = _concat(train.group_names, standardizers, train.groups)
     model = classifiers.train(spec, X, train.labels, train.label_space)
     return ConcatBaseline(

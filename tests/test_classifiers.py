@@ -302,6 +302,34 @@ class TestLinearSvm:
         model = train(ClassifierSpec("linear_svm_ovr", seed=0), X, y, LABELS2)
         assert model.chosen_c in (0.1, 1.0, 10.0)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_temperature_minimizes_calibration_nll(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = 60, 4
+        y = rng.integers(0, m, n)
+        # noisy margins with some signal: the best temperature is inside the
+        # bounds, where no grid point can beat a bracket 1e-6 wide
+        margins = rng.standard_normal((n, m)) * rng.uniform(1, 3)
+        margins[np.arange(n), y] += rng.uniform(1, 2)
+
+        def nll(log_t):
+            z = margins / np.exp(log_t)
+            top = z.max(axis=1)
+            log_norm = top + np.log(np.exp(z - top[:, None]).sum(axis=1))
+            return float(np.mean(log_norm - z[np.arange(n), y]))
+
+        log_t = np.log(svm._fit_temperature(margins, y))
+        assert -5 < log_t < 5
+        # a 2,001-point grid, and log-temperatures 1e-5 either side of the fit
+        tries = np.append(np.linspace(-6, 6, 2001), log_t + np.array([-1e-5, 1e-5]))
+        assert nll(log_t) <= min(nll(t) for t in tries) + 1e-12
+
+    def test_separable_calibration_slice_takes_the_lowest_temperature(self):
+        y = np.array([0, 1, 2, 1])
+        margins = np.where(np.eye(3)[y] == 1, 1.0, -1.0)
+        t = svm._fit_temperature(margins, y)
+        assert abs(np.log(t) - svm.LOG_T_BOUNDS[0]) <= svm.LOG_T_TOL
+
 
 def counted(fn, calls):
     """``fn``, appending its arguments to ``calls`` on every call."""

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import latefuse
 from latefuse import pipeline
 from latefuse.cli import main
 
@@ -122,6 +125,17 @@ def tiny_config(tmp_path, labels, classifier=None, k=2):
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    # a fresh interpreter: the test suite itself imports scipy as an oracle
+    src = os.path.dirname(os.path.dirname(latefuse.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, latefuse, latefuse.cli; print([m for m in sys.modules if 'scipy' in m])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestTrainPredictEvaluate:
@@ -294,6 +308,17 @@ class TestTrainPredictEvaluate:
         cfg = tiny_config(tmp_path, ["x"] * 4)
         assert main(["train", "--config", str(cfg)]) == 1
         assert str(tmp_path / "labels.csv") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("signs,stat", [((1, 1), "mean"), ((1, -1), "variance")])
+    def test_feature_overflowing_its_statistics_exit_1(self, tmp_path, capsys, signs, stat):
+        cfg = tiny_config(tmp_path, ["x", "y", "x", "y"])
+        (tmp_path / "g.csv").write_text("sample_id,f0,f1\n" + "".join(
+            f"s{i},{signs[i % 2] * 1.7e308!r},{i}\n" for i in range(4)
+        ))
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"group 'g' column 0 has a {stat} beyond the float range" in err
+        assert not (tmp_path / "model.json").exists()
 
     def test_single_class_evaluate_exit_1(self, tmp_path, capsys):
         labels = tmp_path / "labels.csv"

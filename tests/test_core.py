@@ -244,6 +244,10 @@ class TestStandardizer:
             standardize_fit(np.ones(3))
         with pytest.raises(NonFiniteFeature, match="column 1 has a mean beyond the float range"):
             standardize_fit([[0.0, 1.7e308], [1.0, 1.7e308], [2.0, 0.0]])
+        with pytest.raises(NonFiniteFeature, match="column 0 has a variance beyond the float"):
+            standardize_fit([[1.7e308, 0.0], [-1.7e308, 1.0], [1.0, 2.0]])
+        with pytest.raises(NonFiniteFeature, match="^group 'a' column 0 has a mean beyond"):
+            standardize_fit([[1.7e308], [1.7e308]], "group 'a'")
 
     @pytest.mark.parametrize(
         "mean,scale,message",
@@ -252,8 +256,9 @@ class TestStandardizer:
             ([[0.0, 0.0]], [[1.0, 1.0]], r"mean has shape \(1, 2\), expected a flat array"),
             ([np.nan, 0.0], [1.0, 1.0], "mean has non-finite entries"),
             ([0.0, 0.0], [1.0, np.inf], "scale has non-finite entries"),
+            (0.0, 1.0, r"mean has shape \(\), expected a flat array"),
         ],
-        ids=["short_scale", "matrix", "nan_mean", "inf_scale"],
+        ids=["short_scale", "matrix", "nan_mean", "inf_scale", "scalar"],
     )
     def test_standardizer_checks_its_fields(self, mean, scale, message):
         with pytest.raises(BadSpec, match=message):

@@ -14,6 +14,7 @@ from latefuse.errors import (
     DataError,
     GroupSchemaMismatch,
     MisalignedGroup,
+    NonFiniteFeature,
     VersionMismatch,
 )
 from latefuse.pipeline import (
@@ -386,6 +387,21 @@ class TestConcatBaseline:
         baseline = train_concat_baseline(d, ClassifierSpec("logreg"))
         with pytest.raises(GroupSchemaMismatch):
             baseline.predict(d.subset_groups(["sig"]))
+
+
+@pytest.mark.parametrize(
+    "train",
+    [
+        lambda d: train_ensemble(d, ClassifierSpec("logreg"), EnsembleStrategy("rank_sum"), 2),
+        lambda d: train_concat_baseline(d, ClassifierSpec("logreg")),
+    ],
+    ids=["ensemble", "concat_baseline"],
+)
+def test_overflowing_statistics_name_the_group(rng, train):
+    wide = np.tile([[1.7e308], [-1.7e308]], (6, 1))
+    d = make_dataset([("ok", rng.standard_normal((12, 2))), ("wide", wide)], np.tile([0, 1], 6))
+    with pytest.raises(NonFiniteFeature, match="^group 'wide' column 0 has a variance beyond"):
+        train(d)
 
 
 class TestPersistence:
