@@ -2,12 +2,12 @@
 
 from ..core import LabelSpace
 from ..errors import BadSpec
-from .adaboost import AdaBoostModel, round_weight, train_adaboost
-from .base import KINDS, ClassifierSpec, FittedClassifier, check_training_data
+from .adaboost import AdaBoostModel, train_adaboost
+from .base import KINDS, ClassifierSpec, FittedClassifier
 from .forest import RandomForestModel, train_random_forest
-from .logreg import LogisticModel, logreg_loss_grad, softmax, train_logreg
-from .stumps import DecisionStump, stump_weighted_error, train_stump
-from .svm import LinearSvmOvrModel, svm_objective, train_binary_svm, train_linear_svm_ovr
+from .logreg import LogisticModel, logreg_loss_grad, train_logreg
+from .stumps import train_stump
+from .svm import LinearSvmOvrModel, train_linear_svm_ovr
 
 # per kind: its trainer and the class of the model that trainer fits
 _KINDS = {
@@ -40,23 +40,12 @@ __all__ = [
     "KINDS",
     "ClassifierSpec",
     "FittedClassifier",
-    "DecisionStump",
     "LogisticModel",
     "LinearSvmOvrModel",
     "AdaBoostModel",
     "RandomForestModel",
     "train",
-    "train_logreg",
-    "train_linear_svm_ovr",
-    "train_adaboost",
-    "train_random_forest",
-    "train_stump",
-    "train_binary_svm",
-    "stump_weighted_error",
-    "svm_objective",
-    "round_weight",
-    "softmax",
-    "logreg_loss_grad",
-    "check_training_data",
     "model_from_state",
+    "train_stump",
+    "logreg_loss_grad",
 ]

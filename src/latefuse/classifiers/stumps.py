@@ -109,8 +109,3 @@ def train_stump(
     _, f, i, lc, rc = best
     return DecisionStump(f, float(0.5 * (xs[i, f] + xs[i + 1, f])), lc, rc)
 
-
-def stump_weighted_error(stump: DecisionStump, X, y, w) -> float:
-    pred = stump.predict(np.asarray(X, dtype=np.float64))
-    w = np.asarray(w, dtype=np.float64)
-    return float(w[pred != np.asarray(y)].sum() / w.sum())

@@ -1,20 +1,17 @@
-"""Linear one-vs-rest SVM with softmax temperature calibration.
+"""Linear one-vs-rest SVM with softmax-of-margins probabilities.
 
 Each class gets a binary L2-loss (squared hinge) subproblem solved by the
 finite Newton method (Keerthi & DeCoste 2005, "A modified finite Newton
 method for fast solution of large scale linear SVMs"): every step solves one
 (d+1)x(d+1) system in the generalized Hessian over the rows with margin < 1
 and backtracks until the Armijo condition holds, so the objective decreases
-strictly over accepted steps. The m margin values are mapped to
-probabilities through softmax(margins / temperature); the temperature
-minimizes negative log-likelihood on a stratified 20% calibration slice that
-the hyperplanes never saw (Guo et al. 2017). That loss is convex in
-1/temperature, so its slope in 1/temperature never decreases: bisection of
-log(temperature) on [-6, 6] keeps the half across which the slope changes
-sign, down to a bracket 1e-6 wide. The regularization constant is chosen
-from ``spec.c_grid`` by internal 3-fold cross-validation on argmax accuracy
-(calibration cannot change the argmax, so accuracy of raw margins is the
-same as accuracy of calibrated probabilities).
+strictly over accepted steps. The hyperplanes are fitted on every training
+row, and the m margin values are mapped to probabilities by softmax(margins),
+the same fixed link that logreg applies to its logits; nothing is fitted
+after the hyperplanes. The regularization constant is chosen from
+``spec.c_grid`` by internal 3-fold cross-validation on argmax accuracy, every
+C scored on the one fold plan that ``spec.seed`` deals; with one C there is
+no search, and the seed changes nothing.
 """
 
 from __future__ import annotations
@@ -22,15 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import LabelSpace, fold_assignments, frozen_array, persisted_array, real
-from ..core import shuffled_classes
 from ..errors import BadSpec
 from .base import ClassifierSpec, FittedClassifier, backtrack, check_training_data
 from .logreg import softmax
 
 NEWTON_MAX_STEPS = 50
 GRAD_TOL = 1e-8  # stop once ||gradient|| <= GRAD_TOL * ||gradient at zero||
-LOG_T_BOUNDS = (-6.0, 6.0)  # the calibrated temperature lies in [e^-6, e^6]
-LOG_T_TOL = 1e-6  # bisection stops once the log-temperature bracket is this wide
 
 
 def svm_objective(w: np.ndarray, margins: np.ndarray, c: float) -> float:
@@ -111,42 +105,11 @@ def _fit_ovr(X: np.ndarray, y: np.ndarray, m: int, c: float) -> np.ndarray:
     return planes
 
 
-def _stratified_indices(y: np.ndarray, fraction: float, rng) -> np.ndarray:
-    """Pick roughly ``fraction`` of each class, at least 1 and at most
-    class_size - 1, so both slices keep every class that has >= 2 samples."""
-    held = []
-    for members in shuffled_classes(y, rng):
-        if len(members) < 2:
-            continue
-        take = int(round(fraction * len(members)))
-        held.append(members[: min(max(take, 1), len(members) - 1)])
-    if not held:
-        return np.empty(0, dtype=np.int64)
-    return np.sort(np.concatenate(held))
-
-
-def _fit_temperature(margins: np.ndarray, y: np.ndarray) -> float:
-    """The temperature T in exp(LOG_T_BOUNDS) that minimizes the mean
-    negative log-likelihood of softmax(margins / T) at the labels ``y``.
-    With gaps z_ik = margins_ik - margins_iy, that loss is convex in 1/T with
-    slope mean_i(sum_k p_ik z_ik): a positive slope means T must rise."""
-    gaps = margins - margins[np.arange(len(y)), y][:, None]
-    lo, hi = LOG_T_BOUNDS
-    while hi - lo > LOG_T_TOL:
-        mid = 0.5 * (lo + hi)
-        if np.einsum("ik,ik->", softmax(gaps / np.exp(mid)), gaps) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return float(np.exp(0.5 * (lo + hi)))
-
-
-def _cv_accuracy(X, y, m, c, k, rng) -> float:
-    folds = fold_assignments(y, k, rng)
+def _cv_accuracy(X, y, m, c, folds) -> float:
     correct = 0
-    for f in range(k):
+    for f in range(folds.max() + 1):
         tr, te = folds != f, folds == f
-        if len(np.unique(y[tr])) < 2 or te.sum() == 0:
+        if len(np.unique(y[tr])) < 2:
             continue
         planes = _fit_ovr(X[tr], y[tr], m, c)
         pred = np.argmax(_ovr_margins(planes, X[te]), axis=1)
@@ -155,23 +118,18 @@ def _cv_accuracy(X, y, m, c, k, rng) -> float:
 
 
 class LinearSvmOvrModel(FittedClassifier):
-    """One hyperplane per class; probabilities via temperature softmax."""
+    """One hyperplane per class; probabilities are the softmax of the margins."""
 
-    def __init__(self, spec, label_space, input_dim, hyperplanes, temperature, chosen_c):
+    def __init__(self, spec, label_space, input_dim, hyperplanes, chosen_c):
         super().__init__(spec, label_space, input_dim)
         self.hyperplanes = frozen_array(hyperplanes)
-        self.temperature = float(temperature)
         self.chosen_c = float(chosen_c)
 
     def _proba_matrix(self, X: np.ndarray) -> np.ndarray:
-        return softmax(_ovr_margins(self.hyperplanes, X) / self.temperature)
+        return softmax(_ovr_margins(self.hyperplanes, X))
 
     def state(self) -> dict:
-        return {
-            "hyperplanes": self.hyperplanes.tolist(),
-            "temperature": self.temperature,
-            "chosen_c": self.chosen_c,
-        }
+        return {"hyperplanes": self.hyperplanes.tolist(), "chosen_c": self.chosen_c}
 
     @classmethod
     def from_state(cls, spec, label_space, input_dim, state: dict):
@@ -180,7 +138,6 @@ class LinearSvmOvrModel(FittedClassifier):
             label_space,
             input_dim,
             persisted_array(state, "hyperplanes", (label_space.m, input_dim + 1)),
-            real(state["temperature"], "temperature", above=0.0),
             real(state["chosen_c"], "chosen_c", above=0.0),
         )
 
@@ -191,16 +148,11 @@ def train_linear_svm_ovr(
     X, y = check_training_data(X, y, labels)
     m = labels.m
 
-    rng = np.random.default_rng(spec.seed)
     if len(spec.c_grid) > 1:
-        scores = [_cv_accuracy(X, y, m, c, 3, rng) for c in spec.c_grid]
+        folds = fold_assignments(y, 3, np.random.default_rng(spec.seed))
+        scores = [_cv_accuracy(X, y, m, c, folds) for c in spec.c_grid]
         c = spec.c_grid[int(np.argmax(scores))]
     else:
         c = spec.c_grid[0]
-
-    cal_idx = _stratified_indices(y, 0.2, rng)
-    fit_idx = np.delete(np.arange(len(y)), cal_idx)
-    planes = _fit_ovr(X[fit_idx], y[fit_idx], m, c)
-    margins = _ovr_margins(planes, X[cal_idx])
-    temperature = _fit_temperature(margins, y[cal_idx]) if len(cal_idx) else 1.0
-    return LinearSvmOvrModel(spec, labels, X.shape[1], planes, temperature, c)
+    planes = _fit_ovr(X, y, m, c)
+    return LinearSvmOvrModel(spec, labels, X.shape[1], planes, c)

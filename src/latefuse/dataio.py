@@ -213,10 +213,13 @@ def load_dataset(
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+    try:
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
+    except OSError as exc:
+        raise DataError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _printed(matrix: np.ndarray, fmt: str) -> list[Iterable[str]]:
@@ -227,7 +230,10 @@ def _printed(matrix: np.ndarray, fmt: str) -> list[Iterable[str]]:
 def write_dataset(d: MultiViewDataset, out_dir: str) -> None:
     """Emit labels.csv plus one <group>.csv per feature group; features are
     printed with 17 significant digits, which read back bit for bit."""
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create directory {out_dir!r}: {exc}") from exc
     names = d.label_space.class_names
     _write_csv(
         os.path.join(out_dir, "labels.csv"),

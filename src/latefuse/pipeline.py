@@ -41,7 +41,7 @@ from .errors import (
     VersionMismatch,
 )
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)

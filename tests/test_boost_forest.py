@@ -6,15 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from latefuse.classifiers import (
-    ClassifierSpec,
-    round_weight,
-    stump_weighted_error,
-    train,
-    train_adaboost,
-    train_stump,
-)
+from latefuse.classifiers import ClassifierSpec, train, train_stump
 from latefuse.classifiers import forest, stumps
+from latefuse.classifiers.adaboost import round_weight, train_adaboost
 from latefuse.classifiers.stumps import sorted_columns
 from latefuse.core import LabelSpace
 from latefuse.errors import BadSpec, SingleClassData
@@ -24,6 +18,11 @@ from conftest import DETERMINISTIC, gaussian_blobs, nested_tree
 LABELS2 = LabelSpace(("c0", "c1"))
 # feature values rounded to one decimal, so columns repeat values
 ROUNDED = st.floats(-2.0, 2.0, allow_nan=False).map(lambda v: round(v, 1))
+
+
+def stump_weighted_error(stump, X, y, w) -> float:
+    """The share of the weight ``w`` on the rows that ``stump`` misclassifies."""
+    return float(w[stump.predict(X) != y].sum() / w.sum())
 
 
 def brute_force_stump(X, y, w):

@@ -3,17 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latefuse.classifiers import (
-    ClassifierSpec,
-    LogisticModel,
-    logreg_loss_grad,
-    softmax,
-    svm_objective,
-    train,
-    train_binary_svm,
-    train_logreg,
-)
+from latefuse.classifiers import ClassifierSpec, LogisticModel, logreg_loss_grad, train
 from latefuse.classifiers import logreg, svm
+from latefuse.classifiers.logreg import softmax, train_logreg
+from latefuse.classifiers.svm import svm_objective, train_binary_svm
 from latefuse.classifiers.base import LBFGS_TOL, MAX_HALVINGS, MAX_STEPS, lbfgs
 from latefuse.core import LabelSpace
 from latefuse.errors import BadSpec, DimensionMismatch, SingleClassData
@@ -271,23 +264,52 @@ class TestLinearSvm:
         P = model.predict_proba(X)
         assert P.shape == (120, 3)
         np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-9)
-        assert model.temperature > 0
 
-    def test_one_sample_per_class_calibrates_in_sample(self):
+    def test_one_sample_per_class_gives_a_simplex(self):
         X = np.array([[0.0, 1.0], [2.0, 0.0], [1.0, 3.0]])
         model = train(ClassifierSpec("linear_svm_ovr", seed=0), X, np.arange(3), LABELS3)
-        assert model.temperature == 1.0
         np.testing.assert_allclose(model.predict_proba(X).sum(axis=1), 1.0)
 
-    def test_temperature_preserves_argmax(self, rng):
+    def test_probabilities_are_the_softmax_of_the_margins(self, rng):
         X, y = gaussian_blobs(rng, 30, [[0, 0], [5, 0], [0, 5]])
         model = train(ClassifierSpec("linear_svm_ovr", seed=1), X, y, LABELS3)
         probe = rng.standard_normal((50, 2)) * 4
         # each hyperplane row is the class's weights, then its intercept
         margins = probe @ model.hyperplanes[:, :-1].T + model.hyperplanes[:, -1]
+        np.testing.assert_array_equal(model.predict_proba(probe), softmax(margins))
+
+    @pytest.mark.parametrize("c_grid", [(1.0,), (0.1, 1.0, 10.0)])
+    def test_hyperplanes_are_fitted_on_every_row(self, rng, c_grid):
+        X, y = gaussian_blobs(rng, 20, [[0, 0], [2, 0], [0, 2]])
+        model = train(ClassifierSpec("linear_svm_ovr", seed=4, c_grid=c_grid), X, y, LABELS3)
+        assert model.state().keys() == {"hyperplanes", "chosen_c"}
         np.testing.assert_array_equal(
-            np.argmax(margins, axis=1), np.argmax(model.predict_proba(probe), axis=1)
+            model.hyperplanes, svm._fit_ovr(X, y, 3, model.chosen_c)
         )
+
+    def test_c_search_scores_every_c_on_one_fold_plan(self, rng, monkeypatch):
+        X, y = gaussian_blobs(rng, 15, [[0, 0], [2, 0], [0, 2]])
+        plans = []
+        cv_accuracy = svm._cv_accuracy
+
+        def recording(X, y, m, c, folds):
+            plans.append(folds)
+            return cv_accuracy(X, y, m, c, folds)
+
+        monkeypatch.setattr(svm, "_cv_accuracy", recording)
+        train(ClassifierSpec("linear_svm_ovr", seed=2, c_grid=(0.1, 1.0, 10.0)), X, y, LABELS3)
+        assert len(plans) == 3
+        assert all(plan is plans[0] for plan in plans)
+        train(ClassifierSpec("linear_svm_ovr", seed=2, c_grid=(1.0,)), X, y, LABELS3)
+        assert len(plans) == 3  # one C: no search, so no plan is dealt
+
+    def test_one_c_ignores_the_seed(self, rng):
+        X, y = gaussian_blobs(rng, 15, [[0, 0], [2, 0], [0, 2]])
+        a, b = (
+            train(ClassifierSpec("linear_svm_ovr", seed=seed, c_grid=(1.0,)), X, y, LABELS3)
+            for seed in (0, 7)
+        )
+        np.testing.assert_array_equal(a.hyperplanes, b.hyperplanes)
 
     def test_deterministic(self, rng):
         X, y = gaussian_blobs(rng, 25, [[0, 0], [4, 4]])
@@ -295,40 +317,12 @@ class TestLinearSvm:
         m1 = train(spec, X, y, LABELS2)
         m2 = train(spec, X, y, LABELS2)
         np.testing.assert_array_equal(m1.hyperplanes, m2.hyperplanes)
-        assert m1.temperature == m2.temperature and m1.chosen_c == m2.chosen_c
+        assert m1.chosen_c == m2.chosen_c
 
     def test_chosen_c_comes_from_grid(self, rng):
         X, y = gaussian_blobs(rng, 20, [[0, 0], [3, 3]])
         model = train(ClassifierSpec("linear_svm_ovr", seed=0), X, y, LABELS2)
         assert model.chosen_c in (0.1, 1.0, 10.0)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_temperature_minimizes_calibration_nll(self, seed):
-        rng = np.random.default_rng(seed)
-        n, m = 60, 4
-        y = rng.integers(0, m, n)
-        # noisy margins with some signal: the best temperature is inside the
-        # bounds, where no grid point can beat a bracket 1e-6 wide
-        margins = rng.standard_normal((n, m)) * rng.uniform(1, 3)
-        margins[np.arange(n), y] += rng.uniform(1, 2)
-
-        def nll(log_t):
-            z = margins / np.exp(log_t)
-            top = z.max(axis=1)
-            log_norm = top + np.log(np.exp(z - top[:, None]).sum(axis=1))
-            return float(np.mean(log_norm - z[np.arange(n), y]))
-
-        log_t = np.log(svm._fit_temperature(margins, y))
-        assert -5 < log_t < 5
-        # a 2,001-point grid, and log-temperatures 1e-5 either side of the fit
-        tries = np.append(np.linspace(-6, 6, 2001), log_t + np.array([-1e-5, 1e-5]))
-        assert nll(log_t) <= min(nll(t) for t in tries) + 1e-12
-
-    def test_separable_calibration_slice_takes_the_lowest_temperature(self):
-        y = np.array([0, 1, 2, 1])
-        margins = np.where(np.eye(3)[y] == 1, 1.0, -1.0)
-        t = svm._fit_temperature(margins, y)
-        assert abs(np.log(t) - svm.LOG_T_BOUNDS[0]) <= svm.LOG_T_TOL
 
 
 def counted(fn, calls):

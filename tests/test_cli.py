@@ -86,10 +86,11 @@ def huge_logreg_weights(group):
     group["state"]["weights"][1][0] = -1e308
 
 
-def tiny_svm_temperature(group):
-    """Model-file edit: the smallest positive SVM temperature, so the scaled
-    margins overflow."""
-    group["state"]["temperature"] = 5e-324
+def huge_svm_hyperplanes(group):
+    """Model-file edit: two SVM hyperplane weights of opposite sign near the
+    float maximum, so the margins overflow."""
+    group["state"]["hyperplanes"][0][0] = 1e308
+    group["state"]["hyperplanes"][1][0] = -1e308
 
 
 def predict_config(tmp_path, split="test", groups=("sig", "noise")):
@@ -234,9 +235,9 @@ class TestTrainPredictEvaluate:
         "classifier,edit",
         [
             ({"kind": "logreg", "seed": 0}, huge_logreg_weights),
-            ({"kind": "linear_svm_ovr", "seed": 0, "c_grid": [1.0]}, tiny_svm_temperature),
+            ({"kind": "linear_svm_ovr", "seed": 0, "c_grid": [1.0]}, huge_svm_hyperplanes),
         ],
-        ids=["huge_logreg_weights", "tiny_svm_temperature"],
+        ids=["huge_logreg_weights", "huge_svm_hyperplanes"],
     )
     def test_checksummed_model_with_non_finite_output_exit_1(
         self, workdir, capsys, classifier, edit
@@ -246,6 +247,16 @@ class TestTrainPredictEvaluate:
         assert rc == 1
         assert str(workdir / "model.json") in err and "non-finite" in err
         assert "Traceback" not in err
+
+    def test_unwritable_predictions_exit_1(self, workdir, capsys):
+        assert main(["train", "--config", str(write_config(workdir))]) == 0
+        out = workdir / "nodir" / "p.csv"
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(workdir / "model.json"),
+                   "--config", str(predict_config(workdir)), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"cannot write {str(out)!r}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("value", [True, 1.5, float("nan"), "x", None],
                              ids=["true", "1.5", "NaN", "string", "null"])
@@ -515,6 +526,15 @@ class TestGenData:
         assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "bench")]) == 0
         train_labels = (tmp_path / "bench/train/labels.csv").read_text().strip().splitlines()
         assert len(train_labels) == 1 + 360
+
+    def test_unwritable_out_dir_exit_1(self, tmp_path, capsys):
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps(SMALL_SPEC))
+        out = tmp_path / "s.json" / "x"  # under a file, so no directory can be made
+        assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot create directory {str(out / 'train')!r}" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("verb", ["train", "gen-data"])
     def test_undecodable_config_exit_2(self, workdir, capsys, verb):

@@ -49,7 +49,7 @@ LOADERS = (
 # built from the characters the formats use
 HEADERS = st.sampled_from(
     [b"", b"sample_id,f0,f1\n", b"sample_id,label\n", b"sample_id,predicted\n",
-     b'{"format_version": 2, "payload": ']
+     b'{"format_version": 3, "payload": ']
 )
 BODIES = st.one_of(
     st.binary(max_size=120),

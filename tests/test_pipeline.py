@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from latefuse import classifiers, pipeline
+from latefuse import classifiers, pipeline, synthdata
 from latefuse.classifiers import ClassifierSpec, FittedClassifier
 from latefuse.cli import main
 from latefuse.core import GroupView, LabelSpace, Standardizer, standardize_fit
@@ -155,16 +155,16 @@ def nan_tree_threshold(group):
     group["state"]["threshold"][0] = float("nan")
 
 
-def inf_svm_temperature(group):
-    group["state"]["temperature"] = float("inf")
+def inf_svm_chosen_c(group):
+    group["state"]["chosen_c"] = float("inf")
 
 
-def zero_svm_temperature(group):
-    group["state"]["temperature"] = 0.0
+def zero_svm_chosen_c(group):
+    group["state"]["chosen_c"] = 0.0
 
 
-def huge_int_svm_temperature(group):
-    group["state"]["temperature"] = 10**400
+def huge_int_svm_chosen_c(group):
+    group["state"]["chosen_c"] = 10**400
 
 
 def huge_int_stump_threshold(group):
@@ -172,14 +172,14 @@ def huge_int_stump_threshold(group):
 
 
 # the same, for edits that put a non-finite number (an integer beyond the
-# float range counts as one, and so does a zero temperature) into an
+# float range counts as one, and so does a zero C) into an
 # otherwise well-shaped model state
 NON_FINITE_STATES = [
     ("logreg", {}, inf_logreg_weight),
     ("logreg", {}, nan_standardizer_mean),
-    ("linear_svm_ovr", {"c_grid": (1.0,)}, inf_svm_temperature),
-    ("linear_svm_ovr", {"c_grid": (1.0,)}, zero_svm_temperature),
-    ("linear_svm_ovr", {"c_grid": (1.0,)}, huge_int_svm_temperature),
+    ("linear_svm_ovr", {"c_grid": (1.0,)}, inf_svm_chosen_c),
+    ("linear_svm_ovr", {"c_grid": (1.0,)}, zero_svm_chosen_c),
+    ("linear_svm_ovr", {"c_grid": (1.0,)}, huge_int_svm_chosen_c),
     ("adaboost_stumps", {"rounds": 5}, nan_adaboost_alpha),
     ("adaboost_stumps", {"rounds": 5}, inf_stump_threshold),
     ("adaboost_stumps", {"rounds": 5}, huge_int_stump_threshold),
@@ -327,6 +327,18 @@ class TestPredict:
             assert p.decided == decide(p.scores)
             for gp in p.per_group_probs:
                 assert np.all(gp >= 0) and abs(gp.sum() - 1.0) <= 1e-9
+
+    def test_svm_benchmark_probabilities_hold_no_zero_and_no_tie(self):
+        # With the SVM's old calibration slice, group informative_a of this
+        # run took a temperature of e^-6: 567 of its test probabilities were
+        # exactly 0, and every test row held a tie that rank sum then averaged.
+        train, test = synthdata.default_benchmark(3)
+        spec = ClassifierSpec("linear_svm_ovr", seed=3, c_grid=(1.0,))
+        e = train_ensemble(train, spec, EnsembleStrategy("rank_sum"), 5, 3)
+        per_group = np.array([p.per_group_probs for p in predict(e, test)]).transpose(1, 0, 2)
+        for name, P in zip(e.group_names, per_group):
+            assert (P > 0).all(), name
+            assert all(len(set(row)) == len(row) for row in P.tolist()), name
 
 
 class TestTrainedEnsembleChecks:
@@ -550,7 +562,7 @@ class TestPersistence:
             load_ensemble(str(path))
         doc["format_version"] = 1
         path.write_text(json.dumps(doc))
-        with pytest.raises(VersionMismatch, match="model.json.*version 1; only format 2 is read"):
+        with pytest.raises(VersionMismatch, match="model.json.*version 1; only format 3 is read"):
             load_ensemble(str(path))
         cfg = tmp_path / "predict.json"
         cfg.write_text(json.dumps({"data": {"groups": [{"name": "g", "path": "unused.csv"}]}}))
@@ -558,6 +570,27 @@ class TestPersistence:
         argv = ["predict", "--model", str(path), "--config", str(cfg), "--out", out]
         assert main(argv) == 1
         assert str(path) in capsys.readouterr().err
+
+    def test_format_2_svm_with_a_temperature_is_not_read(self, tmp_path, rng, capsys):
+        d = small_dataset(rng)
+        spec = ClassifierSpec("linear_svm_ovr", c_grid=(1.0,))
+        path = tmp_path / "model.json"
+        save_ensemble(train_ensemble(d, spec, EnsembleStrategy("confidence_sum"), 3, 0), str(path))
+        doc = json.loads(path.read_text())
+        for g in doc["payload"]["groups"]:
+            g["state"]["temperature"] = 0.5
+        doc["format_version"] = 2
+        doc["checksum"] = pipeline._checksum(doc["payload"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(VersionMismatch, match="model.json.*version 2; only format 3 is read"):
+            load_ensemble(str(path))
+        cfg = tmp_path / "predict.json"
+        cfg.write_text(json.dumps({"data": {"groups": [{"name": "sig", "path": "unused.csv"}]}}))
+        argv = ["predict", "--model", str(path), "--config", str(cfg),
+                "--out", str(tmp_path / "p.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
 
     def test_checksummed_meta_without_stacking_is_corrupt(self, tmp_path, rng):
         d = small_dataset(rng)

@@ -1,14 +1,14 @@
 """The README's "Library use" example runs as written, so a public name it
-uses cannot be removed or renamed without failing the suite, and its
-"Errors" table lists exactly the exception classes, each with its exit
-code."""
+uses cannot be removed or renamed without failing the suite; its "Errors"
+table lists exactly the exception classes, each with its exit code; and the
+model format it states is the one that is written and read."""
 
 import inspect
 import pathlib
 import re
 
 from latefuse import errors
-from latefuse.pipeline import load_ensemble
+from latefuse.pipeline import MODEL_FORMAT_VERSION, load_ensemble
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,3 +38,10 @@ def test_errors_table_lists_every_class_with_its_exit_code():
     exit_codes = dict(rows)
     for cls in classes:
         assert exit_codes[cls.__name__] == ("2" if issubclass(cls, errors.ConfigError) else "1")
+
+
+def test_stated_model_format_is_the_one_read():
+    text = README.read_text()
+    stated = re.findall(r"written and read in format version (\d+) only", text)
+    stated += re.findall(r"format version other than (\d+) \|", text)
+    assert stated == [str(MODEL_FORMAT_VERSION)] * 2
