@@ -65,21 +65,6 @@ def _string(block: dict, key: str, where: str, field: str) -> Optional[str]:
     return value
 
 
-def _file_name(value, where: str, field: str) -> str:
-    """A name that becomes ``<name>.csv`` beside labels.csv: no directory
-    part, and not ``labels``."""
-    if (
-        not isinstance(value, str)
-        or value in ("", ".", "..", "labels")
-        or os.path.basename(value) != value
-        or "\0" in value
-    ):
-        raise ConfigError(
-            f"{where}: {field} must be a plain file name other than 'labels', got {value!r}"
-        )
-    return value
-
-
 def _data_block(block, where: str, field: str) -> tuple[Optional[str], list[tuple[str, str]]]:
     block = _object(block, where, field, optional=("labels", "groups"))
     groups = block.get("groups")
@@ -261,7 +246,11 @@ def _synth_spec_from_json(
     view_specs = []
     for i, v in enumerate(views):
         _object(v, where, f"views[{i}]", ("name", "dim", "informativeness"), ("scale",))
-        name = _file_name(v["name"], where, f"views[{i}].name")
+        name = v["name"]
+        if not dataio.is_file_name(name):
+            raise ConfigError(
+                f"{where}: views[{i}].name must be a plain file name other than 'labels', got {name!r}"
+            )
         try:
             view_specs.append(
                 synthdata.ViewSpec(name, v["dim"], v["informativeness"], v.get("scale", 1.0))

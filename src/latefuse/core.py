@@ -201,9 +201,10 @@ class GroupView:
 class MultiViewDataset:
     """Labels plus G aligned feature groups for n samples.
 
-    Building one checks every invariant: MisalignedGroup, UnknownLabel (for
-    labels that are not class indices in [0, m)) or EmptyClass otherwise. Its
-    groups are finite, as every GroupView is.
+    Building one checks every invariant: BadSpec (for a sample id that is not
+    a str), MisalignedGroup, UnknownLabel (for labels that are not class
+    indices in [0, m)) or EmptyClass otherwise. Its groups are finite, as
+    every GroupView is.
     """
 
     label_space: LabelSpace
@@ -217,6 +218,9 @@ class MultiViewDataset:
         object.__setattr__(self, "labels", frozen_array(labels, np.int64))
         object.__setattr__(self, "groups", tuple(self.groups))
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
+        for sid in self.sample_ids:
+            if not isinstance(sid, str):
+                raise BadSpec(f"sample_ids holds {sid!r}, which is not a string")
         n = self.n
         if len(self.groups) < 1:
             raise MisalignedGroup("dataset has no feature groups")

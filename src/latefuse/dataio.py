@@ -9,10 +9,11 @@ data row, each error naming the file and row. A plain feature file (no
 quoting, LF or CRLF, every row well formed) is parsed in C by np.loadtxt
 instead, behind guards under which both give the same ids and bits; any
 other file, and every error, goes through the table reader. Writers print
-whole columns at a time. ``join_ids`` joins files on
-sample_id, so row order never matters, but missing or extra ids are hard
-errors rather than a silent inner join. The canonical dataset order is
-lexicographic by sample_id.
+the bytes csv.writer would (CRLF line ends; a field quoted, its quotes
+doubled, only when it holds a comma, quote, CR or LF), each row's numbers
+through one format string. ``join_ids`` joins files on sample_id, so row
+order never matters, but missing or extra ids are hard errors rather than a
+silent inner join. The canonical dataset order is lexicographic by sample_id.
 """
 
 from __future__ import annotations
@@ -212,24 +213,47 @@ def load_dataset(
     )
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def is_file_name(name) -> bool:
+    """Whether ``name`` can become ``<name>.csv`` beside labels.csv: a
+    string with no directory part and no NUL, other than '', '.', '..' and
+    'labels'."""
+    return (
+        isinstance(name, str)
+        and name not in ("", ".", "..", "labels")
+        and os.path.basename(name) == name
+        and "\0" not in name
+    )
+
+
+def _field(text: str) -> str:
+    """``text`` as csv.writer prints it: quoted, quotes doubled, if it holds a comma, quote, CR or LF."""
+    quoted = "," in text or '"' in text or "\r" in text or "\n" in text
+    return '"' + text.replace('"', '""') + '"' if quoted else text
+
+
+def _write_csv(path: str, header: Sequence[str], texts: Iterable, matrix: np.ndarray, fmt: str) -> None:
+    """csv.writer's text for ``header`` and each ``texts`` row, then its ``matrix`` row in ``fmt``."""
+    numbers = ("," + fmt) * matrix.shape[1] + "\r\n"
     try:
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
+            fh.write(",".join(map(_field, header)) + "\r\n")
+            fh.writelines(
+                ",".join(map(_field, t)) + numbers % tuple(v) for t, v in zip(texts, matrix.tolist())
+            )
     except OSError as exc:
         raise DataError(f"cannot write {path!r}: {exc}") from exc
 
 
-def _printed(matrix: np.ndarray, fmt: str) -> list[Iterable[str]]:
-    """The columns of ``matrix`` as strings, each value printed by ``fmt``."""
-    return [map(fmt.__mod__, column) for column in matrix.T.tolist()]
-
-
 def write_dataset(d: MultiViewDataset, out_dir: str) -> None:
     """Emit labels.csv plus one <group>.csv per feature group; features are
-    printed with 17 significant digits, which read back bit for bit."""
+    printed with 17 significant digits, which read back bit for bit. A
+    group name that cannot be such a file name is a DataError before any
+    file is written."""
+    for g in d.groups:
+        if not is_file_name(g.name):
+            raise DataError(
+                f"group name {g.name!r} cannot name a file beside labels.csv in {out_dir!r}"
+            )
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -238,13 +262,13 @@ def write_dataset(d: MultiViewDataset, out_dir: str) -> None:
     _write_csv(
         os.path.join(out_dir, "labels.csv"),
         ["sample_id", "label"],
-        zip(d.sample_ids, [names[y] for y in d.labels.tolist()]),
+        zip(d.sample_ids, [names[y] for y in d.labels.tolist()]), np.empty((d.n, 0)), "",
     )
     for g in d.groups:
         _write_csv(
             os.path.join(out_dir, f"{g.name}.csv"),
             ["sample_id"] + [f"f{j}" for j in range(g.dim)],
-            zip(d.sample_ids, *_printed(g.features, "%.17g")),
+            zip(d.sample_ids), g.features, "%.17g",
         )
 
 
@@ -256,11 +280,7 @@ def write_predictions(preds: Sequence, class_names: Sequence[str], path: str) ->
     _write_csv(
         path,
         ["sample_id", "predicted"] + [f"score_{c}" for c in class_names],
-        zip(
-            [p.sample_id for p in preds],
-            [class_names[p.decided] for p in preds],
-            *_printed(scores, "%.6g"),
-        ),
+        [(p.sample_id, class_names[p.decided]) for p in preds], scores, "%.6g",
     )
 
 

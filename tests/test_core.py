@@ -114,6 +114,16 @@ class TestValidateDataset:
                 sample_ids=("same", "same"),
             )
 
+    @pytest.mark.parametrize("ids", [(1, 2, 3, 4), ("a", "b", None, "d"), ("a", "b", "c", b"d")])
+    def test_sample_ids_that_are_not_strings_rejected(self, rng, ids):
+        with pytest.raises(BadSpec, match="^sample_ids holds .*, which is not a string"):
+            MultiViewDataset(
+                label_space=LabelSpace(("c0", "c1")),
+                labels=np.array([0, 0, 1, 1]),
+                groups=(GroupView("a", rng.standard_normal((4, 2))),),
+                sample_ids=ids,
+            )
+
     def test_duplicate_group_name(self, rng):
         feats = rng.standard_normal((6, 2))
         with pytest.raises(MisalignedGroup, match="'a'"):

@@ -1,10 +1,13 @@
 """The CSV readers, writers and id joins: each single-fault file gives the
 expected error class naming the file and row, files that disagree on ids name
 the file and the first missing or extra id, the C parse of plain feature files
-agrees with the checked reader, and the column writers print what a per-value
-format prints."""
+agrees with the checked reader, every file the writers print is what
+csv.writer prints with a per-value format, and written feature files take the
+C parse."""
 
 import csv
+import io
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from latefuse.cli import main
 from latefuse.core import GroupView, LabelSpace, MultiViewDataset
 from latefuse.dataio import (
+    _field,
     _read_checked_features,
     _read_plain_features,
     load_dataset,
@@ -260,9 +264,38 @@ def test_a_field_past_the_csv_limit_fails_as_before(tmp_path):
         csv.field_size_limit(limit)
 
 
-# -- the column writers against per-value formatting --------------------------
+@pytest.mark.parametrize("seed", [3, 11])
+def test_written_feature_files_take_the_c_parse(tmp_path, seed):
+    for part, d in zip(["train", "test"], default_benchmark(seed)):
+        write_dataset(d, str(tmp_path / part))
+        for g in d.groups:
+            path = str(tmp_path / part / f"{g.name}.csv")
+            plain = _read_plain_features(path)
+            assert plain is not None, path
+            ids, matrix = _read_checked_features(path)
+            assert plain[0] == ids and plain[1].tobytes() == matrix.tobytes()
 
-NAMES = st.text(alphabet='ab ,"\n', min_size=1, max_size=3)
+
+# -- the writers against csv.writer with per-value formatting -----------------
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(text=st.text())
+@example(text="")
+@example(text="\r")
+@example(text="\t")
+@example(text=" a ")
+@example(text='a"b')
+@example(text="\u00e9\u2003")
+@example(text="\x00")
+def test_field_quotes_as_csv_writer_does(text):
+    # the writers print no row of a single field, which csv.writer quotes when empty
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, text])
+    assert buf.getvalue() == f"{_field(text)},{_field(text)}\r\n"
+
+
+NAMES = st.text(alphabet='ab ,"\n\r', min_size=1, max_size=3)
 EDGES = st.sampled_from([-0.0, 5e-324, 1e-310, 1e300, 0.1])
 FLOATS = st.one_of(st.floats(), EDGES)
 FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), EDGES)
@@ -329,3 +362,17 @@ def test_write_dataset_prints_each_value_as_format(tmp_path_factory, n, dims, da
     reference_dataset(d, out / "want")
     for name in ["labels"] + [g for g, _ in groups]:
         assert (out / "got" / f"{name}.csv").read_bytes() == (out / "want" / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["labels", "../escape", "", ".", "sub/g", "a\0b"])
+def test_write_dataset_rejects_a_group_name_that_is_no_file_name(tmp_path, name):
+    d = MultiViewDataset(
+        label_space=LabelSpace(("x", "y")),
+        labels=[0, 1],
+        groups=(GroupView("ok", np.ones((2, 1))), GroupView(name, np.ones((2, 1)))),
+        sample_ids=("a", "b"),
+    )
+    out = tmp_path / "out" / "data"
+    with pytest.raises(DataError, match=re.escape(repr(name))):
+        write_dataset(d, str(out))
+    assert not (tmp_path / "out").exists()

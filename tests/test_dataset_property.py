@@ -5,9 +5,10 @@ Each example starts from a valid three-class dataset and replaces its
 labels, its sample ids or one group's features with arbitrary values:
 label lists of integers (some outside the classes or beyond int64), floats
 and bools, ints mixed with bools, in zero to two dimensions, and ragged or
-nested at any depth; id lists with repeats and of any length; and float
-arrays of any shape from 0 to 3 dimensions, NaN and infinities too. Accepted
-labels hold no bool or float entry.
+nested at any depth; id lists with repeats, of any length, and with entries
+that are not strings; and float arrays of any shape from 0 to 3 dimensions,
+NaN and infinities too. Accepted labels hold no bool or float entry, and
+accepted ids are strings.
 """
 
 import numpy as np
@@ -44,6 +45,8 @@ LABELS = st.one_of(
 IDS = st.one_of(
     st.lists(st.text(alphabet="abc", max_size=2), min_size=N, max_size=N),
     st.lists(st.text(alphabet="ab", max_size=2), max_size=8),
+    st.lists(st.one_of(st.text(alphabet="abc", max_size=2), st.integers(0, 9), st.none()),
+             min_size=N, max_size=N),
 )
 FLOAT = st.floats(width=64)
 FEATURES = st.one_of(
@@ -82,7 +85,7 @@ def assert_invariants(d):
     n, m = d.n, d.label_space.m
     assert d.labels.dtype == np.int64 and d.labels.shape == (n,)
     assert np.array_equal(np.unique(d.labels), np.arange(m))
-    assert len(set(d.sample_ids)) == n
+    assert len(set(d.sample_ids)) == n and all(isinstance(sid, str) for sid in d.sample_ids)
     assert len(set(d.group_names)) == len(d.groups) >= 1
     for g in d.groups:
         assert g.features.shape == (n, g.dim) and g.dim >= 1
