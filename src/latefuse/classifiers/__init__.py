@@ -3,25 +3,26 @@
 from ..core import LabelSpace
 from ..errors import BadSpec
 from .adaboost import AdaBoostModel, train_adaboost
-from .base import KINDS, ClassifierSpec, FittedClassifier
+from .base import KINDS, ClassifierSpec, FittedClassifier, LinearModel, check_training_data
 from .forest import RandomForestModel, train_random_forest
-from .logreg import LogisticModel, logreg_loss_grad, train_logreg
+from .logreg import logreg_loss_grad, train_logreg
 from .stumps import train_stump
-from .svm import LinearSvmOvrModel, train_linear_svm_ovr
+from .svm import train_linear_svm_ovr
 
 # per kind: its trainer and the class of the model that trainer fits
 _KINDS = {
-    "logreg": (train_logreg, LogisticModel),
-    "linear_svm_ovr": (train_linear_svm_ovr, LinearSvmOvrModel),
+    "logreg": (train_logreg, LinearModel),
+    "linear_svm_ovr": (train_linear_svm_ovr, LinearModel),
     "adaboost_stumps": (train_adaboost, AdaBoostModel),
     "random_forest": (train_random_forest, RandomForestModel),
 }
 
 
 def train(spec: ClassifierSpec, X, y, labels: LabelSpace) -> FittedClassifier:
-    """Train a classifier of ``spec.kind``; deterministic given (spec, data)."""
+    """Train a classifier of ``spec.kind`` on data that ``check_training_data``
+    accepts; deterministic given (spec, data)."""
     trainer, _ = _KINDS[spec.kind]
-    return trainer(spec, X, y, labels)
+    return trainer(spec, *check_training_data(X, y, labels), labels)
 
 
 def model_from_state(spec: ClassifierSpec, labels: LabelSpace, input_dim: int, state: dict):
@@ -40,8 +41,7 @@ __all__ = [
     "KINDS",
     "ClassifierSpec",
     "FittedClassifier",
-    "LogisticModel",
-    "LinearSvmOvrModel",
+    "LinearModel",
     "AdaBoostModel",
     "RandomForestModel",
     "train",

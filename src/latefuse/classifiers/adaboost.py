@@ -21,8 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import LabelSpace, integer, persisted_array, real
-from .base import ClassifierSpec, FittedClassifier, check_training_data
-from .logreg import softmax
+from .base import ClassifierSpec, FittedClassifier, softmax
 from .stumps import DecisionStump, sorted_columns, train_stump
 
 ERR_FLOOR = 1e-12
@@ -79,10 +78,8 @@ class AdaBoostModel(FittedClassifier):
         return cls(spec, label_space, input_dim, stumps, alphas)
 
 
-def train_adaboost(
-    spec: ClassifierSpec, X, y, labels: LabelSpace
-) -> AdaBoostModel:
-    X, y = check_training_data(X, y, labels)
+def train_adaboost(spec: ClassifierSpec, X, y, labels: LabelSpace) -> AdaBoostModel:
+    """Fit on data that ``check_training_data`` accepted."""
     n = X.shape[0]
     m = labels.m
     w = np.full(n, 1.0 / n)

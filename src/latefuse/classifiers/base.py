@@ -13,7 +13,16 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..core import LabelSpace, class_indices, feature_matrix, integer, probability_vector, real
+from ..core import (
+    LabelSpace,
+    class_indices,
+    feature_matrix,
+    frozen_array,
+    integer,
+    persisted_array,
+    probability_vector,
+    real,
+)
 from ..errors import BadSpec, DimensionMismatch, EmptyClass, SingleClassData
 
 KINDS = ("logreg", "linear_svm_ovr", "adaboost_stumps", "random_forest")
@@ -31,7 +40,8 @@ class ClassifierSpec:
 
     Only the fields relevant to ``kind`` are used:
       logreg          -- lam (L2 strength)
-      linear_svm_ovr  -- c_grid (values searched by internal 3-fold CV)
+      linear_svm_ovr  -- c_grid (values searched by internal 3-fold CV; a
+                         fitted SVM's spec holds the chosen one alone)
       adaboost_stumps -- rounds
       random_forest   -- trees, min_leaf
 
@@ -74,6 +84,8 @@ class ClassifierSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClassifierSpec":
+        if not isinstance(d, dict):
+            raise BadSpec(f"classifier spec must be an object, got {d!r}")
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise BadSpec(f"unknown classifier spec fields: {sorted(unknown)}")
@@ -115,6 +127,48 @@ class FittedClassifier:
     # persistence hooks; subclasses return/accept plain-JSON state
     def state(self) -> dict:
         raise NotImplementedError
+
+
+def _row_max(Z: np.ndarray) -> np.ndarray:
+    # a max is exact, so reading column by column is faster and gives the same values
+    return np.asfortranarray(Z).max(axis=1, keepdims=True)
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise stable softmax: shift by the row max before exponentiating."""
+    z = np.asarray(z, dtype=np.float64)
+    one_row = z.ndim == 1
+    if one_row:
+        z = z[None, :]
+    e = np.exp(z - _row_max(z))
+    p = e / e.sum(axis=1, keepdims=True)
+    return p[0] if one_row else p
+
+
+def with_intercept(X: np.ndarray) -> np.ndarray:
+    """``X`` with a column of ones appended, the input of a linear model."""
+    return np.hstack([X, np.ones((X.shape[0], 1))])
+
+
+class LinearModel(FittedClassifier):
+    """Fitted logreg or one-vs-rest SVM: ``weights`` is (d+1, m), one column
+    per class with the intercept in its last row, and the probabilities are
+    the softmax of ``with_intercept(X) @ weights``."""
+
+    def __init__(self, spec, label_space, input_dim, weights: np.ndarray):
+        super().__init__(spec, label_space, input_dim)
+        self.weights = frozen_array(weights)
+
+    def _proba_matrix(self, X: np.ndarray) -> np.ndarray:
+        return softmax(with_intercept(X) @ self.weights)
+
+    def state(self) -> dict:
+        return {"weights": self.weights.tolist()}
+
+    @classmethod
+    def from_state(cls, spec, label_space, input_dim, state: dict):
+        weights = persisted_array(state, "weights", (input_dim + 1, label_space.m))
+        return cls(spec, label_space, input_dim, weights)
 
 
 def backtrack(evaluate, x, value: float, direction, slope: float):
@@ -194,9 +248,9 @@ def row_labels(X: np.ndarray, y, what: str, m=None) -> np.ndarray:
 
 
 def check_training_data(X, y, labels: LabelSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Validate the common training preconditions shared by every kind: a
-    finite matrix, one class index in [0, m) per row, and a sample of each
-    of the m classes."""
+    """Validate the training preconditions of every kind, as ``classifiers.train``
+    does before it calls a trainer: a finite matrix, one class index in
+    [0, m) per row, and a sample of each of the m classes."""
     X = feature_matrix(X, "training features")
     y = row_labels(X, y, "training label", labels.m)
     counts = np.bincount(y, minlength=labels.m)

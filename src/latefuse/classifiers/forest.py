@@ -32,7 +32,7 @@ import numpy as np
 from ..core import LabelSpace, frozen_array, persisted_array
 from ..errors import BadSpec
 from . import stumps
-from .base import ClassifierSpec, FittedClassifier, check_training_data
+from .base import ClassifierSpec, FittedClassifier
 
 IMPROVES = 1e-12  # a node splits only when its Gini reduction exceeds this
 NODE_ARRAYS = ("feature", "threshold", "left", "right", "leaf")
@@ -273,9 +273,7 @@ class RandomForestModel(FittedClassifier):
         return cls(spec, label_space, input_dim, nodes)
 
 
-def train_random_forest(
-    spec: ClassifierSpec, X, y, labels: LabelSpace
-) -> RandomForestModel:
-    X, y = check_training_data(X, y, labels)
+def train_random_forest(spec: ClassifierSpec, X, y, labels: LabelSpace) -> RandomForestModel:
+    """Fit on data that ``check_training_data`` accepted."""
     nodes = grow_forest(X, y, labels.m, spec.trees, spec.min_leaf, spec.seed)
     return RandomForestModel(spec, labels, X.shape[1], nodes)

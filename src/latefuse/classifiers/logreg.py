@@ -11,25 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import LabelSpace, feature_matrix, frozen_array, persisted_array, real
+from ..core import LabelSpace, feature_matrix, real
 from ..errors import BadSpec, DimensionMismatch
-from .base import ClassifierSpec, FittedClassifier, check_training_data, lbfgs, row_labels
-
-
-def _row_max(Z: np.ndarray) -> np.ndarray:
-    # a max is exact, so reading column by column is faster and gives the same values
-    return np.asfortranarray(Z).max(axis=1, keepdims=True)
-
-
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax: shift by the row max before exponentiating."""
-    z = np.asarray(z, dtype=np.float64)
-    one_row = z.ndim == 1
-    if one_row:
-        z = z[None, :]
-    e = np.exp(z - _row_max(z))
-    p = e / e.sum(axis=1, keepdims=True)
-    return p[0] if one_row else p
+from .base import ClassifierSpec, LinearModel, _row_max, lbfgs, row_labels, with_intercept
 
 
 def _loss_and_gradient(X: np.ndarray, y: np.ndarray, lam: float):
@@ -75,31 +59,8 @@ def logreg_loss_grad(W: np.ndarray, X: np.ndarray, y: np.ndarray, lam: float):
     return float(loss), gradient(W, shifted)
 
 
-class LogisticModel(FittedClassifier):
-    """Fitted softmax regression; weights include a bias row for the
-    constant feature appended during training."""
-
-    def __init__(self, spec, label_space, input_dim, weights: np.ndarray):
-        super().__init__(spec, label_space, input_dim)
-        self.weights = frozen_array(weights)
-
-    def _proba_matrix(self, X: np.ndarray) -> np.ndarray:
-        Xb = np.hstack([X, np.ones((X.shape[0], 1))])
-        return softmax(Xb @ self.weights)
-
-    def state(self) -> dict:
-        return {"weights": self.weights.tolist()}
-
-    @classmethod
-    def from_state(cls, spec, label_space, input_dim, state: dict):
-        weights = persisted_array(state, "weights", (input_dim + 1, label_space.m))
-        return cls(spec, label_space, input_dim, weights)
-
-
-def train_logreg(
-    spec: ClassifierSpec, X, y, labels: LabelSpace
-) -> LogisticModel:
-    X, y = check_training_data(X, y, labels)
-    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
+def train_logreg(spec: ClassifierSpec, X, y, labels: LabelSpace) -> LinearModel:
+    """Fit on data that ``check_training_data`` accepted."""
+    Xb = with_intercept(X)
     W, _ = lbfgs(*_loss_and_gradient(Xb, y, spec.lam), np.zeros((Xb.shape[1], labels.m)))
-    return LogisticModel(spec, labels, X.shape[1], W)
+    return LinearModel(spec, labels, X.shape[1], W)

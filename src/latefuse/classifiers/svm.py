@@ -5,23 +5,25 @@ finite Newton method (Keerthi & DeCoste 2005, "A modified finite Newton
 method for fast solution of large scale linear SVMs"): every step solves one
 (d+1)x(d+1) system in the generalized Hessian over the rows with margin < 1
 and backtracks until the Armijo condition holds, so the objective decreases
-strictly over accepted steps. The hyperplanes are fitted on every training
-row, and the m margin values are mapped to probabilities by softmax(margins),
-the same fixed link that logreg applies to its logits; nothing is fitted
-after the hyperplanes. The regularization constant is chosen from
-``spec.c_grid`` by internal 3-fold cross-validation on argmax accuracy, every
-C scored on the one fold plan that ``spec.seed`` deals; with one C there is
-no search, and the seed changes nothing.
+strictly over accepted steps. Each class's weights and intercept are fitted
+on every training row and form one column of a ``base.LinearModel``, so the
+probabilities are softmax(margins), the same fixed link that logreg applies
+to its logits; nothing is fitted after the margins. The regularization
+constant is chosen from ``spec.c_grid`` by internal 3-fold cross-validation
+on argmax accuracy, every C scored on the one fold plan that ``spec.seed``
+deals; with one C there is no search, and the seed changes nothing. The
+fitted model's ``spec.c_grid`` is the chosen C alone.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from ..core import LabelSpace, fold_assignments, frozen_array, persisted_array, real
+from ..core import LabelSpace, fold_assignments
 from ..errors import BadSpec
-from .base import ClassifierSpec, FittedClassifier, backtrack, check_training_data
-from .logreg import softmax
+from .base import ClassifierSpec, LinearModel, backtrack, with_intercept
 
 NEWTON_MAX_STEPS = 50
 GRAD_TOL = 1e-8  # stop once ||gradient|| <= GRAD_TOL * ||gradient at zero||
@@ -47,7 +49,7 @@ def train_binary_svm(X: np.ndarray, y_pm: np.ndarray, c: float):
     overflows.
     """
     n, d = X.shape
-    Xb = np.hstack((X, np.ones((n, 1))))
+    Xb = with_intercept(X)
     penalized = np.ones(d + 1)
     penalized[-1] = 0.0
 
@@ -93,16 +95,13 @@ def train_binary_svm(X: np.ndarray, y_pm: np.ndarray, c: float):
     return v[:-1], float(v[-1]), history
 
 
-def _ovr_margins(hyperplanes: np.ndarray, X: np.ndarray) -> np.ndarray:
-    # hyperplanes is (m, d+1): weight row plus trailing intercept
-    return X @ hyperplanes[:, :-1].T + hyperplanes[:, -1]
-
-
 def _fit_ovr(X: np.ndarray, y: np.ndarray, m: int, c: float) -> np.ndarray:
-    planes = np.zeros((m, X.shape[1] + 1))
+    """The (d+1, m) weights of a ``LinearModel``: column k is class k's
+    hyperplane against the rest, with its intercept last."""
+    weights = np.zeros((X.shape[1] + 1, m))
     for k in range(m):
-        planes[k, :-1], planes[k, -1], _ = train_binary_svm(X, np.where(y == k, 1.0, -1.0), c)
-    return planes
+        weights[:-1, k], weights[-1, k], _ = train_binary_svm(X, np.where(y == k, 1.0, -1.0), c)
+    return weights
 
 
 def _cv_accuracy(X, y, m, c, folds) -> float:
@@ -111,48 +110,20 @@ def _cv_accuracy(X, y, m, c, folds) -> float:
         tr, te = folds != f, folds == f
         if len(np.unique(y[tr])) < 2:
             continue
-        planes = _fit_ovr(X[tr], y[tr], m, c)
-        pred = np.argmax(_ovr_margins(planes, X[te]), axis=1)
+        weights = _fit_ovr(X[tr], y[tr], m, c)
+        pred = np.argmax(with_intercept(X[te]) @ weights, axis=1)
         correct += int((pred == y[te]).sum())
     return correct / len(y)
 
 
-class LinearSvmOvrModel(FittedClassifier):
-    """One hyperplane per class; probabilities are the softmax of the margins."""
-
-    def __init__(self, spec, label_space, input_dim, hyperplanes, chosen_c):
-        super().__init__(spec, label_space, input_dim)
-        self.hyperplanes = frozen_array(hyperplanes)
-        self.chosen_c = float(chosen_c)
-
-    def _proba_matrix(self, X: np.ndarray) -> np.ndarray:
-        return softmax(_ovr_margins(self.hyperplanes, X))
-
-    def state(self) -> dict:
-        return {"hyperplanes": self.hyperplanes.tolist(), "chosen_c": self.chosen_c}
-
-    @classmethod
-    def from_state(cls, spec, label_space, input_dim, state: dict):
-        return cls(
-            spec,
-            label_space,
-            input_dim,
-            persisted_array(state, "hyperplanes", (label_space.m, input_dim + 1)),
-            real(state["chosen_c"], "chosen_c", above=0.0),
-        )
-
-
-def train_linear_svm_ovr(
-    spec: ClassifierSpec, X, y, labels: LabelSpace
-) -> LinearSvmOvrModel:
-    X, y = check_training_data(X, y, labels)
-    m = labels.m
-
+def train_linear_svm_ovr(spec: ClassifierSpec, X, y, labels: LabelSpace) -> LinearModel:
+    """Fit on data that ``check_training_data`` accepted. The model's spec
+    holds the one C it was fitted at, so training on that spec refits it."""
     if len(spec.c_grid) > 1:
         folds = fold_assignments(y, 3, np.random.default_rng(spec.seed))
-        scores = [_cv_accuracy(X, y, m, c, folds) for c in spec.c_grid]
+        scores = [_cv_accuracy(X, y, labels.m, c, folds) for c in spec.c_grid]
         c = spec.c_grid[int(np.argmax(scores))]
     else:
-        c = spec.c_grid[0]
-    planes = _fit_ovr(X, y, m, c)
-    return LinearSvmOvrModel(spec, labels, X.shape[1], planes, c)
+        (c,) = spec.c_grid
+    weights = _fit_ovr(X, y, labels.m, c)
+    return LinearModel(dataclasses.replace(spec, c_grid=(c,)), labels, X.shape[1], weights)

@@ -153,6 +153,9 @@ class LabelSpace:
     class_names: tuple[str, ...]
 
     def __post_init__(self):
+        for name in self.class_names:
+            if not isinstance(name, str):
+                raise BadSpec(f"class name {name!r} is not a string")
         if len(set(self.class_names)) != len(self.class_names):
             raise BadSpec(f"class_names must be unique, got {self.class_names!r}")
         if len(self.class_names) < 2:

@@ -71,6 +71,8 @@ class EnsembleStrategy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnsembleStrategy":
+        if not isinstance(d, dict):
+            raise BadSpec(f"strategy must be an object, got {d!r}")
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise BadSpec(f"unknown strategy fields: {sorted(unknown)}")

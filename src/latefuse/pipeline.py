@@ -41,7 +41,7 @@ from .errors import (
     VersionMismatch,
 )
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,8 @@ class GroupModel:
     priority: float
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or not self.name:
+            raise BadSpec(f"group name must be a non-empty string, got {self.name!r}")
         if not 0.0 <= self.priority <= 1.0:
             raise BadSpec(f"priority must be in [0, 1], got {self.priority!r}")
 
@@ -332,6 +334,8 @@ def load_ensemble(path: str) -> TrainedEnsemble:
 
 
 def _ensemble_from_payload(payload: dict) -> TrainedEnsemble:
+    if not isinstance(payload["label_space"], list):
+        raise BadSpec(f"label_space must be a list, got {payload['label_space']!r}")
     labels = LabelSpace(tuple(payload["label_space"]))
     strategy = ensemble.EnsembleStrategy.from_dict(payload["strategy"])
     per_group = []

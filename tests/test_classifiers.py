@@ -1,13 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latefuse.classifiers import ClassifierSpec, LogisticModel, logreg_loss_grad, train
+from latefuse.classifiers import ClassifierSpec, LinearModel, logreg_loss_grad, train
 from latefuse.classifiers import logreg, svm
-from latefuse.classifiers.logreg import softmax, train_logreg
+from latefuse.classifiers.logreg import train_logreg
 from latefuse.classifiers.svm import svm_objective, train_binary_svm
-from latefuse.classifiers.base import LBFGS_TOL, MAX_HALVINGS, MAX_STEPS, lbfgs
+from latefuse.classifiers.base import LBFGS_TOL, MAX_HALVINGS, MAX_STEPS, lbfgs, softmax
 from latefuse.core import LabelSpace
 from latefuse.errors import BadSpec, DimensionMismatch, SingleClassData
 
@@ -46,6 +48,11 @@ class TestClassifierSpec:
     def test_bad_number_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             ClassifierSpec("logreg", **{field: value})
+
+    @pytest.mark.parametrize("d", [["kind"], "kind", 5, None])
+    def test_from_dict_of_a_non_object_rejected(self, d):
+        with pytest.raises(BadSpec, match="classifier spec must be an object"):
+            ClassifierSpec.from_dict(d)
 
 
 def ill_conditioned_quadratic(calls=None):
@@ -210,7 +217,7 @@ class TestLogReg:
     def test_single_class_rejected(self, rng):
         X = rng.standard_normal((10, 2))
         with pytest.raises(SingleClassData):
-            train_logreg(ClassifierSpec("logreg"), X, np.zeros(10, dtype=int), LABELS2)
+            train(ClassifierSpec("logreg"), X, np.zeros(10, dtype=int), LABELS2)
 
     def test_deterministic_bit_for_bit(self, rng):
         X, y = gaussian_blobs(rng, 20, [[0, 0], [3, 3]])
@@ -220,7 +227,7 @@ class TestLogReg:
         np.testing.assert_array_equal(m1.weights, m2.weights)
 
     def test_zero_weights_predict_uniform(self):
-        model = LogisticModel(ClassifierSpec("logreg"), LABELS3, 4, np.zeros((5, 3)))
+        model = LinearModel(ClassifierSpec("logreg"), LABELS3, 4, np.zeros((5, 3)))
         np.testing.assert_allclose(model.predict_proba(np.ones(4)), np.full(3, 1 / 3))
 
     def test_predict_proba_width_check(self, rng):
@@ -274,18 +281,20 @@ class TestLinearSvm:
         X, y = gaussian_blobs(rng, 30, [[0, 0], [5, 0], [0, 5]])
         model = train(ClassifierSpec("linear_svm_ovr", seed=1), X, y, LABELS3)
         probe = rng.standard_normal((50, 2)) * 4
-        # each hyperplane row is the class's weights, then its intercept
-        margins = probe @ model.hyperplanes[:, :-1].T + model.hyperplanes[:, -1]
+        # each weight column is the class's weights, then its intercept
+        margins = np.hstack([probe, np.ones((50, 1))]) @ model.weights
         np.testing.assert_array_equal(model.predict_proba(probe), softmax(margins))
 
     @pytest.mark.parametrize("c_grid", [(1.0,), (0.1, 1.0, 10.0)])
     def test_hyperplanes_are_fitted_on_every_row(self, rng, c_grid):
         X, y = gaussian_blobs(rng, 20, [[0, 0], [2, 0], [0, 2]])
         model = train(ClassifierSpec("linear_svm_ovr", seed=4, c_grid=c_grid), X, y, LABELS3)
-        assert model.state().keys() == {"hyperplanes", "chosen_c"}
-        np.testing.assert_array_equal(
-            model.hyperplanes, svm._fit_ovr(X, y, 3, model.chosen_c)
-        )
+        assert model.state().keys() == {"weights"}
+        (c,) = model.spec.c_grid
+        np.testing.assert_array_equal(model.weights, svm._fit_ovr(X, y, 3, c))
+        for k in range(3):
+            w, b, _ = train_binary_svm(X, np.where(y == k, 1.0, -1.0), c)
+            np.testing.assert_array_equal(model.weights[:, k], np.append(w, b))
 
     def test_c_search_scores_every_c_on_one_fold_plan(self, rng, monkeypatch):
         X, y = gaussian_blobs(rng, 15, [[0, 0], [2, 0], [0, 2]])
@@ -309,20 +318,33 @@ class TestLinearSvm:
             train(ClassifierSpec("linear_svm_ovr", seed=seed, c_grid=(1.0,)), X, y, LABELS3)
             for seed in (0, 7)
         )
-        np.testing.assert_array_equal(a.hyperplanes, b.hyperplanes)
+        np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_deterministic(self, rng):
         X, y = gaussian_blobs(rng, 25, [[0, 0], [4, 4]])
         spec = ClassifierSpec("linear_svm_ovr", seed=9)
         m1 = train(spec, X, y, LABELS2)
         m2 = train(spec, X, y, LABELS2)
-        np.testing.assert_array_equal(m1.hyperplanes, m2.hyperplanes)
-        assert m1.chosen_c == m2.chosen_c
+        np.testing.assert_array_equal(m1.weights, m2.weights)
+        assert m1.spec == m2.spec
 
-    def test_chosen_c_comes_from_grid(self, rng):
+    def test_chosen_c_comes_from_grid(self, rng, monkeypatch):
+        """The model's spec holds the chosen C, a grid value, as its one
+        c_grid value: the C of the final fit."""
         X, y = gaussian_blobs(rng, 20, [[0, 0], [3, 3]])
-        model = train(ClassifierSpec("linear_svm_ovr", seed=0), X, y, LABELS2)
-        assert model.chosen_c in (0.1, 1.0, 10.0)
+        cs = []
+        fit_ovr = svm._fit_ovr
+
+        def recording(X, y, m, c):
+            cs.append(c)
+            return fit_ovr(X, y, m, c)
+
+        monkeypatch.setattr(svm, "_fit_ovr", recording)
+        spec = ClassifierSpec("linear_svm_ovr", seed=0)
+        model = train(spec, X, y, LABELS2)
+        assert spec.c_grid == (0.1, 1.0, 10.0)
+        assert model.spec.c_grid == (cs[-1],) and cs[-1] in spec.c_grid
+        assert model.spec == dataclasses.replace(spec, c_grid=(cs[-1],))
 
 
 def counted(fn, calls):

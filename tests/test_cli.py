@@ -87,10 +87,10 @@ def huge_logreg_weights(group):
 
 
 def huge_svm_hyperplanes(group):
-    """Model-file edit: two SVM hyperplane weights of opposite sign near the
-    float maximum, so the margins overflow."""
-    group["state"]["hyperplanes"][0][0] = 1e308
-    group["state"]["hyperplanes"][1][0] = -1e308
+    """Model-file edit: the weights of classes 0 and 1 on feature 0 of an SVM
+    group, of opposite sign near the float maximum, so the margins overflow."""
+    group["state"]["weights"][0][0] = 1e308
+    group["state"]["weights"][0][1] = -1e308
 
 
 def predict_config(tmp_path, split="test", groups=("sig", "noise")):

@@ -36,6 +36,11 @@ class TestLabelSpace:
         with pytest.raises(BadSpec, match="class_names"):
             LabelSpace(("only",))
 
+    @pytest.mark.parametrize("names", [(0, 1), ("a", None), ("a", ["b"])])
+    def test_names_that_are_not_strings_rejected(self, names):
+        with pytest.raises(BadSpec, match="is not a string"):
+            LabelSpace(names)
+
     def test_from_names_sorts_lexicographically(self):
         space = LabelSpace.from_names(["zebra", "ant", "mole", "ant"])
         assert space.class_names == ("ant", "mole", "zebra")

@@ -286,6 +286,11 @@ class TestStrategyType:
         s = EnsembleStrategy("stacking", stacking_mode="naive", stacking_meta_spec=meta)
         assert s.label == "stacking_naive"
 
+    @pytest.mark.parametrize("d", [["kind"], "kind", 5, None])
+    def test_from_dict_of_a_non_object_rejected(self, d):
+        with pytest.raises(BadSpec, match="strategy must be an object"):
+            EnsembleStrategy.from_dict(d)
+
     def test_from_dict_without_kind_rejected(self):
         with pytest.raises(BadSpec, match="missing the required field 'kind'"):
             EnsembleStrategy.from_dict({"weighted": True})

@@ -20,6 +20,7 @@ from latefuse.dataio import (
     read_feature_file,
     read_labels,
     read_predictions,
+    write_predictions,
 )
 from latefuse.ensemble import EnsembleStrategy
 from latefuse.errors import CorruptModel, LateFuseError
@@ -49,7 +50,7 @@ LOADERS = (
 # built from the characters the formats use
 HEADERS = st.sampled_from(
     [b"", b"sample_id,f0,f1\n", b"sample_id,label\n", b"sample_id,predicted\n",
-     b'{"format_version": 3, "payload": ']
+     b'{"format_version": %d, "payload": ' % pipeline.MODEL_FORMAT_VERSION]
 )
 BODIES = st.one_of(
     st.binary(max_size=120),
@@ -155,12 +156,14 @@ def scalars(node):
 def edit_sites(payload):
     """The scalars a test may edit, one list per field: each group's and the
     meta model's input_dim and priority, and each field of their state, in
-    file order."""
+    file order; then the class names, and last the group names."""
     sites = []
     for record in [*payload["groups"], payload["meta"]]:
         sites += [[(record, key)] for key in ("input_dim", "priority") if key in record]
         state = record["state"]
         sites += [scalars(v) if isinstance(v, list) else [(state, k)] for k, v in state.items()]
+    sites.append(scalars(payload["label_space"]))
+    sites.append([(g, "name") for g in payload["groups"]])
     return sites
 
 
@@ -183,8 +186,12 @@ SCALAR_VALUES = st.one_of(
 @given(site=st.integers(0, 10**6), pick=st.integers(0, 10**6), value=SCALAR_VALUES)
 @example(site=0, pick=0, value=SAME_AS_FLOAT)  # a group's input_dim
 @example(site=2, pick=0, value=True)  # the first adaboost stump's feature index
-@example(site=4, pick=0, value="1e5")  # the SVM's chosen_c
+@example(site=4, pick=0, value="1e5")  # the second group's priority, for logreg and the SVM
 @example(site=4, pick=0, value=True)
+@example(site=-2, pick=0, value=5)  # a class name
+@example(site=-2, pick=1, value=None)
+@example(site=-1, pick=1, value=0)  # a group name
+@example(site=-1, pick=0, value="")
 def test_edited_model_scalar_predicts_or_is_corrupt(kind, site, pick, value):
     doc = json.loads(tiny_stacked_model(kind))
     sites = edit_sites(doc["payload"])
@@ -192,13 +199,16 @@ def test_edited_model_scalar_predicts_or_is_corrupt(kind, site, pick, value):
     node, key = entries[pick % len(entries)]
     old = node[key]
     if value == SAME_AS_FLOAT:
-        value = float(old)
+        value = old if isinstance(old, str) else float(old)
     node[key] = value
     doc["checksum"] = pipeline._checksum(doc["payload"])
-    never_loads = (
-        isinstance(value, (str, bool, type(None)))
-        or (type(old) is int and type(value) is float)
-    )
+    if isinstance(old, str):  # a class or group name: any string loads, but a group's ""
+        never_loads = not isinstance(value, str) or (value == "" and key == "name")
+    else:
+        never_loads = (
+            isinstance(value, (str, bool, type(None)))
+            or (type(old) is int and type(value) is float)
+        )
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.json")
         with open(path, "w") as fh:
@@ -210,6 +220,9 @@ def test_edited_model_scalar_predicts_or_is_corrupt(kind, site, pick, value):
     assert not never_loads, (key, old, value)
     grid = np.stack(np.meshgrid(np.linspace(-3, 6, 7), np.linspace(-3, 6, 7)), axis=-1)
     grid = grid.reshape(-1, 2)
-    preds = pipeline.predict_groups(e, [GroupView("g", grid), GroupView("h", grid)], range(len(grid)))
+    groups = [GroupView(name, grid) for name in e.group_names]
+    preds = pipeline.predict_groups(e, groups, range(len(grid)))
     for p in preds:
         assert np.all(p.scores >= 0) and np.isclose(p.scores.sum(), 1.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_predictions(preds, e.label_space.class_names, os.path.join(tmp, "p.csv"))

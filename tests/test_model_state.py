@@ -10,6 +10,7 @@ read-only and whose probabilities are valid, or is rejected by BadSpec.
 """
 
 import functools
+import json
 import os
 import tempfile
 
@@ -35,10 +36,13 @@ SPECS = {
 }
 
 
+def blobs():
+    return gaussian_blobs(np.random.default_rng(2), 8, [[0, 0], [3, 3], [0, 3]])
+
+
 @functools.cache
 def fitted(kind):
-    X, y = gaussian_blobs(np.random.default_rng(2), 8, [[0, 0], [3, 3], [0, 3]])
-    return train(SPECS[kind], X, y, LABELS)
+    return train(SPECS[kind], *blobs(), LABELS)
 
 
 def held_arrays(model):
@@ -98,6 +102,14 @@ def test_fitted_and_loaded_models_are_read_only(kind):
     assert_read_only(model)
     assert_read_only(model_from_state(model.spec, LABELS, model.input_dim, model.state()))
     assert held_arrays(model) or kind == "adaboost_stumps"  # boosting holds tuples
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_fitted_spec_refits_the_same_state(kind):
+    model = fitted(kind)
+    refit = train(model.spec, *blobs(), LABELS)
+    assert json.dumps(refit.state()) == json.dumps(model.state())
+    assert refit.spec == model.spec
 
 
 def test_a_loaded_ensemble_holds_read_only_arrays():

@@ -62,8 +62,9 @@ def identity_standardizer(dim):
 
 
 def widen_hyperplanes(group):
-    for row in group["state"]["hyperplanes"]:
-        row.append(0.0)
+    # one entry more in each class's hyperplane, a column of the weights
+    weights = group["state"]["weights"]
+    weights.append([0.0] * len(weights[0]))
 
 
 def stump_feature_out_of_range(group):
@@ -155,16 +156,17 @@ def nan_tree_threshold(group):
     group["state"]["threshold"][0] = float("nan")
 
 
+# a fitted SVM's spec holds its chosen C as its one c_grid value
 def inf_svm_chosen_c(group):
-    group["state"]["chosen_c"] = float("inf")
+    group["spec"]["c_grid"] = [float("inf")]
 
 
 def zero_svm_chosen_c(group):
-    group["state"]["chosen_c"] = 0.0
+    group["spec"]["c_grid"] = [0.0]
 
 
 def huge_int_svm_chosen_c(group):
-    group["state"]["chosen_c"] = 10**400
+    group["spec"]["c_grid"] = [10**400]
 
 
 def huge_int_stump_threshold(group):
@@ -173,7 +175,7 @@ def huge_int_stump_threshold(group):
 
 # the same, for edits that put a non-finite number (an integer beyond the
 # float range counts as one, and so does a zero C) into an
-# otherwise well-shaped model state
+# otherwise well-shaped model state or spec
 NON_FINITE_STATES = [
     ("logreg", {}, inf_logreg_weight),
     ("logreg", {}, nan_standardizer_mean),
@@ -185,6 +187,24 @@ NON_FINITE_STATES = [
     ("adaboost_stumps", {"rounds": 5}, huge_int_stump_threshold),
     ("random_forest", {"trees": 3}, nan_tree_threshold),
 ]
+
+
+# (path into a saved model's payload, value put there): each value is of a
+# type that field never holds
+PAYLOAD_TYPE_EDITS = {
+    "numeric_class_names": (("label_space",), [0, 1, 2]),
+    "null_class_name": (("label_space", 0), None),
+    "label_space_string": (("label_space",), "abc"),
+    "list_group_name": (("groups", 0, "name"), ["sig"]),
+    "object_group_name": (("groups", 0, "name"), {"sig": 1}),
+    "int_group_name": (("groups", 0, "name"), 5),
+    "null_group_name": (("groups", 0, "name"), None),
+    "empty_group_name": (("groups", 0, "name"), ""),
+    "list_strategy": (("strategy",), ["kind"]),
+    "list_spec": (("groups", 0, "spec"), ["kind"]),
+    "int_spec": (("groups", 0, "spec"), 5),
+    "null_spec": (("groups", 0, "spec"), None),
+}
 
 
 def save_misshaped_model(path, d, kind, kw, edit):
@@ -547,6 +567,31 @@ class TestPersistence:
         with pytest.raises(CorruptModel, match="model.json"):
             load_ensemble(str(path))
 
+    @pytest.mark.parametrize("where,value", PAYLOAD_TYPE_EDITS.values(), ids=PAYLOAD_TYPE_EDITS)
+    def test_checksummed_payload_field_of_the_wrong_type_is_corrupt(
+        self, tmp_path, rng, capsys, where, value
+    ):
+        path = tmp_path / "model.json"
+        e = train_ensemble(small_dataset(rng), ClassifierSpec("logreg"), EnsembleStrategy("confidence_sum"), 3, 0)
+        save_ensemble(e, str(path))
+        doc = json.loads(path.read_text())
+        *parents, last = where
+        node = doc["payload"]
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        doc["checksum"] = pipeline._checksum(doc["payload"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptModel, match="model.json"):
+            load_ensemble(str(path))
+        cfg = tmp_path / "predict.json"
+        cfg.write_text(json.dumps({"data": {"groups": [{"name": "sig", "path": "unused.csv"}]}}))
+        argv = ["predict", "--model", str(path), "--config", str(cfg),
+                "--out", str(tmp_path / "p.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+
     def test_format_1_nested_forest_trees_are_not_read(self, tmp_path, rng, capsys):
         d = small_dataset(rng)
         spec = ClassifierSpec("random_forest", seed=1, trees=4)
@@ -562,7 +607,7 @@ class TestPersistence:
             load_ensemble(str(path))
         doc["format_version"] = 1
         path.write_text(json.dumps(doc))
-        with pytest.raises(VersionMismatch, match="model.json.*version 1; only format 3 is read"):
+        with pytest.raises(VersionMismatch, match="model.json.*version 1; only format 4 is read"):
             load_ensemble(str(path))
         cfg = tmp_path / "predict.json"
         cfg.write_text(json.dumps({"data": {"groups": [{"name": "g", "path": "unused.csv"}]}}))
@@ -582,7 +627,30 @@ class TestPersistence:
         doc["format_version"] = 2
         doc["checksum"] = pipeline._checksum(doc["payload"])
         path.write_text(json.dumps(doc))
-        with pytest.raises(VersionMismatch, match="model.json.*version 2; only format 3 is read"):
+        with pytest.raises(VersionMismatch, match="model.json.*version 2; only format 4 is read"):
+            load_ensemble(str(path))
+        cfg = tmp_path / "predict.json"
+        cfg.write_text(json.dumps({"data": {"groups": [{"name": "sig", "path": "unused.csv"}]}}))
+        argv = ["predict", "--model", str(path), "--config", str(cfg),
+                "--out", str(tmp_path / "p.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+
+    def test_format_3_svm_with_hyperplanes_is_not_read(self, tmp_path, rng, capsys):
+        d = small_dataset(rng)
+        spec = ClassifierSpec("linear_svm_ovr")
+        path = tmp_path / "model.json"
+        save_ensemble(train_ensemble(d, spec, EnsembleStrategy("confidence_sum"), 3, 0), str(path))
+        doc = json.loads(path.read_text())
+        for g in doc["payload"]["groups"]:
+            (c,) = g["spec"]["c_grid"]
+            g["spec"]["c_grid"] = list(spec.c_grid)
+            g["state"] = {"hyperplanes": np.transpose(g["state"]["weights"]).tolist(), "chosen_c": c}
+        doc["format_version"] = 3
+        doc["checksum"] = pipeline._checksum(doc["payload"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(VersionMismatch, match="model.json.*version 3; only format 4 is read"):
             load_ensemble(str(path))
         cfg = tmp_path / "predict.json"
         cfg.write_text(json.dumps({"data": {"groups": [{"name": "sig", "path": "unused.csv"}]}}))
