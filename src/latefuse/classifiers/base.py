@@ -19,6 +19,7 @@ from ..core import (
     feature_matrix,
     frozen_array,
     integer,
+    json_object,
     persisted_array,
     probability_vector,
     real,
@@ -84,14 +85,7 @@ class ClassifierSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClassifierSpec":
-        if not isinstance(d, dict):
-            raise BadSpec(f"classifier spec must be an object, got {d!r}")
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise BadSpec(f"unknown classifier spec fields: {sorted(unknown)}")
-        if "kind" not in d:
-            raise BadSpec("classifier spec needs a 'kind'")
-        return cls(**d)
+        return cls(**json_object(d, "classifier", ("kind",), [f.name for f in fields(cls)]))
 
 
 class FittedClassifier:

@@ -13,152 +13,118 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import classifiers, dataio, ensemble, evaluation, pipeline, synthdata
-from .core import SplitSpec, integer, stratified_split
+from .core import MultiViewDataset, SplitSpec, integer, json_object, stratified_split
 from .errors import BadSpec, ConfigError, CorruptModel, InvalidProbabilities, LateFuseError
+
+
+Block = tuple[Optional[str], list[tuple[str, str]]]  # labels path, (name, path) groups
 
 
 @dataclass
 class RunConfig:
+    """The run config read from the file ``path``; an absent data block is
+    (None, [])."""
+
+    path: str
     spec: classifiers.ClassifierSpec
     strategy: ensemble.EnsembleStrategy
     k: int
     seed: int
-    labels_path: Optional[str]
-    group_paths: list[tuple[str, str]]
-    test_labels_path: Optional[str] = None
-    test_group_paths: list[tuple[str, str]] = field(default_factory=list)
-    model_path: Optional[str] = None
-    out_path: Optional[str] = None
-    subsets: Optional[list[list[str]]] = None
+    data: Block
+    test_data: Block
+    model_path: Optional[str]
+    out_path: Optional[str]
+    subsets: Optional[list[list[str]]]
+
+    def require(self, value, name: str):
+        """``value``; ConfigError naming the file and the setting when it is empty."""
+        if not value:
+            raise ConfigError(f"config {self.path!r}: missing required setting: {name}")
+        return value
+
+    def dataset(self, block: str) -> MultiViewDataset:
+        """The dataset of the block ``block``, ``data`` or ``test_data``."""
+        labels, groups = getattr(self, block)
+        return dataio.load_dataset(
+            self.require(labels, f"{block}.labels"), self.require(groups, f"{block}.groups")
+        )
 
 
-# Field readers for the config and the gen-data spec. ``where`` names the
-# file ("config 'run.json'"); every error names it and the field.
+# Field readers for the config and the gen-data spec. Each raises BadSpec
+# naming the field's path; load_config and cmd_gendata add the file.
 
 
-def _object(value, where: str, field: str, required=(), optional=None) -> dict:
-    """``value``, a JSON object holding every ``required`` key. With
-    ``optional`` given, any other key outside it is an error too; without
-    it, the block's own reader checks its keys."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}: {field} must be a JSON object, got {value!r}")
-    unknown = [] if optional is None else sorted(set(value) - {*required, *optional})
-    if unknown:
-        raise ConfigError(f"{where}: {field} has unknown fields {unknown}")
-    for key in required:
-        if key not in value:
-            raise ConfigError(f"{where}: {field} is missing the required field {key!r}")
-    return value
-
-
-def _string(block: dict, key: str, where: str, field: str) -> Optional[str]:
+def _string(block: dict, key: str, field: str) -> Optional[str]:
     """``block[key]``, a non-empty string, or None when the key is absent."""
     if key not in block:
         return None
     value = block[key]
     if not isinstance(value, str) or not value:
-        raise ConfigError(f"{where}: {field} must be a non-empty string, got {value!r}")
+        raise BadSpec(f"{field} must be a non-empty string, got {value!r}")
     return value
 
 
-def _data_block(block, where: str, field: str) -> tuple[Optional[str], list[tuple[str, str]]]:
-    block = _object(block, where, field, optional=("labels", "groups"))
+def _data_block(block, field: str) -> Block:
+    block = json_object(block, field, (), ("labels", "groups"))
     groups = block.get("groups")
     if not isinstance(groups, list) or not groups:
-        raise ConfigError(f"{where}: {field}.groups must be a non-empty list")
+        raise BadSpec(f"{field}.groups must be a non-empty list")
     group_paths = []
     for i, g in enumerate(groups):
         item = f"{field}.groups[{i}]"
-        _object(g, where, item, ("name", "path"), ())
-        name = _string(g, "name", where, f"{item}.name")
+        json_object(g, item, ("name", "path"), ())
+        name = _string(g, "name", f"{item}.name")
         if name in dict(group_paths):
-            raise ConfigError(f"{where}: {item}.name {name!r} is listed twice")
-        group_paths.append((name, _string(g, "path", where, f"{item}.path")))
-    return _string(block, "labels", where, f"{field}.labels"), group_paths
+            raise BadSpec(f"{item}.name {name!r} is listed twice")
+        group_paths.append((name, _string(g, "path", f"{item}.path")))
+    return _string(block, "labels", f"{field}.labels"), group_paths
 
 
-def _read_json_object(path: str, what: str) -> dict:
+def _read_json(path: str, what: str):
     try:
         with open(path, "r") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # covers JSON and UTF-8 decode errors
         raise ConfigError(f"{what} {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{what} {path!r} must be a JSON object")
-    return raw
 
 
 def load_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
-    raw = _read_json_object(path, "config")
-    where = f"config {path!r}"
-    _object(raw, where, "the top level", optional=(
-        "classifier", "strategy", "k", "seed", "data", "test_data", "model", "out", "subsets"
-    ))
+    raw = _read_json(path, "config")
     try:
-        spec = classifiers.ClassifierSpec.from_dict(
-            _object(raw.get("classifier", {"kind": "logreg"}), where, "classifier")
-        )
+        json_object(raw, "the top level", (), (
+            "classifier", "strategy", "k", "seed", "data", "test_data", "model", "out", "subsets"
+        ))
+        spec = classifiers.ClassifierSpec.from_dict(raw.get("classifier", {"kind": "logreg"}))
         strategy = ensemble.EnsembleStrategy.from_dict(
-            _object(
-                raw.get("strategy", {"kind": "confidence_sum", "weighted": True}),
-                where,
-                "strategy",
-            )
+            raw.get("strategy", {"kind": "confidence_sum", "weighted": True})
         )
         k = integer(raw.get("k", 5), "k", 2)
         seed = integer(raw.get("seed", 0) if seed_override is None else seed_override, "seed", 0)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    labels_path, group_paths = (None, [])
-    if "data" in raw:
-        labels_path, group_paths = _data_block(raw["data"], where, "data")
-    test_labels, test_groups = (None, [])
-    if "test_data" in raw:
-        test_labels, test_groups = _data_block(raw["test_data"], where, "test_data")
-    subsets = raw.get("subsets")
-    if subsets is not None:
-        if not isinstance(subsets, list) or not all(
+        data = _data_block(raw["data"], "data") if "data" in raw else (None, [])
+        test_data = _data_block(raw["test_data"], "test_data") if "test_data" in raw else (None, [])
+        subsets = raw.get("subsets")
+        if subsets is not None and not (isinstance(subsets, list) and all(
             isinstance(s, list) and all(isinstance(g, str) for g in s) for s in subsets
-        ):
-            raise ConfigError(f"{where}: subsets must be a list of name lists")
-    return RunConfig(
-        spec=spec,
-        strategy=strategy,
-        k=k,
-        seed=seed,
-        labels_path=labels_path,
-        group_paths=group_paths,
-        test_labels_path=test_labels,
-        test_group_paths=test_groups,
-        model_path=_string(raw, "model", where, "model"),
-        out_path=_string(raw, "out", where, "out"),
-        subsets=subsets,
-    )
-
-
-def _require(value, name: str):
-    if not value:
-        raise ConfigError(f"missing required setting: {name}")
-    return value
-
-
-def _load_dataset(labels_path, group_paths, field: str):
-    """The dataset of the config block ``field`` (``data`` or ``test_data``)."""
-    labels = _require(labels_path, f"{field}.labels")
-    return dataio.load_dataset(labels, _require(group_paths, f"{field}.groups"))
+        )):
+            raise BadSpec("subsets must be a list of name lists")
+        model, out = _string(raw, "model", "model"), _string(raw, "out", "out")
+    except BadSpec as exc:
+        raise ConfigError(f"config {path!r}: {exc}") from exc
+    return RunConfig(path, spec, strategy, k, seed, data, test_data, model, out, subsets)
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.seed)
-    model_path = args.model or cfg.model_path
-    _require(model_path, "model output path (--model or config 'model')")
-    train = _load_dataset(cfg.labels_path, cfg.group_paths, "data")
+    model_path = cfg.require(
+        args.model or cfg.model_path, "model output path (--model or config 'model')"
+    )
+    train = cfg.dataset("data")
     e = pipeline.train_ensemble(train, cfg.spec, cfg.strategy, cfg.k, cfg.seed)
     pipeline.save_ensemble(e, model_path)
     print(f"trained on {train.n} samples, {len(train.groups)} groups, "
@@ -171,11 +137,10 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = load_config(args.config)
-    _require(cfg.group_paths, "data.groups")
-    out_path = args.out or cfg.out_path
-    _require(out_path, "output path (--out or config 'out')")
+    group_paths = cfg.require(cfg.data[1], "data.groups")
+    out_path = cfg.require(args.out or cfg.out_path, "output path (--out or config 'out')")
     e = pipeline.load_ensemble(args.model)
-    groups, ids = dataio.load_groups(cfg.group_paths)
+    groups, ids = dataio.load_groups(group_paths)
     try:
         preds = pipeline.predict_groups(e, groups, ids)
     except InvalidProbabilities as exc:
@@ -203,8 +168,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config, args.seed)
-    train = _load_dataset(cfg.labels_path, cfg.group_paths, "data")
-    test = _load_dataset(cfg.test_labels_path, cfg.test_group_paths, "test_data")
+    train, test = cfg.dataset("data"), cfg.dataset("test_data")
     report = evaluation.ablate(
         train, test, cfg.spec, [cfg.strategy], cfg.subsets, cfg.k, cfg.seed
     )
@@ -215,8 +179,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config, args.seed)
-    train = _load_dataset(cfg.labels_path, cfg.group_paths, "data")
-    test = _load_dataset(cfg.test_labels_path, cfg.test_group_paths, "test_data")
+    train, test = cfg.dataset("data"), cfg.dataset("test_data")
     if args.classifiers:
         rows = evaluation.compare_classifiers(train, test, cfg.strategy, cfg.k, cfg.seed)
         header = ["classifier", "accuracy"]
@@ -228,35 +191,37 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _synth_spec_from_json(
-    raw: dict, where: str, seed
-) -> tuple[synthdata.SynthSpec, SplitSpec]:
-    """Build the specs, which check their own fields; an error names the
-    field's path in the spec file."""
-    _object(
-        raw,
-        where,
-        "the spec",
-        ("m", "n_per_class", "train_per_class", "test_per_class"),
-        ("views", "separation", "seed"),
-    )
+SYNTH_REQUIRED = ("m", "n_per_class", "train_per_class", "test_per_class")
+SYNTH_OPTIONAL = ("views", "separation", "seed")
+
+
+def _synth_datasets(raw, seed_override) -> tuple[MultiViewDataset, MultiViewDataset]:
+    """The train and test sets of the gen-data spec ``raw``. The specs check
+    their own fields; an error names the field's path in the spec."""
+    json_object(raw, "the spec", (), ("benchmark", *SYNTH_REQUIRED, *SYNTH_OPTIONAL))
+    seed = raw.get("seed", 0) if seed_override is None else seed_override
+    if "benchmark" in raw:
+        json_object(raw, "the spec", (), ("benchmark", "seed"))
+        if raw["benchmark"] != "default":
+            raise BadSpec(f"benchmark must be 'default', got {raw['benchmark']!r}")
+        return synthdata.default_benchmark(seed)
+    json_object(raw, "the spec", SYNTH_REQUIRED, SYNTH_OPTIONAL)
     views = raw.get("views")
     if not isinstance(views, list) or not views:
-        raise ConfigError(f"{where}: views must be a non-empty list")
+        raise BadSpec("views must be a non-empty list")
     view_specs = []
     for i, v in enumerate(views):
-        _object(v, where, f"views[{i}]", ("name", "dim", "informativeness"), ("scale",))
-        name = v["name"]
-        if not dataio.is_file_name(name):
-            raise ConfigError(
-                f"{where}: views[{i}].name must be a plain file name other than 'labels', got {name!r}"
+        json_object(v, f"views[{i}]", ("name", "dim", "informativeness"), ("scale",))
+        if not dataio.is_file_name(v["name"]):
+            raise BadSpec(
+                f"views[{i}].name must be a plain file name other than 'labels', got {v['name']!r}"
             )
         try:
             view_specs.append(
-                synthdata.ViewSpec(name, v["dim"], v["informativeness"], v.get("scale", 1.0))
+                synthdata.ViewSpec(v["name"], v["dim"], v["informativeness"], v.get("scale", 1.0))
             )
         except BadSpec as exc:
-            raise ConfigError(f"{where}: views[{i}].{exc}") from exc
+            raise BadSpec(f"views[{i}].{exc}") from exc
     spec = synthdata.SynthSpec(
         raw["m"],
         raw["n_per_class"],
@@ -264,24 +229,16 @@ def _synth_spec_from_json(
         raw.get("separation", synthdata.DEFAULT_SEPARATION),
         seed,
     )
-    return spec, SplitSpec(raw["train_per_class"], raw["test_per_class"], seed)
+    split = SplitSpec(raw["train_per_class"], raw["test_per_class"], seed)
+    return stratified_split(synthdata.generate(spec), split)
 
 
 def cmd_gendata(args) -> int:
-    raw = _read_json_object(args.spec, "spec")
-    where = f"spec {args.spec!r}"
-    seed = raw.get("seed", 0) if args.seed is None else args.seed
+    raw = _read_json(args.spec, "spec")
     try:
-        if "benchmark" in raw:
-            _object(raw, where, "the spec", optional=("benchmark", "seed"))
-            if raw["benchmark"] != "default":
-                raise ConfigError(f"{where}: benchmark must be 'default', got {raw['benchmark']!r}")
-            train, test = synthdata.default_benchmark(seed)
-        else:
-            spec, split = _synth_spec_from_json(raw, where, seed)
-            train, test = stratified_split(synthdata.generate(spec), split)
+        train, test = _synth_datasets(raw, args.seed)
     except BadSpec as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"spec {args.spec!r}: {exc}") from exc
     dataio.write_dataset(train, os.path.join(args.out, "train"))
     dataio.write_dataset(test, os.path.join(args.out, "test"))
     print(

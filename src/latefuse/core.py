@@ -15,7 +15,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -62,6 +62,20 @@ def real(value, what: str, above: Optional[float] = None) -> float:
     if above is not None and x <= above:
         raise BadSpec(f"{what} must be > {above:g}, got {value!r}")
     return x
+
+
+def json_object(value, what: str, required: Sequence[str], optional: Sequence[str]) -> dict:
+    """``value``, a JSON object holding every ``required`` key and no key
+    outside ``required`` and ``optional``. BadSpec naming ``what`` otherwise."""
+    if not isinstance(value, dict):
+        raise BadSpec(f"{what} must be a JSON object, got {value!r}")
+    unknown = sorted(set(value) - {*required, *optional}, key=str)
+    if unknown:
+        raise BadSpec(f"{what} has unknown fields {unknown}")
+    for key in required:
+        if key not in value:
+            raise BadSpec(f"{what} is missing the required field {key!r}")
+    return value
 
 
 def frozen_array(values, dtype=np.float64) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import classifiers
-from .core import LabelSpace, real
+from .core import LabelSpace, json_object, real
 from .errors import AllZeroPriorities, BadSpec, DimensionMismatch, EmptyEnsemble, InvalidProbabilities
 
 STRATEGY_KINDS = ("confidence_sum", "rank_sum", "stacking")
@@ -71,22 +71,10 @@ class EnsembleStrategy:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnsembleStrategy":
-        if not isinstance(d, dict):
-            raise BadSpec(f"strategy must be an object, got {d!r}")
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise BadSpec(f"unknown strategy fields: {sorted(unknown)}")
-        if "kind" not in d:
-            raise BadSpec("strategy is missing the required field 'kind'")
-        meta = d.get("stacking_meta_spec")
-        return cls(
-            kind=d["kind"],
-            weighted=d.get("weighted", False),
-            stacking_mode=d.get("stacking_mode"),
-            stacking_meta_spec=(
-                classifiers.ClassifierSpec.from_dict(meta) if meta else None
-            ),
-        )
+        d = dict(json_object(d, "strategy", ("kind",), [f.name for f in fields(cls)]))
+        if d.get("stacking_meta_spec") is not None:
+            d["stacking_meta_spec"] = classifiers.ClassifierSpec.from_dict(d["stacking_meta_spec"])
+        return cls(**d)
 
 
 def assign_ranks(p) -> np.ndarray:

@@ -69,6 +69,9 @@ class TrainedEnsemble:
     label_space: LabelSpace
 
     def __post_init__(self):
+        names = self.group_names
+        if not names or len(set(names)) < len(names):
+            raise BadSpec(f"per_group must name one or more groups, each once, got {list(names)}")
         if (self.meta is not None) != (self.strategy.kind == "stacking"):
             raise BadSpec("meta classifier present iff strategy is stacking")
         width = len(self.per_group) * self.label_space.m

@@ -57,6 +57,13 @@ def make_dataset(groups, labels, class_names=None):
     )
 
 
+def falsy_meta_message(meta):
+    """The error for a stacking_meta_spec of the falsy ``meta``, in a config or a model file."""
+    if meta == {}:
+        return "classifier is missing the required field 'kind'"
+    return f"classifier must be a JSON object, got {meta!r}"
+
+
 def drop_last_weight_column(group):
     """Model-file edit: one column fewer in a logreg group's weights."""
     for row in group["state"]["weights"]:

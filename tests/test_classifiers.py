@@ -11,7 +11,7 @@ from latefuse.classifiers.logreg import train_logreg
 from latefuse.classifiers.svm import svm_objective, train_binary_svm
 from latefuse.classifiers.base import LBFGS_TOL, MAX_HALVINGS, MAX_STEPS, lbfgs, softmax
 from latefuse.core import LabelSpace
-from latefuse.errors import BadSpec, DimensionMismatch, SingleClassData
+from latefuse.errors import BadSpec, DimensionMismatch, EmptyClass, SingleClassData
 
 from conftest import (
     DETERMINISTIC,
@@ -51,7 +51,7 @@ class TestClassifierSpec:
 
     @pytest.mark.parametrize("d", [["kind"], "kind", 5, None])
     def test_from_dict_of_a_non_object_rejected(self, d):
-        with pytest.raises(BadSpec, match="classifier spec must be an object"):
+        with pytest.raises(BadSpec, match="classifier must be a JSON object"):
             ClassifierSpec.from_dict(d)
 
 
@@ -218,6 +218,11 @@ class TestLogReg:
         X = rng.standard_normal((10, 2))
         with pytest.raises(SingleClassData):
             train(ClassifierSpec("logreg"), X, np.zeros(10, dtype=int), LABELS2)
+
+    def test_class_without_samples_named(self, rng):
+        X, y = gaussian_blobs(rng, 5, [[0, 0], [3, 3]])
+        with pytest.raises(EmptyClass, match=r"classes with no training samples: \['c2'\]"):
+            train(ClassifierSpec("logreg"), X, y, LABELS3)
 
     def test_deterministic_bit_for_bit(self, rng):
         X, y = gaussian_blobs(rng, 20, [[0, 0], [3, 3]])

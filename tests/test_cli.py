@@ -380,6 +380,12 @@ class TestCompareAndAblate:
         assert main(["ablate", "--config", str(cfg)]) == 2
         assert "hog" in capsys.readouterr().err
 
+    def test_ablate_empty_subset_exit_2(self, workdir, capsys):
+        cfg = write_config(workdir, subsets=[[]])
+        assert main(["ablate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "empty group subset" in captured.err and captured.out == ""
+
     def test_ablate_group_named_twice_exit_2(self, workdir, capsys):
         cfg = write_config(workdir, subsets=[["sig", "sig"]])
         assert main(["ablate", "--config", str(cfg)]) == 2
@@ -429,6 +435,10 @@ class TestConfigFields:
         ("model", lambda cfg: cfg.update(model="")),
         ("strategy", lambda cfg: cfg.update(strategy="x")),
         ("classifier", lambda cfg: cfg.update(classifier=5)),
+        (
+            "classifier must be a JSON object, got 0",
+            lambda cfg: cfg.update(strategy={"kind": "confidence_sum", "stacking_meta_spec": 0}),
+        ),
     ])
     def test_train_field_exit_2(self, workdir, capsys, field, edit):
         cfg = write_config(workdir)
@@ -482,8 +492,8 @@ class TestConfigFields:
 
     @pytest.mark.parametrize("message, edit", [
         ("the top level has unknown fields ['sed']", lambda cfg: cfg.update(sed=4)),
-        ("classifier spec fields: ['lamda']", lambda cfg: cfg["classifier"].update(lamda=1)),
-        ("strategy fields: ['weigted']", lambda cfg: cfg["strategy"].update(weigted=False)),
+        ("classifier has unknown fields ['lamda']", lambda cfg: cfg["classifier"].update(lamda=1)),
+        ("strategy has unknown fields ['weigted']", lambda cfg: cfg["strategy"].update(weigted=False)),
         (": data has unknown fields ['lables']", lambda cfg: cfg["data"].update(lables="x")),
         ("test_data has unknown fields ['lables']", lambda cfg: cfg["test_data"].update(lables="x")),
         ("data.groups[1] has unknown fields ['pth']", lambda cfg: cfg["data"]["groups"][1].update(pth="x")),
@@ -497,6 +507,41 @@ class TestConfigFields:
         err = capsys.readouterr().err
         assert repr(str(cfg)) in err and message in err
         assert not (workdir / "model.json").exists()
+
+    @pytest.mark.parametrize("verb, drop, setting", [
+        ("train", "data", "data.labels"),
+        ("train", "model", "model output path"),
+        ("predict", "data", "data.groups"),
+        ("predict", "out", "output path"),
+        ("compare", "test_data", "test_data.labels"),
+        ("ablate", "test_data", "test_data.labels"),
+    ])
+    def test_missing_setting_names_the_config_exit_2(self, workdir, capsys, verb, drop, setting):
+        assert main(["train", "--config", str(write_config(workdir))]) == 0
+        cfg = write_config(workdir, out=str(workdir / "p.csv"))
+        doc = json.loads(cfg.read_text())
+        del doc[drop]
+        cfg.write_text(json.dumps(doc))
+        argv = [verb, "--config", str(cfg)]
+        if verb == "predict":
+            argv += ["--model", str(workdir / "model.json")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config {str(cfg)!r}: missing required setting: {setting}" in err
+
+    def test_unreadable_config_exit_2(self, workdir, capsys):
+        missing = workdir / "nowhere.json"
+        assert main(["train", "--config", str(missing)]) == 2
+        assert f"cannot read config {str(missing)!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [[1, 2], "cfg", 5, None], ids=repr)
+    def test_config_that_is_not_an_object_exit_2(self, workdir, capsys, doc):
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"config {str(cfg)!r}: the top level must be a JSON object" in err
 
     def test_predict_out_exit_2(self, workdir, capsys):
         assert main(["train", "--config", str(write_config(workdir))]) == 0

@@ -64,6 +64,10 @@ class TestValidateDataset:
         assert d.n == 6 and d.labels.dtype == np.int64
         assert d.take([0, 3]).n == 2 and d.subset_groups(["g1"]).group_names == ("g1",)
 
+    def test_no_groups(self):
+        with pytest.raises(MisalignedGroup, match="dataset has no feature groups"):
+            MultiViewDataset(LabelSpace(("c0", "c1")), np.array([0, 1]), (), ("s0", "s1"))
+
     def test_misaligned_group(self, rng):
         with pytest.raises(MisalignedGroup, match="'a'"):
             MultiViewDataset(

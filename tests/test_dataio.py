@@ -96,6 +96,10 @@ def test_unparsable_value_keeps_the_float_message(tmp_path):
 
 
 class TestFeatureJoin:
+    def test_no_groups(self):
+        with pytest.raises(DataError, match="no feature groups configured"):
+            load_groups([])
+
     def test_missing_id(self, tmp_path):
         a = write(tmp_path, "a.csv", FEATURES)
         b = write(tmp_path, "b.csv", "sample_id,f0\na,1\nc,3\n")

@@ -24,6 +24,8 @@ from latefuse.errors import (
     InvalidProbabilities,
 )
 
+from conftest import falsy_meta_message
+
 
 # --- independent straightforward reimplementation (oracle) -----------------
 
@@ -288,8 +290,18 @@ class TestStrategyType:
 
     @pytest.mark.parametrize("d", [["kind"], "kind", 5, None])
     def test_from_dict_of_a_non_object_rejected(self, d):
-        with pytest.raises(BadSpec, match="strategy must be an object"):
+        with pytest.raises(BadSpec, match="strategy must be a JSON object"):
             EnsembleStrategy.from_dict(d)
+
+    @pytest.mark.parametrize("meta", [0, "", [], {}, False], ids=repr)
+    def test_from_dict_reads_a_falsy_meta_spec(self, meta):
+        # only an absent or null stacking_meta_spec counts as none
+        with pytest.raises(BadSpec, match=re.escape(falsy_meta_message(meta))):
+            EnsembleStrategy.from_dict({"kind": "confidence_sum", "stacking_meta_spec": meta})
+
+    def test_unknown_stacking_mode_rejected(self):
+        with pytest.raises(BadSpec, match="stacking_mode must be one of .*, got 'eager'"):
+            EnsembleStrategy("stacking", stacking_mode="eager", stacking_meta_spec=ClassifierSpec("logreg"))
 
     def test_from_dict_without_kind_rejected(self):
         with pytest.raises(BadSpec, match="missing the required field 'kind'"):
@@ -300,7 +312,7 @@ class TestStrategyType:
         ({"kind": "confidence_sum", "seed": 4, "mode": "x"}, "['mode', 'seed']"),
     ])
     def test_from_dict_rejects_unknown_fields(self, d, unknown):
-        with pytest.raises(BadSpec, match=re.escape(f"unknown strategy fields: {unknown}")):
+        with pytest.raises(BadSpec, match=re.escape(f"strategy has unknown fields {unknown}")):
             EnsembleStrategy.from_dict(d)
 
     def test_round_trip_dict(self):

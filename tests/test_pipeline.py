@@ -29,6 +29,7 @@ from latefuse.pipeline import (
 
 from conftest import (
     drop_last_weight_column,
+    falsy_meta_message,
     gaussian_blobs,
     inf_logreg_weight,
     make_dataset,
@@ -207,6 +208,45 @@ PAYLOAD_TYPE_EDITS = {
 }
 
 
+# (path into a saved model's payload, value put there, part of the message):
+# each value is of the right type but breaks a rule of a built ensemble
+PAYLOAD_RULE_EDITS = {
+    "no_groups": (("groups",), [], "per_group must name one or more groups"),
+    "repeated_group_name": (("groups", 1, "name"), "sig", "each once, got ['sig', 'sig']"),
+    **{
+        f"meta_spec_{meta!r}": (("strategy", "stacking_meta_spec"), meta, falsy_meta_message(meta))
+        for meta in (0, "", [], {}, False)
+    },
+}
+
+
+def assert_edited_model_is_corrupt(tmp_path, rng, capsys, where, value, message):
+    """Save a two-group model, put ``value`` at the payload path ``where`` and
+    re-checksum it: loading it raises CorruptModel naming the file and holding
+    ``message``, and ``latefuse predict`` exits 1 naming the file."""
+    path = tmp_path / "model.json"
+    e = train_ensemble(small_dataset(rng), ClassifierSpec("logreg"), EnsembleStrategy("confidence_sum"), 3, 0)
+    save_ensemble(e, str(path))
+    doc = json.loads(path.read_text())
+    *parents, last = where
+    node = doc["payload"]
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    doc["checksum"] = pipeline._checksum(doc["payload"])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptModel, match="model.json") as caught:
+        load_ensemble(str(path))
+    assert message in str(caught.value)
+    cfg = tmp_path / "predict.json"
+    cfg.write_text(json.dumps({"data": {"groups": [{"name": "sig", "path": "unused.csv"}]}}))
+    argv = ["predict", "--model", str(path), "--config", str(cfg),
+            "--out", str(tmp_path / "p.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err and "Traceback" not in err
+
+
 def save_misshaped_model(path, d, kind, kw, edit):
     e = train_ensemble(d, ClassifierSpec(kind, seed=1, **kw), EnsembleStrategy("confidence_sum"), 3, 0)
     save_ensemble(e, str(path))
@@ -282,6 +322,13 @@ class TestPredict:
                     (g_feats - gm.standardizer.mean) * gm.standardizer.scale
                 )
                 assert p.decided == solo
+
+    def test_unexpected_group_named(self, rng):
+        d = small_dataset(rng)
+        e = train_ensemble(d, ClassifierSpec("logreg"), EnsembleStrategy("confidence_sum"), 3, 0)
+        extra = GroupView("extra", rng.standard_normal((d.n, 2)))
+        with pytest.raises(GroupSchemaMismatch, match="unexpected group 'extra'"):
+            predict_groups(e, [*d.groups, extra], d.sample_ids)
 
     def test_missing_group_named(self, rng):
         d = small_dataset(rng)
@@ -391,6 +438,17 @@ class TestTrainedEnsembleChecks:
     def test_meta_width_must_be_g_times_m(self):
         with pytest.raises(BadSpec, match="meta input_dim 3, expected 1 groups x 2 classes"):
             self.build(self.STACKING, 3)
+
+    @pytest.mark.parametrize("names", [(), ("a", "a"), ("a", "b", "a")], ids=repr)
+    def test_groups_are_one_or_more_with_unique_names(self, names):
+        groups = tuple(
+            pipeline.GroupModel(
+                name, identity_standardizer(2), ConstantClassifier(self.LABELS, 2, [0.6, 0.4]), 1.0
+            )
+            for name in names
+        )
+        with pytest.raises(BadSpec, match=r"per_group must name one or more groups, each once"):
+            TrainedEnsemble(groups, EnsembleStrategy("confidence_sum"), None, self.LABELS)
 
 
 class TestConcatBaseline:
@@ -571,26 +629,15 @@ class TestPersistence:
     def test_checksummed_payload_field_of_the_wrong_type_is_corrupt(
         self, tmp_path, rng, capsys, where, value
     ):
-        path = tmp_path / "model.json"
-        e = train_ensemble(small_dataset(rng), ClassifierSpec("logreg"), EnsembleStrategy("confidence_sum"), 3, 0)
-        save_ensemble(e, str(path))
-        doc = json.loads(path.read_text())
-        *parents, last = where
-        node = doc["payload"]
-        for key in parents:
-            node = node[key]
-        node[last] = value
-        doc["checksum"] = pipeline._checksum(doc["payload"])
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CorruptModel, match="model.json"):
-            load_ensemble(str(path))
-        cfg = tmp_path / "predict.json"
-        cfg.write_text(json.dumps({"data": {"groups": [{"name": "sig", "path": "unused.csv"}]}}))
-        argv = ["predict", "--model", str(path), "--config", str(cfg),
-                "--out", str(tmp_path / "p.csv")]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert str(path) in err and "Traceback" not in err
+        assert_edited_model_is_corrupt(tmp_path, rng, capsys, where, value, "")
+
+    @pytest.mark.parametrize(
+        "where,value,message", PAYLOAD_RULE_EDITS.values(), ids=PAYLOAD_RULE_EDITS
+    )
+    def test_checksummed_payload_that_breaks_an_ensemble_rule_is_corrupt(
+        self, tmp_path, rng, capsys, where, value, message
+    ):
+        assert_edited_model_is_corrupt(tmp_path, rng, capsys, where, value, message)
 
     def test_format_1_nested_forest_trees_are_not_read(self, tmp_path, rng, capsys):
         d = small_dataset(rng)

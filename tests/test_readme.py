@@ -1,13 +1,16 @@
 """The README's "Library use" example runs as written, so a public name it
-uses cannot be removed or renamed without failing the suite; its "Errors"
-table lists exactly the exception classes, each with its exit code; and the
-model format it states is the one that is written and read."""
+uses cannot be removed or renamed without failing the suite; so do its
+config and gen-data spec examples, so a field they use cannot be renamed or
+dropped either. Its "Errors" table lists exactly the exception classes, each
+with its exit code; and the model format it states is the one that is
+written and read."""
 
 import inspect
 import pathlib
 import re
 
 from latefuse import errors
+from latefuse.cli import load_config, main
 from latefuse.pipeline import MODEL_FORMAT_VERSION, load_ensemble
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -16,6 +19,38 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 def library_example() -> str:
     section = README.read_text().split("\n## Library use\n", 1)[1]
     return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def json_examples(heading: str) -> list[str]:
+    """The JSON blocks of the README section ``heading``."""
+    section = README.read_text().split(f"\n{heading}\n", 1)[1].split("\n#", 1)[0]
+    return re.findall(r"```json\n(.*?)```", section, re.DOTALL)
+
+
+def test_config_file_example_is_read(tmp_path):
+    (example,) = json_examples("### Config file")
+    path = tmp_path / "config.json"
+    path.write_text(example)
+    cfg = load_config(str(path))
+    assert (cfg.spec.kind, cfg.strategy.label, cfg.k, cfg.seed) == (
+        "logreg", "confidence_sum_weighted", 5, 11
+    )
+    assert [name for name, _ in cfg.data[1]] == ["informative_a", "informative_b", "weak", "noise"]
+    assert cfg.test_data[0] == "data/test/labels.csv" and cfg.model_path == "model.json"
+    assert cfg.subsets == [["informative_a"], ["informative_a", "informative_b"]]
+
+
+def test_synthetic_data_spec_examples_generate(tmp_path, capsys):
+    examples = json_examples("### Synthetic data spec")
+    assert len(examples) == 2
+    for i, example in enumerate(examples):
+        spec, out = tmp_path / f"spec{i}.json", tmp_path / f"data{i}"
+        spec.write_text(example)
+        assert main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 0
+        assert (out / "train" / "labels.csv").exists() and (out / "test" / "labels.csv").exists()
+    assert sorted(p.name for p in (tmp_path / "data1" / "test").iterdir()) == [
+        "labels.csv", "noise.csv", "sig.csv"
+    ]
 
 
 def test_library_use_example_runs(tmp_path, monkeypatch, capsys):

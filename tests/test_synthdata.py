@@ -88,6 +88,10 @@ class TestGenerate:
         with pytest.raises(BadSpec):
             SynthSpec(m=2, n_per_class=5, views=(ViewSpec("v", 2, 0.5),), separation=-1)
 
+    def test_view_names_must_be_unique(self):
+        with pytest.raises(BadSpec, match="views must have unique names"):
+            SynthSpec(m=2, n_per_class=5, views=(ViewSpec("v", 2, 0.5), ViewSpec("v", 3, 0.0)))
+
 
 class TestDefaultBenchmark:
     def test_shapes(self):
