@@ -27,7 +27,7 @@ def train(spec: ClassifierSpec, X, y, labels: LabelSpace) -> FittedClassifier:
 
 def model_from_state(spec: ClassifierSpec, labels: LabelSpace, input_dim: int, state: dict):
     """Rebuild a fitted model from its persisted state; BadSpec for any
-    malformed one, such as a missing key or a stump of the wrong length."""
+    malformed one, such as a missing key or node arrays of unequal lengths."""
     _, model_class = _KINDS[spec.kind]
     try:
         return model_class.from_state(spec, labels, input_dim, state)

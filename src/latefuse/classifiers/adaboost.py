@@ -11,18 +11,20 @@ renormalized. A round with err_t >= (m-1)/m would get alpha <= 0 and is
 rejected, stopping the loop; a perfect round (err_t = 0) is kept with the
 error clamped to a tiny floor so alpha stays finite, then the loop stops.
 
-Class scores are the alpha-weighted stump votes; probabilities come from
-softmax of the scores divided by the total alpha, which preserves the argmax
-while keeping the output on the simplex.
+Each stump is kept as a depth-1 tree of the forest's node arrays. Class
+scores are the alpha-weighted stump votes; probabilities are the softmax of
+the scores over the total alpha (the argmax kept, the output on the simplex),
+or uniform when that total is not positive, as when no round was kept.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core import LabelSpace, integer, persisted_array, real
-from .base import ClassifierSpec, FittedClassifier, softmax
-from .stumps import DecisionStump, sorted_columns, train_stump
+from ..core import LabelSpace, frozen_array, persisted_array
+from .base import ClassifierSpec, softmax
+from .forest import NODE_ARRAYS, RandomForestModel, read_nodes
+from .stumps import sorted_columns, train_stump
 
 ERR_FLOOR = 1e-12
 
@@ -33,49 +35,27 @@ def round_weight(err: float, m: int) -> float:
     return float(np.log((1.0 - err) / err) + np.log(m - 1))
 
 
-class AdaBoostModel(FittedClassifier):
-    def __init__(self, spec, label_space, input_dim, stumps, alphas):
-        super().__init__(spec, label_space, input_dim)
-        self.stumps = tuple(stumps)
-        self.alphas = tuple(float(a) for a in alphas)
+class AdaBoostModel(RandomForestModel):
+    """One depth-1 tree per kept round, whose vote weighs that round's alpha."""
 
-    def _scores(self, X: np.ndarray) -> np.ndarray:
-        m = self.label_space.m
-        F = np.zeros((X.shape[0], m))
-        for stump, alpha in zip(self.stumps, self.alphas):
-            pred = stump.predict(X)
-            F[np.arange(X.shape[0]), pred] += alpha
-        return F
+    def __init__(self, spec, label_space, input_dim, nodes: dict, alphas):
+        super().__init__(spec, label_space, input_dim, nodes, len(alphas))
+        self.alphas = frozen_array(alphas)
 
     def _proba_matrix(self, X: np.ndarray) -> np.ndarray:
-        total = sum(self.alphas)
+        total = sum(self.alphas)  # left to right: np.sum adds pairwise and may round otherwise
         if total <= 0.0:
             return np.full((X.shape[0], self.label_space.m), 1.0 / self.label_space.m)
-        return softmax(self._scores(X) / total)
+        return softmax(self._votes(X, self.alphas) / total)
 
     def state(self) -> dict:
-        return {
-            "stumps": [
-                [s.feature_index, s.threshold, s.left_class, s.right_class]
-                for s in self.stumps
-            ],
-            "alphas": list(self.alphas),
-        }
+        return {**super().state(), "alphas": self.alphas.tolist()}
 
     @classmethod
     def from_state(cls, spec, label_space, input_dim, state: dict):
-        m = label_space.m
-        stumps = [
-            DecisionStump(
-                integer(f, "stump feature", 0, input_dim),
-                real(t, "stump threshold"),
-                integer(lc, "stump class", 0, m),
-                integer(rc, "stump class", 0, m),
-            )
-            for f, t, lc, rc in state["stumps"]
-        ]
-        alphas = persisted_array(state, "alphas", (len(stumps),))
-        return cls(spec, label_space, input_dim, stumps, alphas)
+        alphas = persisted_array(state, "alphas", None)
+        nodes = read_nodes(state, len(alphas), input_dim, label_space.m)
+        return cls(spec, label_space, input_dim, nodes, alphas)
 
 
 def train_adaboost(spec: ClassifierSpec, X, y, labels: LabelSpace) -> AdaBoostModel:
@@ -99,4 +79,11 @@ def train_adaboost(spec: ClassifierSpec, X, y, labels: LabelSpace) -> AdaBoostMo
             break  # perfect stump recorded; nothing left to reweight
         w = w * np.exp(alpha * miss)
         w = w / w.sum()
-    return AdaBoostModel(spec, labels, X.shape[1], stumps, alphas)
+    # stump i: root i, its leaves t + 2i and t + 2i + 1, numbered as by grow_forest
+    t = len(stumps)
+    nodes = {name: np.full(3 * t, 0.0 if name == "threshold" else -1) for name in NODE_ARRAYS}
+    for i, s in enumerate(stumps):
+        nodes["feature"][i], nodes["threshold"][i] = s.feature_index, s.threshold
+        nodes["left"][i], nodes["right"][i] = t + 2 * i, t + 2 * i + 1
+        nodes["leaf"][t + 2 * i : t + 2 * i + 2] = s.left_class, s.right_class
+    return AdaBoostModel(spec, labels, X.shape[1], nodes, alphas)

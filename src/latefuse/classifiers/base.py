@@ -64,7 +64,7 @@ class ClassifierSpec:
             raise BadSpec(f"kind must be one of {KINDS}, got {self.kind!r}")
         for name, least in (("seed", 0), ("rounds", 1), ("trees", 1), ("min_leaf", 1)):
             object.__setattr__(self, name, integer(getattr(self, name), name, least))
-        real(self.lam, "lam", above=0.0)
+        object.__setattr__(self, "lam", real(self.lam, "lam", above=0.0))
         if not hasattr(self.c_grid, "__iter__"):
             raise BadSpec(f"c_grid must be a sequence of numbers, got {self.c_grid!r}")
         c_grid = tuple(real(c, "c_grid value", above=0.0) for c in self.c_grid)
@@ -84,8 +84,8 @@ class ClassifierSpec:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ClassifierSpec":
-        return cls(**json_object(d, "classifier", ("kind",), [f.name for f in fields(cls)]))
+    def from_dict(cls, d: dict, what: str = "classifier") -> "ClassifierSpec":
+        return cls(**json_object(d, what, ("kind",), [f.name for f in fields(cls)]))
 
 
 class FittedClassifier:

@@ -22,7 +22,7 @@ t < trees is tree t's root, every child's id exceeds its parent's, a leaf
 has ``left == right == -1`` and votes its ``leaf`` class, and unused entries
 hold -1 (0.0 for a threshold). Prediction descends all trees at once, one
 gather per depth; the probabilities are vote fractions, so they are exact
-multiples of 1/trees.
+multiples of 1/trees. Boosting holds its stumps as depth-1 trees the same way.
 """
 
 from __future__ import annotations
@@ -203,10 +203,14 @@ def grow_forest(X, y, m: int, trees: int, min_leaf: int, seed: int) -> dict:
     }
 
 
-def _check_forest(nodes: dict, trees: int, input_dim: int, m: int) -> None:
-    """BadSpec unless ``nodes``, arrays of one length, are ``trees`` trees
-    rooted at nodes 0..trees-1 in which every node but a root has one parent
-    with a smaller id, so every descent ends at a leaf."""
+def read_nodes(state: dict, trees: int, input_dim: int, m: int) -> dict:
+    """The node arrays of ``state``, read-only and of one length; BadSpec unless
+    they are ``trees`` trees rooted at nodes 0..trees-1 in which every other
+    node has one parent with a smaller id, so every descent ends at a leaf."""
+    nodes = {}
+    for name in NODE_ARRAYS:  # each as long as the first
+        shape = (len(nodes["feature"]),) if nodes else None
+        nodes[name] = persisted_array(state, name, shape, integral=name != "threshold")
     feature, _, left, right, leaf = (nodes[name] for name in NODE_ARRAYS)
     size = len(feature)
     if size < trees:
@@ -222,11 +226,15 @@ def _check_forest(nodes: dict, trees: int, input_dim: int, m: int) -> None:
         raise BadSpec("left or right holds a child id not above its parent's or beyond the nodes")
     if not np.array_equal(np.bincount(children, minlength=size), ids >= trees):
         raise BadSpec("left and right give a node other than a root no parent or two")
+    return nodes
 
 
 class RandomForestModel(FittedClassifier):
-    def __init__(self, spec, label_space, input_dim, nodes: dict):
+    """``trees`` trees in the node arrays voting by count; ``AdaBoostModel`` weights the votes."""
+
+    def __init__(self, spec, label_space, input_dim, nodes: dict, trees: int):
         super().__init__(spec, label_space, input_dim)
+        self.trees = trees
         self.nodes = {
             name: frozen_array(nodes[name], np.float64 if name == "threshold" else np.int64)
             for name in NODE_ARRAYS
@@ -239,8 +247,9 @@ class RandomForestModel(FittedClassifier):
         self._children = frozen_array(children.ravel(), np.int64)
         self._feature = frozen_array(np.where(leaf, 0, self.nodes["feature"]), np.int64)
 
-    def _proba_matrix(self, X: np.ndarray) -> np.ndarray:
-        (r, d), m, trees = X.shape, self.label_space.m, self.spec.trees
+    def _votes(self, X: np.ndarray, weights=None) -> np.ndarray:
+        """Per row and class: the trees voting it, or their ``weights`` summed in tree order."""
+        (r, d), m, trees = X.shape, self.label_space.m, self.trees
         votes = np.empty((r, m))
         # rows per block: the descent's (trees x rows) arrays stay as small as a scan's
         step = max(1, stumps.SCAN_BYTES // (8 * SCAN_ARRAYS * trees))
@@ -255,25 +264,24 @@ class RandomForestModel(FittedClassifier):
                 if np.array_equal(below, at):
                     break
                 at = below
-            votes[lo : lo + rows] = np.bincount(
-                np.tile(np.arange(rows) * m, trees) + self.nodes["leaf"][at], minlength=rows * m
-            ).reshape(rows, m)
-        return votes / trees
+            bins = np.tile(np.arange(rows) * m, trees) + self.nodes["leaf"][at]
+            w = None if weights is None else np.repeat(weights, rows)
+            votes[lo : lo + rows] = np.bincount(bins, w, rows * m).reshape(rows, m)
+        return votes
+
+    def _proba_matrix(self, X: np.ndarray) -> np.ndarray:
+        return self._votes(X) / self.trees
 
     def state(self) -> dict:
         return {name: self.nodes[name].tolist() for name in NODE_ARRAYS}
 
     @classmethod
     def from_state(cls, spec, label_space, input_dim, state: dict):
-        nodes = {}
-        for name in NODE_ARRAYS:  # each as long as the first
-            shape = (len(nodes["feature"]),) if nodes else None
-            nodes[name] = persisted_array(state, name, shape, integral=name != "threshold")
-        _check_forest(nodes, spec.trees, input_dim, label_space.m)
-        return cls(spec, label_space, input_dim, nodes)
+        nodes = read_nodes(state, spec.trees, input_dim, label_space.m)
+        return cls(spec, label_space, input_dim, nodes, spec.trees)
 
 
 def train_random_forest(spec: ClassifierSpec, X, y, labels: LabelSpace) -> RandomForestModel:
     """Fit on data that ``check_training_data`` accepted."""
     nodes = grow_forest(X, y, labels.m, spec.trees, spec.min_leaf, spec.seed)
-    return RandomForestModel(spec, labels, X.shape[1], nodes)
+    return RandomForestModel(spec, labels, X.shape[1], nodes, spec.trees)

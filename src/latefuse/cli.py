@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import classifiers, dataio, ensemble, evaluation, pipeline, synthdata
 from .core import MultiViewDataset, SplitSpec, integer, json_object, stratified_split
-from .errors import BadSpec, ConfigError, CorruptModel, InvalidProbabilities, LateFuseError
+from .errors import BadSpec, ConfigError, CorruptModel, InvalidProbabilities, LateFuseError, UnknownGroupName
 
 
 Block = tuple[Optional[str], list[tuple[str, str]]]  # labels path, (name, path) groups
@@ -169,9 +169,10 @@ def cmd_evaluate(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config, args.seed)
     train, test = cfg.dataset("data"), cfg.dataset("test_data")
-    report = evaluation.ablate(
-        train, test, cfg.spec, [cfg.strategy], cfg.subsets, cfg.k, cfg.seed
-    )
+    try:
+        report = evaluation.ablate(train, test, cfg.spec, [cfg.strategy], cfg.subsets, cfg.k, cfg.seed)
+    except UnknownGroupName as exc:  # only the subset plan raises it
+        raise UnknownGroupName(f"config {cfg.path!r}: subsets: {exc}") from exc
     for line in evaluation.format_rows(report.entries, ["groups", "strategy", "accuracy"]):
         print(line)
     return 0

@@ -48,8 +48,10 @@ class EnsembleStrategy:
                     f"stacking_mode must be one of {STACKING_MODES}, "
                     f"got {self.stacking_mode!r}"
                 )
-            if self.stacking_meta_spec is None:
-                raise BadSpec("stacking_meta_spec is required for kind='stacking'")
+            if not isinstance(self.stacking_meta_spec, classifiers.ClassifierSpec):
+                raise BadSpec(
+                    f"stacking_meta_spec must be a ClassifierSpec, got {self.stacking_meta_spec!r}"
+                )
         else:
             if self.stacking_mode is not None or self.stacking_meta_spec is not None:
                 raise BadSpec(
@@ -73,7 +75,9 @@ class EnsembleStrategy:
     def from_dict(cls, d: dict) -> "EnsembleStrategy":
         d = dict(json_object(d, "strategy", ("kind",), [f.name for f in fields(cls)]))
         if d.get("stacking_meta_spec") is not None:
-            d["stacking_meta_spec"] = classifiers.ClassifierSpec.from_dict(d["stacking_meta_spec"])
+            d["stacking_meta_spec"] = classifiers.ClassifierSpec.from_dict(
+                d["stacking_meta_spec"], "strategy.stacking_meta_spec"
+            )
         return cls(**d)
 
 

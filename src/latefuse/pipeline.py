@@ -41,7 +41,7 @@ from .errors import (
     VersionMismatch,
 )
 
-MODEL_FORMAT_VERSION = 4
+MODEL_FORMAT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,7 @@ class GroupModel:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise BadSpec(f"group name must be a non-empty string, got {self.name!r}")
+        object.__setattr__(self, "priority", real(self.priority, "priority"))
         if not 0.0 <= self.priority <= 1.0:
             raise BadSpec(f"priority must be in [0, 1], got {self.priority!r}")
 
@@ -349,7 +350,7 @@ def _ensemble_from_payload(payload: dict) -> TrainedEnsemble:
             mean=persisted_array(g["standardizer"], "mean", shape),
             scale=persisted_array(g["standardizer"], "scale", shape),
         )
-        per_group.append(GroupModel(g["name"], s, model, real(g["priority"], "priority")))
+        per_group.append(GroupModel(g["name"], s, model, g["priority"]))
     meta = None
     if payload["meta"] is not None:
         meta = _classifier_from_record(payload["meta"], labels)

@@ -60,8 +60,8 @@ def make_dataset(groups, labels, class_names=None):
 def falsy_meta_message(meta):
     """The error for a stacking_meta_spec of the falsy ``meta``, in a config or a model file."""
     if meta == {}:
-        return "classifier is missing the required field 'kind'"
-    return f"classifier must be a JSON object, got {meta!r}"
+        return "strategy.stacking_meta_spec is missing the required field 'kind'"
+    return f"strategy.stacking_meta_spec must be a JSON object, got {meta!r}"
 
 
 def drop_last_weight_column(group):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from latefuse.classifiers import ClassifierSpec, train, train_stump
+from latefuse.classifiers import ClassifierSpec, model_from_state, train, train_stump
 from latefuse.classifiers import forest, stumps
 from latefuse.classifiers.adaboost import round_weight, train_adaboost
+from latefuse.classifiers.base import softmax
 from latefuse.classifiers.stumps import sorted_columns
 from latefuse.core import LabelSpace
 from latefuse.errors import BadSpec, SingleClassData
@@ -164,7 +165,7 @@ class TestAdaBoost:
         X = np.array([[0.0], [0.2], [1.0], [1.2]])
         y = np.array([0, 0, 1, 1])
         model = train_adaboost(ClassifierSpec("adaboost_stumps", rounds=10), X, y, LABELS2)
-        assert len(model.stumps) <= 3
+        assert len(model.alphas) <= 3
         assert float((model.predict(X) == y).mean()) == 1.0
 
     def test_hopeless_round_rejected(self):
@@ -172,8 +173,8 @@ class TestAdaBoost:
         X = np.zeros((4, 1))
         y = np.array([0, 1, 0, 1])
         model = train_adaboost(ClassifierSpec("adaboost_stumps", rounds=10), X, y, LABELS2)
-        assert len(model.stumps) == 0
-        np.testing.assert_allclose(model.predict_proba(np.zeros(1)), [0.5, 0.5])
+        assert len(model.alphas) == 0 and all(len(a) == 0 for a in model.nodes.values())
+        assert model.predict_proba(np.zeros(1)).tolist() == [0.5, 0.5]
 
     def test_kept_rounds_have_positive_alpha(self, rng):
         X, y = gaussian_blobs(rng, 30, [[0, 0], [1.5, 0], [0, 1.5]])
@@ -195,12 +196,37 @@ class TestAdaBoost:
         assert np.all(P >= 0)
         np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("rounds", [1, 7, 30])
+    def test_probabilities_are_the_softmax_of_alpha_weighted_stump_votes(self, rng, rounds):
+        # oracle: each stump read from its depth-1 tree (root i, leaves T + 2i
+        # and T + 2i + 1) votes its alpha, one row and one stump at a time
+        X, y = gaussian_blobs(rng, 20, [[0, 0], [1.5, 0], [0, 1.5]])
+        model = train(ClassifierSpec("adaboost_stumps", rounds=rounds), X, y, LabelSpace(("a", "b", "c")))
+        nodes = model.state()
+        alphas, T = nodes["alphas"], len(nodes["alphas"])
+        assert len(nodes["feature"]) == 3 * T
+        probe = rng.standard_normal((50, 2)) * 2
+        F = np.zeros((len(probe), 3))
+        for r, x in enumerate(probe):
+            for i, alpha in enumerate(alphas):
+                assert (nodes["left"][i], nodes["right"][i]) == (T + 2 * i, T + 2 * i + 1)
+                side = "left" if x[nodes["feature"][i]] <= nodes["threshold"][i] else "right"
+                child = nodes[side][i]
+                F[r, nodes["leaf"][child]] += alpha
+        np.testing.assert_array_equal(model.predict_proba(probe), softmax(F / sum(alphas)))
+
+    def test_a_model_of_no_rounds_predicts_uniformly(self):
+        empty = {name: [] for name in forest.NODE_ARRAYS + ("alphas",)}
+        model = model_from_state(ClassifierSpec("adaboost_stumps"), LabelSpace(("a", "b", "c", "d")), 2, empty)
+        with np.errstate(all="raise"):
+            assert model.predict_proba(np.ones((3, 2))).tolist() == [[0.25] * 4] * 3
+
     def test_deterministic(self, rng):
         X, y = gaussian_blobs(rng, 20, [[0, 0], [2, 0]])
         spec = ClassifierSpec("adaboost_stumps", rounds=15)
         m1 = train_adaboost(spec, X, y, LABELS2)
         m2 = train_adaboost(spec, X, y, LABELS2)
-        assert m1.stumps == m2.stumps and m1.alphas == m2.alphas
+        assert m1.state() == m2.state()
 
 
 def best_single_stump_accuracy(X, y):

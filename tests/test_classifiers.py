@@ -11,11 +11,14 @@ from latefuse.classifiers.logreg import train_logreg
 from latefuse.classifiers.svm import svm_objective, train_binary_svm
 from latefuse.classifiers.base import LBFGS_TOL, MAX_HALVINGS, MAX_STEPS, lbfgs, softmax
 from latefuse.core import LabelSpace
+from latefuse.ensemble import EnsembleStrategy
+from latefuse.pipeline import load_ensemble, save_ensemble, train_ensemble
 from latefuse.errors import BadSpec, DimensionMismatch, EmptyClass, SingleClassData
 
 from conftest import (
     DETERMINISTIC,
     gaussian_blobs,
+    make_dataset,
     reference_logreg_gradient,
     reference_loss_only,
     reference_softmax,
@@ -31,6 +34,16 @@ class TestClassifierSpec:
         spec = ClassifierSpec("random_forest", seed=np.int64(3), trees=np.int32(5))
         assert type(spec.seed) is int and type(spec.trees) is int
         assert spec.to_dict()["trees"] == 5
+
+    def test_numpy_reals_become_floats(self, tmp_path):
+        spec = ClassifierSpec("logreg", lam=np.float32(0.01), c_grid=(np.float32(2.0),))
+        assert type(spec.lam) is float and type(spec.c_grid[0]) is float
+        assert spec.lam == float(np.float32(0.01))
+        # a spec that constructs saves to a model file that loads
+        X, y = gaussian_blobs(np.random.default_rng(0), 6, [[0, 0], [3, 3]])
+        e = train_ensemble(make_dataset([("g", X)], y), spec, EnsembleStrategy("confidence_sum"), 2, 0)
+        save_ensemble(e, str(tmp_path / "model.json"))
+        assert load_ensemble(str(tmp_path / "model.json")).per_group[0].classifier.spec == spec
 
     @pytest.mark.parametrize("field, value", [
         ("seed", True),

@@ -375,22 +375,25 @@ class TestCompareAndAblate:
         assert lines[1].startswith("sig,")
         assert lines[2].startswith("sig+noise,")
 
-    def test_ablate_unknown_group_exit_2(self, workdir, capsys):
-        cfg = write_config(workdir, subsets=[["hog"]])
+    def assert_plan_error_names_the_config(self, workdir, capsys, subsets, message):
+        cfg = write_config(workdir, subsets=subsets)
         assert main(["ablate", "--config", str(cfg)]) == 2
-        assert "hog" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"config {str(cfg)!r}: subsets: {message}" in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
+
+    def test_ablate_unknown_group_exit_2(self, workdir, capsys):
+        self.assert_plan_error_names_the_config(
+            workdir, capsys, [["hog"]], "unknown group 'hog' in subset plan"
+        )
 
     def test_ablate_empty_subset_exit_2(self, workdir, capsys):
-        cfg = write_config(workdir, subsets=[[]])
-        assert main(["ablate", "--config", str(cfg)]) == 2
-        captured = capsys.readouterr()
-        assert "empty group subset" in captured.err and captured.out == ""
+        self.assert_plan_error_names_the_config(workdir, capsys, [[]], "empty group subset")
 
     def test_ablate_group_named_twice_exit_2(self, workdir, capsys):
-        cfg = write_config(workdir, subsets=[["sig", "sig"]])
-        assert main(["ablate", "--config", str(cfg)]) == 2
-        captured = capsys.readouterr()
-        assert "'sig'" in captured.err and "sig+sig" not in captured.out
+        self.assert_plan_error_names_the_config(
+            workdir, capsys, [["sig", "sig"]], "group 'sig' named twice in one subset"
+        )
 
 
 class TestFlags:
@@ -436,7 +439,7 @@ class TestConfigFields:
         ("strategy", lambda cfg: cfg.update(strategy="x")),
         ("classifier", lambda cfg: cfg.update(classifier=5)),
         (
-            "classifier must be a JSON object, got 0",
+            "strategy.stacking_meta_spec must be a JSON object, got 0",
             lambda cfg: cfg.update(strategy={"kind": "confidence_sum", "stacking_meta_spec": 0}),
         ),
     ])
@@ -494,10 +497,17 @@ class TestConfigFields:
         ("the top level has unknown fields ['sed']", lambda cfg: cfg.update(sed=4)),
         ("classifier has unknown fields ['lamda']", lambda cfg: cfg["classifier"].update(lamda=1)),
         ("strategy has unknown fields ['weigted']", lambda cfg: cfg["strategy"].update(weigted=False)),
+        (
+            "strategy.stacking_meta_spec has unknown fields ['lamda']",
+            lambda cfg: cfg.update(strategy={
+                "kind": "stacking", "stacking_mode": "naive",
+                "stacking_meta_spec": {"kind": "logreg", "lamda": 1},
+            }),
+        ),
         (": data has unknown fields ['lables']", lambda cfg: cfg["data"].update(lables="x")),
         ("test_data has unknown fields ['lables']", lambda cfg: cfg["test_data"].update(lables="x")),
         ("data.groups[1] has unknown fields ['pth']", lambda cfg: cfg["data"]["groups"][1].update(pth="x")),
-    ], ids=["top", "classifier", "strategy", "data", "test_data", "group"])
+    ], ids=["top", "classifier", "strategy", "meta_spec", "data", "test_data", "group"])
     def test_unknown_field_exit_2(self, workdir, capsys, message, edit):
         cfg = write_config(workdir)
         doc = json.loads(cfg.read_text())

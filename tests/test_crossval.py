@@ -113,6 +113,14 @@ class TestCrossValAccuracy:
             with pytest.raises(BadSpec, match="priority"):
                 pipeline.GroupModel("g", s, model, bad)
 
+    @pytest.mark.parametrize("bad", ["0.5", None, True, [0.5]], ids=repr)
+    def test_a_priority_that_is_not_a_number_raises_bad_spec(self, rng, bad):
+        X, y = gaussian_blobs(rng, 5, [[0, 0], [2, 2]])
+        model = classifiers.train(ClassifierSpec("logreg"), X, y, LabelSpace(("a", "b")))
+        with pytest.raises(BadSpec, match="^priority must be a finite number"):
+            pipeline.GroupModel("g", standardize_fit(X), model, bad)
+        assert type(pipeline.GroupModel("g", standardize_fit(X), model, np.float32(0.5)).priority) is float
+
     def test_plan_must_cover_the_labels(self, rng):
         X, y = gaussian_blobs(rng, 6, [[0, 0], [2, 2]])
         plan = make_folds(y[:-2], 3, seed=0)

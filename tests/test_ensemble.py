@@ -266,6 +266,11 @@ class TestStrategyType:
         with pytest.raises(BadSpec, match="stacking_meta_spec"):
             EnsembleStrategy("stacking", stacking_mode="naive")
 
+    @pytest.mark.parametrize("meta", [{"kind": "logreg"}, "logreg", 0], ids=repr)
+    def test_stacking_meta_spec_must_be_a_classifier_spec(self, meta):
+        with pytest.raises(BadSpec, match="^stacking_meta_spec must be a ClassifierSpec"):
+            EnsembleStrategy("stacking", stacking_mode="naive", stacking_meta_spec=meta)
+
     def test_non_stacking_rejects_stacking_fields(self):
         with pytest.raises(BadSpec, match="stacking_mode"):
             EnsembleStrategy("confidence_sum", stacking_mode="naive")

@@ -101,7 +101,7 @@ def test_fitted_and_loaded_models_are_read_only(kind):
     model = fitted(kind)
     assert_read_only(model)
     assert_read_only(model_from_state(model.spec, LABELS, model.input_dim, model.state()))
-    assert held_arrays(model) or kind == "adaboost_stumps"  # boosting holds tuples
+    assert held_arrays(model)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -140,11 +140,13 @@ def test_a_bad_state_raises_bad_spec_for_library_callers():
         model_from_state(ClassifierSpec("logreg"), LabelSpace(("a", "b")), 2, {"weights": [[1.0]]})
     with pytest.raises(BadSpec, match="^state .*KeyError"):
         model_from_state(ClassifierSpec("logreg"), LabelSpace(("a", "b")), 2, {})
-    with pytest.raises(BadSpec, match="^state .*unpack"):
-        model_from_state(
-            ClassifierSpec("adaboost_stumps"), LabelSpace(("a", "b")), 2,
-            {"stumps": [[0, 0.5, 1]], "alphas": [1.0]},
-        )
+    state = fitted("adaboost_stumps").state()
+    state["alphas"].pop()  # one root more than there are alphas
+    with pytest.raises(BadSpec, match="^left and right give a node other than a root no parent"):
+        model_from_state(SPECS["adaboost_stumps"], LABELS, 2, state)
+    state["alphas"] += [1.0, 1.0]  # one alpha more than there are roots
+    with pytest.raises(BadSpec, match="^left and right give a node other than a root no parent"):
+        model_from_state(SPECS["adaboost_stumps"], LABELS, 2, state)
 
 
 JSON_SCALARS = st.one_of(

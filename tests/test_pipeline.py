@@ -69,7 +69,11 @@ def widen_hyperplanes(group):
 
 
 def stump_feature_out_of_range(group):
-    group["state"]["stumps"][0][0] = group["input_dim"]
+    group["state"]["feature"][0] = group["input_dim"]
+
+
+def alphas_fewer_than_stumps(group):
+    group["state"]["alphas"].pop()
 
 
 def tree_leaf_class_out_of_range(group):
@@ -136,6 +140,7 @@ MISSHAPED_STATES = [
     ("logreg", {}, shorten_standardizer),
     ("linear_svm_ovr", {"c_grid": (1.0,)}, widen_hyperplanes),
     ("adaboost_stumps", {"rounds": 5}, stump_feature_out_of_range),
+    ("adaboost_stumps", {"rounds": 5}, alphas_fewer_than_stumps),
     ("random_forest", {"trees": 3}, tree_leaf_class_out_of_range),
     ("random_forest", {"trees": 3}, tree_child_points_back),
     ("random_forest", {"trees": 3}, tree_child_beyond_node_count),
@@ -150,7 +155,7 @@ MISSHAPED_STATES = [
 
 
 def inf_stump_threshold(group):
-    group["state"]["stumps"][0][1] = float("inf")
+    group["state"]["threshold"][0] = float("inf")
 
 
 def nan_tree_threshold(group):
@@ -171,7 +176,7 @@ def huge_int_svm_chosen_c(group):
 
 
 def huge_int_stump_threshold(group):
-    group["state"]["stumps"][0][1] = -(10**400)
+    group["state"]["threshold"][0] = -(10**400)
 
 
 # the same, for edits that put a non-finite number (an integer beyond the
@@ -654,7 +659,7 @@ class TestPersistence:
             load_ensemble(str(path))
         doc["format_version"] = 1
         path.write_text(json.dumps(doc))
-        with pytest.raises(VersionMismatch, match="model.json.*version 1; only format 4 is read"):
+        with pytest.raises(VersionMismatch, match="model.json.*version 1; only format 5 is read"):
             load_ensemble(str(path))
         cfg = tmp_path / "predict.json"
         cfg.write_text(json.dumps({"data": {"groups": [{"name": "g", "path": "unused.csv"}]}}))
@@ -674,7 +679,7 @@ class TestPersistence:
         doc["format_version"] = 2
         doc["checksum"] = pipeline._checksum(doc["payload"])
         path.write_text(json.dumps(doc))
-        with pytest.raises(VersionMismatch, match="model.json.*version 2; only format 4 is read"):
+        with pytest.raises(VersionMismatch, match="model.json.*version 2; only format 5 is read"):
             load_ensemble(str(path))
         cfg = tmp_path / "predict.json"
         cfg.write_text(json.dumps({"data": {"groups": [{"name": "sig", "path": "unused.csv"}]}}))
@@ -697,7 +702,34 @@ class TestPersistence:
         doc["format_version"] = 3
         doc["checksum"] = pipeline._checksum(doc["payload"])
         path.write_text(json.dumps(doc))
-        with pytest.raises(VersionMismatch, match="model.json.*version 3; only format 4 is read"):
+        with pytest.raises(VersionMismatch, match="model.json.*version 3; only format 5 is read"):
+            load_ensemble(str(path))
+        cfg = tmp_path / "predict.json"
+        cfg.write_text(json.dumps({"data": {"groups": [{"name": "sig", "path": "unused.csv"}]}}))
+        argv = ["predict", "--model", str(path), "--config", str(cfg),
+                "--out", str(tmp_path / "p.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+
+    def test_format_4_boosting_stump_lists_are_not_read(self, tmp_path, rng, capsys):
+        d = small_dataset(rng)
+        spec = ClassifierSpec("adaboost_stumps", rounds=5)
+        path = tmp_path / "model.json"
+        save_ensemble(train_ensemble(d, spec, EnsembleStrategy("confidence_sum"), 3, 0), str(path))
+        doc = json.loads(path.read_text())
+        for g in doc["payload"]["groups"]:  # format 4: one [feature, threshold, left, right] per stump
+            state = g["state"]
+            T = len(state["alphas"])
+            stumps = [
+                [state["feature"][i], state["threshold"][i], state["leaf"][T + 2 * i], state["leaf"][T + 2 * i + 1]]
+                for i in range(T)
+            ]
+            g["state"] = {"stumps": stumps, "alphas": state["alphas"]}
+        doc["format_version"] = 4
+        doc["checksum"] = pipeline._checksum(doc["payload"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(VersionMismatch, match="model.json.*version 4; only format 5 is read"):
             load_ensemble(str(path))
         cfg = tmp_path / "predict.json"
         cfg.write_text(json.dumps({"data": {"groups": [{"name": "sig", "path": "unused.csv"}]}}))

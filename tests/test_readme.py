@@ -2,14 +2,19 @@
 uses cannot be removed or renamed without failing the suite; so do its
 config and gen-data spec examples, so a field they use cannot be renamed or
 dropped either. Its "Errors" table lists exactly the exception classes, each
-with its exit code; and the model format it states is the one that is
-written and read."""
+with its exit code; the model format it states is the one that is written
+and read; and its model-file paragraph names every key of every kind's
+state."""
 
 import inspect
 import pathlib
 import re
 
+import numpy as np
+
 from latefuse import errors
+from latefuse.classifiers import KINDS, ClassifierSpec, train
+from latefuse.core import LabelSpace
 from latefuse.cli import load_config, main
 from latefuse.pipeline import MODEL_FORMAT_VERSION, load_ensemble
 
@@ -80,3 +85,13 @@ def test_stated_model_format_is_the_one_read():
     stated = re.findall(r"written and read in format version (\d+) only", text)
     stated += re.findall(r"format version other than (\d+) \|", text)
     assert stated == [str(MODEL_FORMAT_VERSION)] * 2
+
+
+def test_model_file_paragraph_names_every_state_key():
+    paragraph = README.read_text().split("\nModel files are ", 1)[1].split("\n\n", 1)[0]
+    X = np.random.default_rng(0).standard_normal((12, 2))
+    y = np.arange(12) % 3
+    for kind in KINDS:
+        spec = ClassifierSpec(kind, c_grid=(1.0,), rounds=2, trees=2)
+        state = train(spec, X, y, LabelSpace(("a", "b", "c"))).state()
+        assert state and all(f"`{key}`" in paragraph for key in state), (kind, list(state))
