@@ -85,7 +85,11 @@ class ClassifierSpec:
 
     @classmethod
     def from_dict(cls, d: dict, what: str = "classifier") -> "ClassifierSpec":
-        return cls(**json_object(d, what, ("kind",), [f.name for f in fields(cls)]))
+        d = json_object(d, what, ("kind",), [f.name for f in fields(cls)])
+        try:
+            return cls(**d)
+        except BadSpec as exc:
+            raise BadSpec(f"{what}.{exc}") from exc
 
 
 class FittedClassifier:

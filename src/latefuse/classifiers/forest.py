@@ -106,11 +106,7 @@ def _chunk_splits(X, ranks, y, rows, sizes, features, m, min_leaf):
     cut = hits[np.searchsorted(hits, lane_first[np.arange(c) * mtry + j])]  # lowest threshold
     feature = features[np.arange(c), j]
     lo, hi = X[row[cut], feature], X[row[cut + 1], feature]
-    with np.errstate(over="ignore"):
-        threshold = 0.5 * (lo + hi)
-    # the midpoint of two adjacent floats can round to hi, and lo + hi can
-    # overflow; then split at lo, so neither side of a split is empty
-    threshold = np.where((lo <= threshold) & (threshold < hi), threshold, lo)
+    threshold = stumps.split_point(lo, hi)
     # Gini reduction = (score - parent_sq / n) / n
     return (best - parent_sq / sizes) / sizes, feature, threshold
 

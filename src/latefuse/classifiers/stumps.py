@@ -2,9 +2,10 @@
 scan they share with the forest's splits.
 
 A stump assigns one class to each side of a single-feature threshold.
-Thresholds are midpoints between consecutive distinct sorted values; the best
-class for each side is the weighted majority there, so the search minimizes
-weighted 0/1 error over every (feature, threshold, class-pair) candidate.
+Thresholds lie between consecutive distinct sorted values, at the
+``split_point`` the forest's splits use too; the best class for each side
+is the weighted majority there, so the search minimizes weighted 0/1 error
+over every (feature, threshold, class-pair) candidate.
 Ties break to the lowest feature index, then the lowest threshold, then the
 lowest class index.
 
@@ -45,6 +46,14 @@ def sorted_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order = np.argsort(X, axis=0, kind="stable")
     xs = np.take_along_axis(X, order, axis=0)
     return order, xs, xs[:-1] < xs[1:]
+
+
+def split_point(lo, hi):
+    """A threshold t with lo <= t < hi for sorted values lo < hi: their
+    midpoint, or lo where that rounds to hi or lo + hi overflows."""
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (lo + hi)
+    return np.where((lo <= mid) & (mid < hi), mid, lo)
 
 
 def column_blocks(m: int, n: int, d: int) -> list[slice]:
@@ -107,5 +116,5 @@ def train_stump(
                 int(np.argmax(class_totals - left[:, i, f])),
             )
     _, f, i, lc, rc = best
-    return DecisionStump(f, float(0.5 * (xs[i, f] + xs[i + 1, f])), lc, rc)
+    return DecisionStump(f, float(split_point(xs[i, f], xs[i + 1, f])), lc, rc)
 

@@ -35,16 +35,13 @@ INDEX_LIMIT = 2**63  # class indices are int64
 DEGENERATE_STD = 1e-12
 
 
-def integer(value, what: str, least: int, below: Optional[int] = None) -> int:
-    """``value`` as an int in [least, below), or >= ``least`` when ``below``
-    is None: a numbers.Integral other than a bool. BadSpec naming ``what``
-    otherwise."""
+def integer(value, what: str, least: int) -> int:
+    """``value`` as an int >= ``least``: a numbers.Integral other than a
+    bool. BadSpec naming ``what`` otherwise."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise BadSpec(f"{what} must be an integer, got {value!r}")
     if value < least:
         raise BadSpec(f"{what} must be >= {least}, got {value!r}")
-    if below is not None and value >= below:
-        raise BadSpec(f"{what} must be < {below}, got {value!r}")
     return operator.index(value)
 
 

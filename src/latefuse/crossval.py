@@ -27,15 +27,6 @@ class FoldPlan:
     def __post_init__(self):
         object.__setattr__(self, "assignments", frozen_array(self.assignments, np.int64))
 
-    @property
-    def n(self) -> int:
-        return len(self.assignments)
-
-    def train_test_indices(self, fold: int):
-        te = np.flatnonzero(self.assignments == fold)
-        tr = np.flatnonzero(self.assignments != fold)
-        return tr, te
-
 
 def make_folds(y, k: int, seed: int) -> FoldPlan:
     """Deterministic stratified fold assignment from the seed. Raises BadSpec
@@ -65,14 +56,15 @@ def group_priority(
     """
     X = feature_matrix(X, "X")
     y = class_indices(y, "label", labels.m)
-    if len(y) != plan.n:
+    folds = plan.assignments
+    if len(y) != len(folds):
         raise DimensionMismatch(
-            f"fold plan covers {plan.n} samples, labels have {len(y)}"
+            f"fold plan covers {len(folds)} samples, labels have {len(y)}"
         )
     oof = np.zeros((len(y), labels.m))
     accuracies = []
     for f in range(plan.k):
-        tr, te = plan.train_test_indices(f)
+        tr, te = folds != f, folds == f
         model = classifiers.train(spec, X[tr], y[tr], labels)
         oof[te] = model.predict_proba(X[te])
         accuracies.append(float((np.argmax(oof[te], axis=1) == y[te]).mean()))

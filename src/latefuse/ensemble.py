@@ -78,7 +78,10 @@ class EnsembleStrategy:
             d["stacking_meta_spec"] = classifiers.ClassifierSpec.from_dict(
                 d["stacking_meta_spec"], "strategy.stacking_meta_spec"
             )
-        return cls(**d)
+        try:
+            return cls(**d)
+        except BadSpec as exc:
+            raise BadSpec(f"strategy.{exc}") from exc
 
 
 def assign_ranks(p) -> np.ndarray:

@@ -57,11 +57,8 @@ def evaluate(preds, truth, m: Optional[int] = None) -> EvaluationReport:
     np.add.at(confusion, (truth, decided), 1)
     n = len(truth)
     accuracy = float(np.trace(confusion) / n) if n else 0.0
-    row_sums = confusion.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        per_class = np.where(
-            row_sums > 0, np.diag(confusion) / np.maximum(row_sums, 1), 0.0
-        )
+    # a class with no true rows has a 0 diagonal, so it reads 0.0
+    per_class = np.diag(confusion) / np.maximum(confusion.sum(axis=1), 1)
     return EvaluationReport(
         accuracy=accuracy,
         confusion=confusion,
@@ -91,6 +88,15 @@ def five_strategies(meta_spec: classifiers.ClassifierSpec) -> list[ensemble.Ense
     ]
 
 
+def _score(fits, strategies, train, test) -> list[tuple[str, float]]:
+    """The label and ``test`` accuracy of each strategy, assembled over the
+    ``pipeline.GroupFit``s that ``fit_groups`` made from ``train``."""
+    return [
+        (s.label, evaluate_ensemble(pipeline.assemble(fits, s, train), test).accuracy)
+        for s in strategies
+    ]
+
+
 def compare_strategies(
     train: MultiViewDataset,
     test: MultiViewDataset,
@@ -101,12 +107,7 @@ def compare_strategies(
     """Accuracy of all five strategies sharing one set of per-group
     classifiers and priorities; naive stacking's meta model is of ``spec``
     too."""
-    fits = pipeline.fit_groups(train, spec, k, seed)
-    rows = []
-    for strategy in five_strategies(spec):
-        e = pipeline.assemble(fits, strategy, train)
-        rows.append((strategy.label, evaluate_ensemble(e, test).accuracy))
-    return rows
+    return _score(pipeline.fit_groups(train, spec, k, seed), five_strategies(spec), train, test)
 
 
 def compare_classifiers(
@@ -180,24 +181,16 @@ def ablate(
             sorted(names, key=lambda n: (-fits[n].model.priority, n))
         )
     plan = [tuple(subset) for subset in subset_plan]
-    full = tuple(sorted(names))
-    if not any(tuple(sorted(s)) == full for s in plan):
+    full = sorted(names)
+    if not any(sorted(s) == full for s in plan):
         plan.append(names)
-
     entries = []
     for subset in plan:
-        sub_test = test.subset_groups(subset)
-        group_fits = [fits[n] for n in subset]
-        for strategy in strategies:
-            e = pipeline.assemble(group_fits, strategy, train)
-            acc = evaluate_ensemble(e, sub_test).accuracy
-            entries.append((subset, strategy.label, acc))
-    # normalize the recorded full subset to the dataset's group order
-    normalized = tuple(
-        (names if tuple(sorted(s)) == full else s, label, acc)
-        for s, label, acc in entries
-    )
-    return AblationReport(entries=normalized, all_groups=names)
+        rows = _score([fits[n] for n in subset], strategies, train, test.subset_groups(subset))
+        # the subset of every group is recorded in the dataset's group order
+        subset = names if sorted(subset) == full else subset
+        entries += [(subset, label, acc) for label, acc in rows]
+    return AblationReport(entries=tuple(entries), all_groups=names)
 
 
 def format_rows(rows: Sequence[tuple], header: Sequence[str]) -> list[str]:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,10 @@ from conftest import DETERMINISTIC, gaussian_blobs, nested_tree
 LABELS2 = LabelSpace(("c0", "c1"))
 # feature values rounded to one decimal, so columns repeat values
 ROUNDED = st.floats(-2.0, 2.0, allow_nan=False).map(lambda v: round(v, 1))
+# sorted pairs whose midpoint is not between them: adjacent floats, where it
+# rounds to the upper value, and a pair whose sum overflows
+_A = np.nextafter(1.0, 2.0)
+NO_MIDPOINT = [(_A, np.nextafter(_A, 2.0)), (1e308, 1.5e308)]
 
 
 def stump_weighted_error(stump, X, y, w) -> float:
@@ -102,6 +107,16 @@ class TestStump:
                 rc,
             )
 
+    @pytest.mark.parametrize("lo,hi", NO_MIDPOINT)
+    def test_split_between_values_whose_midpoint_is_not_between(self, lo, hi):
+        X = np.array([[lo], [lo], [hi], [hi]])
+        y = np.array([0, 0, 1, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = train_stump(X, y, np.ones(4))
+        assert s.threshold == lo
+        np.testing.assert_array_equal(s.predict(X), y)
+
     def test_all_weight_on_one_sample(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([1, 0, 1, 0])
@@ -166,6 +181,15 @@ class TestAdaBoost:
         y = np.array([0, 0, 1, 1])
         model = train_adaboost(ClassifierSpec("adaboost_stumps", rounds=10), X, y, LABELS2)
         assert len(model.alphas) <= 3
+        assert float((model.predict(X) == y).mean()) == 1.0
+
+    @pytest.mark.parametrize("lo,hi", NO_MIDPOINT)
+    def test_separates_values_whose_midpoint_is_not_between(self, lo, hi):
+        X = np.array([[lo], [lo], [hi], [hi]])
+        y = np.array([0, 0, 1, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train(ClassifierSpec("adaboost_stumps", rounds=10), X, y, LABELS2)
         assert float((model.predict(X) == y).mean()) == 1.0
 
     def test_hopeless_round_rejected(self):

@@ -518,6 +518,26 @@ class TestConfigFields:
         assert repr(str(cfg)) in err and message in err
         assert not (workdir / "model.json").exists()
 
+    @pytest.mark.parametrize("message, edit", [
+        ("classifier.lam must be > 0", lambda cfg: cfg["classifier"].update(lam=-1)),
+        (
+            "strategy.stacking_meta_spec.lam must be > 0",
+            lambda cfg: cfg.update(strategy={
+                "kind": "stacking", "stacking_mode": "naive",
+                "stacking_meta_spec": {"kind": "logreg", "lam": -1},
+            }),
+        ),
+        ("strategy.kind must be one of", lambda cfg: cfg["strategy"].update(kind="vote")),
+    ], ids=["classifier", "meta_spec", "strategy"])
+    def test_bad_field_value_names_its_path_exit_2(self, workdir, capsys, message, edit):
+        cfg = write_config(workdir)
+        doc = json.loads(cfg.read_text())
+        edit(doc)
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg)]) == 2
+        # the path follows the file name once: no block is named twice
+        assert f"{str(cfg)!r}: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("verb, drop, setting", [
         ("train", "data", "data.labels"),
         ("train", "model", "model output path"),

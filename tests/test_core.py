@@ -310,3 +310,7 @@ class TestProbabilityVector:
             probability_vector([np.nan, 1.0])
         with pytest.raises(InvalidProbabilities, match="row 1.*non-finite"):
             probability_vector([[0.5, 0.5], [np.inf, 0.0]])
+
+    def test_three_dimensional_array_rejected(self):
+        with pytest.raises(InvalidProbabilities, match=r"a vector or an \(n, m\) matrix"):
+            probability_vector(np.full((2, 2, 2), 0.5))

@@ -55,6 +55,11 @@ class TestEvaluate:
         assert rep.accuracy == 0.75
         np.testing.assert_array_equal(rep.confusion, [[1, 1], [0, 2]])
 
+    def test_a_class_with_no_true_rows_reads_positive_zero(self):
+        rep = evaluate([0, 2, 0], [0, 0, 1], m=3)
+        np.testing.assert_array_equal(rep.per_class_accuracy, [0.5, 0.0, 0.0])
+        assert not np.signbit(rep.per_class_accuracy).any()
+
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch, match=r"shape \(2,\) for ground truth of shape \(3,\)"):
             evaluate([0, 1], [0, 1, 0])
