@@ -5,8 +5,7 @@ from ..errors import BadSpec
 from .adaboost import AdaBoostModel, train_adaboost
 from .base import KINDS, ClassifierSpec, FittedClassifier, LinearModel, check_training_data
 from .forest import RandomForestModel, train_random_forest
-from .logreg import logreg_loss_grad, train_logreg
-from .stumps import train_stump
+from .logreg import train_logreg
 from .svm import train_linear_svm_ovr
 
 # per kind: its trainer and the class of the model that trainer fits
@@ -46,6 +45,4 @@ __all__ = [
     "RandomForestModel",
     "train",
     "model_from_state",
-    "train_stump",
-    "logreg_loss_grad",
 ]

@@ -133,14 +133,9 @@ def _row_max(Z: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax: shift by the row max before exponentiating."""
-    z = np.asarray(z, dtype=np.float64)
-    one_row = z.ndim == 1
-    if one_row:
-        z = z[None, :]
+    """Row-wise stable softmax of a matrix, shifted by each row's max."""
     e = np.exp(z - _row_max(z))
-    p = e / e.sum(axis=1, keepdims=True)
-    return p[0] if one_row else p
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def with_intercept(X: np.ndarray) -> np.ndarray:
@@ -236,21 +231,14 @@ def lbfgs(evaluate, gradient, x: np.ndarray):
     return x, history
 
 
-def row_labels(X: np.ndarray, y, what: str, m=None) -> np.ndarray:
-    """``y`` read by ``class_indices`` as one class index per row of ``X``;
-    DimensionMismatch for any other shape."""
-    y = class_indices(y, what, m)
-    if y.shape != (X.shape[0],):
-        raise DimensionMismatch(f"y has shape {y.shape}, expected ({X.shape[0]},)")
-    return y
-
-
 def check_training_data(X, y, labels: LabelSpace) -> tuple[np.ndarray, np.ndarray]:
     """Validate the training preconditions of every kind, as ``classifiers.train``
     does before it calls a trainer: a finite matrix, one class index in
     [0, m) per row, and a sample of each of the m classes."""
     X = feature_matrix(X, "training features")
-    y = row_labels(X, y, "training label", labels.m)
+    y = class_indices(y, "training label", labels.m)
+    if y.shape != (X.shape[0],):
+        raise DimensionMismatch(f"y has shape {y.shape}, expected ({X.shape[0]},)")
     counts = np.bincount(y, minlength=labels.m)
     if np.count_nonzero(counts) < 2:
         raise SingleClassData("training data contains a single class")

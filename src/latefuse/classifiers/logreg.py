@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import LabelSpace, feature_matrix, real
-from ..errors import BadSpec, DimensionMismatch
-from .base import ClassifierSpec, LinearModel, _row_max, lbfgs, row_labels, with_intercept
+from ..core import LabelSpace
+from .base import ClassifierSpec, LinearModel, _row_max, lbfgs, with_intercept
 
 
 def _loss_and_gradient(X: np.ndarray, y: np.ndarray, lam: float):
@@ -36,27 +35,6 @@ def _loss_and_gradient(X: np.ndarray, y: np.ndarray, lam: float):
         return X.T @ P / len(rows) + lam * W
 
     return evaluate, gradient
-
-
-def logreg_loss_grad(W: np.ndarray, X: np.ndarray, y: np.ndarray, lam: float):
-    """Mean cross-entropy plus (lam/2)*||W||^2, with its exact gradient.
-
-    W is a finite (d, m) matrix and lam a finite number >= 0 (BadSpec
-    otherwise); logits are X @ W. Returns (loss, grad) where grad has the
-    same shape as W.
-    """
-    W = np.asarray(W, dtype=np.float64)
-    X = feature_matrix(X, "X")
-    if W.ndim != 2 or W.shape[0] != X.shape[1]:
-        raise DimensionMismatch(f"W has shape {W.shape}, expected ({X.shape[1]}, m)")
-    if not np.all(np.isfinite(W)):
-        raise BadSpec("W has non-finite entries")
-    lam = real(lam, "lam")
-    if lam < 0:
-        raise BadSpec(f"lam must be >= 0, got {lam!r}")
-    evaluate, gradient = _loss_and_gradient(X, row_labels(X, y, "label", W.shape[1]), lam)
-    loss, shifted = evaluate(W)
-    return float(loss), gradient(W, shifted)
 
 
 def train_logreg(spec: ClassifierSpec, X, y, labels: LabelSpace) -> LinearModel:

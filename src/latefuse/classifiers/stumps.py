@@ -21,10 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import feature_matrix
-from ..errors import BadSpec, DimensionMismatch, SingleClassData
-from .base import row_labels
-
 SCAN_BYTES = 1 << 21  # bytes of float64 class weights one block's scan may hold
 
 
@@ -71,22 +67,11 @@ def left_class_weights(order: np.ndarray, y: np.ndarray, w: np.ndarray, m: int) 
     return np.cumsum(left, axis=1, out=left)
 
 
-def train_stump(
-    X: np.ndarray, y: np.ndarray, sample_weights: np.ndarray, columns=None
-) -> DecisionStump:
-    """Exact weighted-error-minimizing stump from one scan of every feature;
-    ``columns`` is ``sorted_columns(X)``, computed here when not given."""
-    X = feature_matrix(X, "stump features")
-    y = row_labels(X, y, "label")
-    w = np.asarray(sample_weights, dtype=np.float64)
-    if w.shape != y.shape:
-        raise DimensionMismatch(f"sample_weights has shape {w.shape}, expected {y.shape}")
-    if not (np.all(w >= 0) and 0 < w.sum() < np.inf):  # False for a NaN too
-        raise BadSpec("sample_weights must be nonnegative with positive sum")
-    if y.size == 0 or y.min() == y.max():
-        raise SingleClassData("stump training needs at least two classes")
-
-    order, xs, cuts = sorted_columns(X) if columns is None else columns
+def train_stump(X: np.ndarray, y: np.ndarray, w: np.ndarray, columns) -> DecisionStump:
+    """Exact weighted-error-minimizing stump from one scan of every feature, on
+    what ``train_adaboost`` guarantees: data that ``check_training_data`` accepted,
+    nonnegative weights with a positive sum, and ``columns = sorted_columns(X)``."""
+    order, xs, cuts = columns
     m = int(y.max()) + 1
     total_w = w.sum()
     class_totals = np.zeros(m)

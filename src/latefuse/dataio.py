@@ -94,8 +94,13 @@ def label_space_of(labels_path: str, names: Iterable[str]) -> LabelSpace:
 
 
 def read_labels(path: str) -> dict[str, str]:
+    """Each sample id's stripped label; a blank label is a DataError naming the row."""
     ids, fields = _read_table(path, "labels file", ("sample_id", "label"))
-    return {sid: row[0].strip() for sid, row in zip(ids, fields)}
+    labels = {sid: row[0].strip() for sid, row in zip(ids, fields)}
+    for i, label in enumerate(labels.values(), start=2):
+        if not label:
+            raise DataError(f"labels file {path!r} row {i}: blank label")
+    return labels
 
 
 def _read_checked_features(path: str) -> tuple[list[str], np.ndarray]:

@@ -11,6 +11,7 @@ feature-concatenation baseline and versioned, checksummed model persistence.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -265,9 +266,9 @@ def _classifier_record(model: classifiers.FittedClassifier) -> dict:
     return {"spec": model.spec.to_dict(), "input_dim": model.input_dim, "state": model.state()}
 
 
-def _classifier_from_record(record: dict, labels: LabelSpace):
-    """Rebuild a classifier from ``_classifier_record``'s fields of ``record``."""
-    spec = classifiers.ClassifierSpec.from_dict(record["spec"])
+def _classifier_from_record(record: dict, labels: LabelSpace, what: str):
+    """Rebuild a classifier from ``record``; errors in its spec name ``<what>.spec``."""
+    spec = classifiers.ClassifierSpec.from_dict(record["spec"], f"{what}.spec")
     input_dim = integer(record["input_dim"], "input_dim", 1)
     return classifiers.model_from_state(spec, labels, input_dim, record["state"])
 
@@ -300,9 +301,14 @@ def save_ensemble(e: TrainedEnsemble, path: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(prefix=".model-", dir=directory)
-        with os.fdopen(fd, "w") as fh:
-            json.dump(document, fh)
-        os.replace(tmp, path)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(document, fh)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
         raise DataError(f"cannot write model file {path!r}: {exc}") from exc
 
@@ -343,8 +349,8 @@ def _ensemble_from_payload(payload: dict) -> TrainedEnsemble:
     labels = LabelSpace(tuple(payload["label_space"]))
     strategy = ensemble.EnsembleStrategy.from_dict(payload["strategy"])
     per_group = []
-    for g in payload["groups"]:
-        model = _classifier_from_record(g, labels)
+    for i, g in enumerate(payload["groups"]):
+        model = _classifier_from_record(g, labels, f"groups[{i}]")
         shape = (model.input_dim,)
         s = Standardizer(
             mean=persisted_array(g["standardizer"], "mean", shape),
@@ -353,5 +359,5 @@ def _ensemble_from_payload(payload: dict) -> TrainedEnsemble:
         per_group.append(GroupModel(g["name"], s, model, g["priority"]))
     meta = None
     if payload["meta"] is not None:
-        meta = _classifier_from_record(payload["meta"], labels)
+        meta = _classifier_from_record(payload["meta"], labels, "meta")
     return TrainedEnsemble(tuple(per_group), strategy, meta, labels)

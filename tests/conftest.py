@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from latefuse.classifiers.base import MAX_HALVINGS, MAX_STEPS
+from latefuse.classifiers.logreg import _loss_and_gradient
 from latefuse.core import GroupView, LabelSpace, MultiViewDataset
 
 # property tests draw the same examples on every run, so CI cannot flake
@@ -153,13 +154,16 @@ def two_call_descend(objective, gradient, x, step):
 
 def reference_softmax(z):
     """Row-wise softmax shifted by the row max of the C-ordered rows."""
-    z = np.asarray(z, dtype=np.float64)
-    one_row = z.ndim == 1
-    if one_row:
-        z = z[None, :]
     e = np.exp(z - z.max(axis=1, keepdims=True))
-    p = e / e.sum(axis=1, keepdims=True)
-    return p[0] if one_row else p
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def logreg_loss_grad(W, X, y, lam):
+    """``(loss, gradient)`` at W of the objective ``train_logreg`` minimizes,
+    mean cross-entropy of the logits X @ W plus (lam/2)*||W||^2."""
+    evaluate, gradient = _loss_and_gradient(X, y, lam)
+    loss, shifted = evaluate(W)
+    return float(loss), gradient(W, shifted)
 
 
 def reference_loss_only(W, X, y, lam):

