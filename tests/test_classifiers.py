@@ -52,6 +52,8 @@ class TestClassifierSpec:
         ("rounds", 2.0),
         ("min_leaf", np.bool_(True)),
         ("lam", float("nan")),
+        ("lam", float("inf")),
+        ("lam", True),
         ("lam", -1.0),
         ("lam", "1"),
         pytest.param("lam", 10**400, id="lam-int-beyond-float"),

@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 from latefuse import classifiers
-from latefuse.classifiers import ClassifierSpec
+from latefuse.classifiers import KINDS, ClassifierSpec
 from latefuse.core import GroupView, LabelSpace, MultiViewDataset
 from latefuse.crossval import group_priority, make_folds
 from latefuse.ensemble import confidence_sum, rank_sum, stack_meta_features
 from latefuse.errors import (
     BadSpec,
     DimensionMismatch,
+    EmptyClass,
     GroupSchemaMismatch,
     MisalignedGroup,
     NonFiniteFeature,
+    SingleClassData,
     UnknownLabel,
 )
 from latefuse.evaluation import evaluate
@@ -55,6 +57,28 @@ READERS = {
     "evaluate truth": (lambda y: evaluate(VALID, y, m=2), True),
     "evaluate predictions": (lambda y: evaluate(y, VALID), False),
 }
+
+# training inputs that classifiers.train rejects for every kind before it
+# calls the kind's trainer, which does not check its input again:
+# (X, y, label space, error, message)
+BAD_TRAINING = {
+    "X vector": (X[:, 0], VALID, SPACE, DimensionMismatch, r"shape \(8,\)"),
+    "X without columns": (np.zeros((8, 0)), VALID, SPACE, DimensionMismatch, r"shape \(8, 0\)"),
+    "y short": (X, VALID[1:], SPACE, DimensionMismatch, r"y has shape \(7,\), expected \(8,\)"),
+    "y matrix": (X, [VALID], SPACE, DimensionMismatch, r"y has shape \(1, 8\)"),
+    "single class": (X, [1] * 8, SPACE, SingleClassData, "single class"),
+    "empty class": (X, VALID, LabelSpace(("c0", "c1", "c2")), EmptyClass, r"\['c2'\]"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BAD_TRAINING))
+@pytest.mark.parametrize("kind", KINDS)
+def test_train_rejects_bad_training_data_of_every_kind(kind, call):
+    features, labels, space, error, message = BAD_TRAINING[call]
+    spec = ClassifierSpec(kind, rounds=2, trees=2, c_grid=(1.0,))
+    with pytest.raises(error, match=message):
+        classifiers.train(spec, features, labels, space)
+
 
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_every_reader_rejects_the_same_bad_labels(reader):
