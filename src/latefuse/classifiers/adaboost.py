@@ -11,10 +11,11 @@ renormalized. A round with err_t >= (m-1)/m would get alpha <= 0 and is
 rejected, stopping the loop; a perfect round (err_t = 0) is kept with the
 error clamped to a tiny floor so alpha stays finite, then the loop stops.
 
-Each stump is kept as a depth-1 tree of the forest's node arrays. Class
-scores are the alpha-weighted stump votes; probabilities are the softmax of
-the scores over the total alpha (the argmax kept, the output on the simplex),
-or uniform when that total is not positive, as when no round was kept.
+Each stump is kept as a depth-1 tree of the forest's node arrays, built by
+``forest.tree_nodes`` as the forest's trees are. Class scores are the
+alpha-weighted stump votes; probabilities are the softmax of the scores over
+the total alpha (the argmax kept, the output on the simplex), or uniform
+when that total is not positive, as when no round was kept.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from ..core import LabelSpace, frozen_array, persisted_array
 from .base import ClassifierSpec, softmax
-from .forest import NODE_ARRAYS, RandomForestModel, read_nodes
+from .forest import RandomForestModel, read_nodes, tree_nodes
 from .stumps import sorted_columns, train_stump
 
 ERR_FLOOR = 1e-12
@@ -64,26 +65,24 @@ def train_adaboost(spec: ClassifierSpec, X, y, labels: LabelSpace) -> AdaBoostMo
     m = labels.m
     w = np.full(n, 1.0 / n)
     columns = sorted_columns(X)  # the sort order does not depend on the weights
-    stumps, alphas = [], []
+    features, thresholds, leaves, alphas = [], [], [], []
     reject_at = (m - 1) / m
     for _ in range(spec.rounds):
-        stump = train_stump(X, y, w, columns)
-        miss = stump.predict(X) != y
+        f, t, lc, rc = train_stump(X, y, w, columns)
+        miss = np.where(X[:, f] <= t, lc, rc) != y
         err = float(w[miss].sum())
         if err >= reject_at:
             break  # alpha would be <= 0: reject the round and stop
         alpha = round_weight(err, m)
-        stumps.append(stump)
+        features.append(f)
+        thresholds.append(t)
+        leaves += [lc, rc]
         alphas.append(alpha)
         if err <= 0.0:
             break  # perfect stump recorded; nothing left to reweight
         w = w * np.exp(alpha * miss)
         w = w / w.sum()
-    # stump i: root i, its leaves t + 2i and t + 2i + 1, numbered as by grow_forest
-    t = len(stumps)
-    nodes = {name: np.full(3 * t, 0.0 if name == "threshold" else -1) for name in NODE_ARRAYS}
-    for i, s in enumerate(stumps):
-        nodes["feature"][i], nodes["threshold"][i] = s.feature_index, s.threshold
-        nodes["left"][i], nodes["right"][i] = t + 2 * i, t + 2 * i + 1
-        nodes["leaf"][t + 2 * i : t + 2 * i + 2] = s.left_class, s.right_class
+    # one breadth-first frontier: the k stumps' roots, then each one's two leaves
+    k = len(alphas)
+    nodes = tree_nodes([True] * k + [False] * 2 * k, features, thresholds, [-1] * k + leaves, k)
     return AdaBoostModel(spec, labels, X.shape[1], nodes, alphas)

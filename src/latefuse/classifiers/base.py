@@ -9,7 +9,7 @@ and safe to use concurrently.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -73,15 +73,7 @@ class ClassifierSpec:
         object.__setattr__(self, "c_grid", c_grid)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "lam": self.lam,
-            "c_grid": list(self.c_grid),
-            "rounds": self.rounds,
-            "trees": self.trees,
-            "min_leaf": self.min_leaf,
-        }
+        return {**asdict(self), "c_grid": list(self.c_grid)}
 
     @classmethod
     def from_dict(cls, d: dict, what: str = "classifier") -> "ClassifierSpec":

@@ -22,7 +22,10 @@ t < trees is tree t's root, every child's id exceeds its parent's, a leaf
 has ``left == right == -1`` and votes its ``leaf`` class, and unused entries
 hold -1 (0.0 for a threshold). Prediction descends all trees at once, one
 gather per depth; the probabilities are vote fractions, so they are exact
-multiples of 1/trees. Boosting holds its stumps as depth-1 trees the same way.
+multiples of 1/trees. ``tree_nodes``, the one function that numbers the
+children, builds the arrays from the nodes in breadth-first frontier order:
+``grow_forest`` ends with it, and boosting builds its stumps as depth-1
+trees with it.
 """
 
 from __future__ import annotations
@@ -183,20 +186,24 @@ def grow_forest(X, y, m: int, trees: int, min_leaf: int, seed: int) -> dict:
         rows = rows[np.argsort(child, kind="stable")]
         sizes = np.bincount(child, minlength=2 * len(f))
         tree = np.repeat(tree[split], 2)
-    # node ids follow the frontiers, so the split nodes' children are
-    # numbered consecutively from ``trees`` in split-node order
-    split = np.concatenate(splits)
+    return tree_nodes(
+        np.concatenate(splits), np.concatenate(features), np.concatenate(thresholds),
+        np.concatenate(leaves), trees,
+    )
+
+
+def tree_nodes(split, feature, threshold, leaf, trees: int) -> dict:
+    """The node arrays of ``trees`` trees from their nodes in breadth-first
+    frontier order (the roots first): whether each node splits, the split
+    nodes' ``feature`` and ``threshold``, and each node's ``leaf`` class (read
+    for the other nodes only). The children of the split nodes are numbered
+    consecutively from ``trees`` in split-node order, left before right."""
+    split = np.asarray(split, dtype=bool)
     left = np.full(len(split), -1)
     left[split] = trees + 2 * np.arange(np.count_nonzero(split))
-    feature, threshold = np.full(len(split), -1), np.zeros(len(split))
-    feature[split], threshold[split] = np.concatenate(features), np.concatenate(thresholds)
-    return {
-        "feature": feature,
-        "threshold": threshold,
-        "left": left,
-        "right": np.where(split, left + 1, -1),
-        "leaf": np.where(split, -1, np.concatenate(leaves)),
-    }
+    nodes = {"feature": np.full(len(split), -1), "threshold": np.zeros(len(split)), "left": left}
+    nodes["feature"][split], nodes["threshold"][split] = feature, threshold
+    return {**nodes, "right": np.where(split, left + 1, -1), "leaf": np.where(split, -1, leaf)}
 
 
 def read_nodes(state: dict, trees: int, input_dim: int, m: int) -> dict:

@@ -1,7 +1,10 @@
 """Depth-1 decision stumps trained on weighted data, and the sorted-column
 scan they share with the forest's splits.
 
-A stump assigns one class to each side of a single-feature threshold.
+A stump assigns one class to each side of a single-feature threshold:
+``train_stump`` returns the split it scored as ``(feature, threshold, left
+class, right class)``, the left class for ``x[feature] <= threshold``, and
+boosting keeps it as a depth-1 tree built by ``forest.tree_nodes``.
 Thresholds lie between consecutive distinct sorted values, at the
 ``split_point`` the forest's splits use too; the best class for each side
 is the weighted majority there, so the search minimizes weighted 0/1 error
@@ -17,23 +20,9 @@ the scan's memory does not grow with the number of features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 SCAN_BYTES = 1 << 21  # bytes of float64 class weights one block's scan may hold
-
-
-@dataclass(frozen=True)
-class DecisionStump:
-    feature_index: int
-    threshold: float
-    left_class: int   # predicted for x[feature] <= threshold
-    right_class: int  # predicted for x[feature] >  threshold
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        col = X[:, self.feature_index]
-        return np.where(col <= self.threshold, self.left_class, self.right_class)
 
 
 def sorted_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -67,9 +56,10 @@ def left_class_weights(order: np.ndarray, y: np.ndarray, w: np.ndarray, m: int) 
     return np.cumsum(left, axis=1, out=left)
 
 
-def train_stump(X: np.ndarray, y: np.ndarray, w: np.ndarray, columns) -> DecisionStump:
-    """Exact weighted-error-minimizing stump from one scan of every feature, on
-    what ``train_adaboost`` guarantees: data that ``check_training_data`` accepted,
+def train_stump(X: np.ndarray, y: np.ndarray, w: np.ndarray, columns) -> tuple[int, float, int, int]:
+    """The exact weighted-error-minimizing split ``(feature, threshold, left
+    class, right class)`` from one scan of every feature, on what
+    ``train_adaboost`` guarantees: data that ``check_training_data`` accepted,
     nonnegative weights with a positive sum, and ``columns = sorted_columns(X)``."""
     order, xs, cuts = columns
     m = int(y.max()) + 1
@@ -79,7 +69,7 @@ def train_stump(X: np.ndarray, y: np.ndarray, w: np.ndarray, columns) -> Decisio
     if not cuts.any():
         # every feature is constant; fall back to a majority-vote stump
         majority = int(np.argmax(class_totals))
-        return DecisionStump(0, float(X[0, 0]), majority, majority)
+        return 0, float(X[0, 0]), majority, majority
 
     best = (np.inf, 0, 0, 0, 0)  # (error, feature, cut, left class, right class)
     for cols in column_blocks(m, *order.shape):
@@ -101,5 +91,5 @@ def train_stump(X: np.ndarray, y: np.ndarray, w: np.ndarray, columns) -> Decisio
                 int(np.argmax(class_totals - left[:, i, f])),
             )
     _, f, i, lc, rc = best
-    return DecisionStump(f, float(split_point(xs[i, f], xs[i + 1, f])), lc, rc)
+    return f, float(split_point(xs[i, f], xs[i + 1, f])), lc, rc
 

@@ -86,7 +86,7 @@ def _data_block(block, field: str) -> Block:
 
 def _read_json(path: str, what: str):
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc

@@ -32,7 +32,7 @@ T = TypeVar("T")
 
 def _read_rows(path: str) -> list[list[str]]:
     try:
-        with open(path, "r", newline="") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             return [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise DataError(f"cannot read {path!r}: {exc}") from exc
@@ -137,7 +137,7 @@ def _read_plain_features(path: str) -> Optional[tuple[list[str], np.ndarray]]:
     both readers give the same ids and the same bits.
     """
     try:
-        with open(path, "r", newline="") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError):
         return None
@@ -230,7 +230,7 @@ def is_file_name(name) -> bool:
     )
 
 
-def _field(text: str) -> str:
+def csv_field(text: str) -> str:
     """``text`` as csv.writer prints it: quoted, quotes doubled, if it holds a comma, quote, CR or LF."""
     quoted = "," in text or '"' in text or "\r" in text or "\n" in text
     return '"' + text.replace('"', '""') + '"' if quoted else text
@@ -240,10 +240,10 @@ def _write_csv(path: str, header: Sequence[str], texts: Iterable, matrix: np.nda
     """csv.writer's text for ``header`` and each ``texts`` row, then its ``matrix`` row in ``fmt``."""
     numbers = ("," + fmt) * matrix.shape[1] + "\r\n"
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(map(_field, header)) + "\r\n")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(map(csv_field, header)) + "\r\n")
             fh.writelines(
-                ",".join(map(_field, t)) + numbers % tuple(v) for t, v in zip(texts, matrix.tolist())
+                ",".join(map(csv_field, t)) + numbers % tuple(v) for t, v in zip(texts, matrix.tolist())
             )
     except OSError as exc:
         raise DataError(f"cannot write {path!r}: {exc}") from exc

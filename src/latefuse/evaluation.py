@@ -9,6 +9,7 @@ import numpy as np
 
 from . import classifiers, ensemble, pipeline
 from .core import MultiViewDataset, class_indices, integer
+from .dataio import csv_field
 # Not called here; kept as module attributes because the traced benchmark
 # (perfbench/spans.py) wraps them by name.
 from .core import standardize_apply, standardize_fit  # noqa: F401
@@ -194,11 +195,11 @@ def ablate(
 
 
 def format_rows(rows: Sequence[tuple], header: Sequence[str]) -> list[str]:
-    """Serialize comparison/ablation rows: one CSV record per row, accuracy
-    to 4 decimals."""
-    out = [",".join(header)]
+    """Serialize comparison/ablation rows: one CSV record per row, its cells
+    quoted as csv.writer quotes them, accuracy to 4 decimals."""
+    out = [",".join(map(csv_field, header))]
     for row in rows:
         *keys, acc = row
         cells = ["+".join(k) if isinstance(k, tuple) else str(k) for k in keys]
-        out.append(",".join(cells + [f"{acc:.4f}"]))
+        out.append(",".join(map(csv_field, cells + [f"{acc:.4f}"])))
     return out

@@ -15,7 +15,7 @@ import contextlib
 import hashlib
 import json
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -298,11 +298,12 @@ def save_ensemble(e: TrainedEnsemble, path: str) -> None:
         "checksum": _checksum(payload),
         "payload": payload,
     }
-    directory = os.path.dirname(os.path.abspath(path))
+    # a new file beside the target, so it gets the umask's mode as every other output does
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".model-{secrets.token_hex(8)}")
     try:
-        fd, tmp = tempfile.mkstemp(prefix=".model-", dir=directory)
+        fh = open(tmp, "x", encoding="utf-8")
         try:
-            with os.fdopen(fd, "w") as fh:
+            with fh:
                 json.dump(document, fh)
             os.replace(tmp, path)
         except BaseException:
@@ -315,7 +316,7 @@ def save_ensemble(e: TrainedEnsemble, path: str) -> None:
 
 def load_ensemble(path: str) -> TrainedEnsemble:
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read model file {path!r}: {exc}") from exc

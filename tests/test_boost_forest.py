@@ -26,9 +26,16 @@ _A = np.nextafter(1.0, 2.0)
 NO_MIDPOINT = [(_A, np.nextafter(_A, 2.0)), (1e308, 1.5e308)]
 
 
+def stump_predict(stump, X) -> np.ndarray:
+    """The classes that the split ``stump = (feature, threshold, left class,
+    right class)`` gives the rows of ``X``."""
+    f, t, lc, rc = stump
+    return np.where(X[:, f] <= t, lc, rc)
+
+
 def stump_weighted_error(stump, X, y, w) -> float:
     """The share of the weight ``w`` on the rows that ``stump`` misclassifies."""
-    return float(w[stump.predict(X) != y].sum() / w.sum())
+    return float(w[stump_predict(stump, X) != y].sum() / w.sum())
 
 
 def brute_force_stump(X, y, w):
@@ -74,18 +81,18 @@ class TestStump:
         best = brute_force_stump(X, y, w)
         if best is None:  # every column constant: majority-vote stump
             majority = int(np.argmax(np.bincount(y, weights=w)))
-            assert s.left_class == s.right_class == majority
+            assert s[2] == s[3] == majority
             return
-        err, f, t, lc, rc = best
-        assert (s.feature_index, s.threshold, s.left_class, s.right_class) == (f, t, lc, rc)
+        err, *split = best
+        assert s == tuple(split)
         assert stump_weighted_error(s, X, y, w) * w.sum() == pytest.approx(err)
 
     def test_separable_midpoint(self):
         X = np.array([[0.0], [0.1], [1.0], [1.1]])
         y = np.array([0, 0, 1, 1])
         s = train_stump(X, y, np.full(4, 0.25), sorted_columns(X))
-        assert s.threshold == pytest.approx(0.55)
-        assert (s.left_class, s.right_class) == (0, 1)
+        assert s[1] == pytest.approx(0.55)
+        assert s[2:] == (0, 1)
         assert stump_weighted_error(s, X, y, np.full(4, 0.25)) == 0.0
 
     def test_matches_exhaustive_enumeration(self):
@@ -97,14 +104,9 @@ class TestStump:
                 continue
             w = np.ones(10)  # unit weights keep error sums exact
             s = train_stump(X, y, w, sorted_columns(X))
-            err, f, t, lc, rc = brute_force_stump(X, y, w)
+            err, *split = brute_force_stump(X, y, w)
             assert stump_weighted_error(s, X, y, w) * w.sum() == pytest.approx(err)
-            assert (s.feature_index, s.threshold, s.left_class, s.right_class) == (
-                f,
-                t,
-                lc,
-                rc,
-            )
+            assert s == tuple(split)
 
     @pytest.mark.parametrize("lo,hi", NO_MIDPOINT)
     def test_split_between_values_whose_midpoint_is_not_between(self, lo, hi):
@@ -113,15 +115,15 @@ class TestStump:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             s = train_stump(X, y, np.ones(4), sorted_columns(X))
-        assert s.threshold == lo
-        np.testing.assert_array_equal(s.predict(X), y)
+        assert s[1] == lo
+        np.testing.assert_array_equal(stump_predict(s, X), y)
 
     def test_all_weight_on_one_sample(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([1, 0, 1, 0])
         w = np.array([0.0, 0.0, 1.0, 0.0])
         s = train_stump(X, y, w, sorted_columns(X))
-        assert s.predict(X[2:3])[0] == 1
+        assert stump_predict(s, X[2:3])[0] == 1
         assert stump_weighted_error(s, X, y, w) == 0.0
 
     def test_column_blocks_match_one_pass(self, monkeypatch):
@@ -134,15 +136,15 @@ class TestStump:
         w = rng.integers(0, 4, size=40).astype(np.float64)
         problems = [(X, y, w), (X[:, :4], rng.integers(0, 4, size=40), w)]
         one_pass = [train_stump(*p, sorted_columns(p[0])) for p in problems]
-        assert one_pass[0].feature_index == 4
+        assert one_pass[0][0] == 4
         for width in (1, 2, 3):
             monkeypatch.setattr(stumps, "SCAN_BYTES", 8 * 4 * 40 * width)
             assert len(stumps.column_blocks(4, 40, 7)) == -(-7 // width)
             for problem, expected in zip(problems, one_pass):
                 s = train_stump(*problem, sorted_columns(problem[0]))
                 assert s == expected
-                _, f, t, lc, rc = brute_force_stump(*problem)
-                assert (s.feature_index, s.threshold, s.left_class, s.right_class) == (f, t, lc, rc)
+                _, *split = brute_force_stump(*problem)
+                assert s == tuple(split)
 
     def test_scan_memory_does_not_grow_with_features(self):
         rng = np.random.default_rng(4)
@@ -417,6 +419,34 @@ def reference_tree(X, y, idx, m, min_leaf):
         "l": reference_tree(X, y, idx[left], m, min_leaf),
         "r": reference_tree(X, y, idx[~left], m, min_leaf),
     }
+
+
+class TestTreeNodes:
+    def test_numbers_a_hand_written_depth_2_layout(self):
+        # frontier order: tree 0's root (split), tree 1's root (a class-1 leaf);
+        # the root's children (a split, a class-2 leaf); that split's leaves 0 and 1.
+        # A split node's leaf entry (7) is not read.
+        nodes = forest.tree_nodes(
+            [True, False, True, False, False, False], [1, 0], [0.5, 2.0], [7, 1, 7, 2, 0, 1], 2
+        )
+        assert {name: a.tolist() for name, a in nodes.items()} == {
+            "feature": [1, -1, 0, -1, -1, -1],
+            "threshold": [0.5, 0.0, 2.0, 0.0, 0.0, 0.0],
+            "left": [2, -1, 4, -1, -1, -1],
+            "right": [3, -1, 5, -1, -1, -1],
+            "leaf": [-1, 1, -1, 2, 0, 1],
+        }
+        assert nested_tree(nodes, 0) == {
+            "f": 1, "t": 0.5, "l": {"f": 0, "t": 2.0, "l": {"leaf": 0}, "r": {"leaf": 1}},
+            "r": {"leaf": 2},
+        }
+        assert nested_tree(nodes, 1) == {"leaf": 1}
+        forest.read_nodes(nodes, 2, 2, 3)  # a layout the model file reader accepts
+
+    def test_zero_trees_have_no_nodes(self):
+        nodes = forest.tree_nodes([], [], [], [], 0)
+        assert list(nodes) == list(forest.NODE_ARRAYS)
+        assert all(len(a) == 0 for a in nodes.values())
 
 
 class TestRandomForest:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -128,15 +129,62 @@ def tiny_config(tmp_path, labels, classifier=None, k=2):
     return path
 
 
-def test_importing_the_package_and_cli_loads_no_scipy():
-    # a fresh interpreter: the test suite itself imports scipy as an oracle
+def fresh_python(*args, flags=(), **env):
+    """``python [flags] args`` in a fresh interpreter that imports this latefuse,
+    with ``env`` added to the environment; stdout and stderr are bytes."""
     src = os.path.dirname(os.path.dirname(latefuse.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, "PYTHONPATH": path, **env}
+    return subprocess.run([sys.executable, *flags, *args], env=env, capture_output=True)
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    # a fresh interpreter: the test suite itself imports scipy as an oracle
     code = "import sys, latefuse, latefuse.cli; print([m for m in sys.modules if 'scipy' in m])"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.strip() == b"[]"
+
+
+# an ASCII locale for files: no UTF-8 mode and no coercion of the C locale;
+# stdout stays UTF-8 so that evaluate can print the class names
+ASCII_LOCALE = {
+    "PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONIOENCODING": "utf-8"
+}
+
+
+def cli_flow(tmp_path, flags=(), **env):
+    """train, predict and evaluate in fresh interpreters, over ids and classes
+    that are not ASCII; the predictions file's bytes and evaluate's output."""
+    rows = [(f"é{i}", ("café", "thé")[i % 2], i % 2 + i / 10, i % 3) for i in range(12)]
+    labels, group, cfg = tmp_path / "labels.csv", tmp_path / "g.csv", tmp_path / "cfg.json"
+    labels.write_bytes(("sample_id,label\n" + "".join(f"{s},{c}\n" for s, c, *_ in rows)).encode())
+    group.write_bytes(("sample_id,f0,f1\n" + "".join(f"{s},{a},{b}\n" for s, _, a, b in rows)).encode())
+    data = {"labels": str(labels), "groups": [{"name": "g", "path": str(group)}]}
+    cfg.write_text(json.dumps({"k": 2, "data": data}))
+    model, preds = str(tmp_path / "model.json"), str(tmp_path / "p.csv")
+    for argv in (
+        ["train", "--config", str(cfg), "--model", model],
+        ["predict", "--model", model, "--config", str(cfg), "--out", preds],
+        ["evaluate", "--predictions", preds, "--labels", str(labels)],
+    ):
+        proc = fresh_python("-m", "latefuse.cli", *argv, flags=flags, **env)
+        assert (proc.returncode, proc.stderr.decode("utf-8", "replace")) == (0, "")
+    return (tmp_path / "p.csv").read_bytes(), proc.stdout
+
+
+class TestFileEncoding:
+    def test_flow_under_an_ascii_locale_matches_a_utf8_run(self, tmp_path):
+        (tmp_path / "ascii").mkdir()
+        (tmp_path / "utf8").mkdir()
+        ascii_run = cli_flow(tmp_path / "ascii", **ASCII_LOCALE)
+        assert ascii_run == cli_flow(tmp_path / "utf8", PYTHONUTF8="1")
+        preds, report = ascii_run
+        assert "café".encode() in preds and "class thé".encode() in report
+
+    def test_no_file_is_opened_in_the_locale_encoding(self, tmp_path):
+        # an open() without an encoding warns, and the warning is an error
+        cli_flow(tmp_path, flags=("-X", "warn_default_encoding", "-W", "error::EncodingWarning"))
 
 
 class TestTrainPredictEvaluate:
@@ -381,6 +429,20 @@ class TestCompareAndAblate:
         assert lines[0] == "groups,strategy,accuracy"
         assert lines[1].startswith("sig,")
         assert lines[2].startswith("sig+noise,")
+
+    def test_ablate_quotes_a_group_name_with_a_comma(self, workdir, capsys):
+        def block(split):
+            groups = [{"name": "a,b", "path": str(workdir / f"data/{split}/sig.csv")},
+                      {"name": "noise", "path": str(workdir / f"data/{split}/noise.csv")}]
+            return {"labels": str(workdir / f"data/{split}/labels.csv"), "groups": groups}
+
+        cfg = write_config(
+            workdir, data=block("train"), test_data=block("test"), subsets=[["a,b"], ["a,b", "noise"]]
+        )
+        assert main(["ablate", "--config", str(cfg)]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert [len(r) for r in rows] == [3, 3, 3]
+        assert [r[0] for r in rows] == ["groups", "a,b", "a,b+noise"]
 
     def assert_plan_error_names_the_config(self, workdir, capsys, subsets, message):
         cfg = write_config(workdir, subsets=subsets)

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from latefuse.cli import main
 from latefuse.core import GroupView, LabelSpace, MultiViewDataset
 from latefuse.dataio import (
-    _field,
     _read_checked_features,
     _read_plain_features,
+    csv_field,
     load_dataset,
     load_groups,
     read_feature_file,
@@ -298,7 +298,7 @@ def test_field_quotes_as_csv_writer_does(text):
     # the writers print no row of a single field, which csv.writer quotes when empty
     buf = io.StringIO()
     csv.writer(buf).writerow([text, text])
-    assert buf.getvalue() == f"{_field(text)},{_field(text)}\r\n"
+    assert buf.getvalue() == f"{csv_field(text)},{csv_field(text)}\r\n"
 
 
 NAMES = st.text(alphabet='ab ,"\n\r', min_size=1, max_size=3)

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -587,6 +588,16 @@ class TestPersistence:
         with pytest.raises(DataError, match="cannot write model file"):
             save_ensemble(e, str(tmp_path / "model.json"))
         assert sorted(os.listdir(tmp_path)) == ["model.json"]
+
+    def test_model_file_mode_follows_the_umask(self, tmp_path, rng):
+        e = train_ensemble(small_dataset(rng), ClassifierSpec("logreg"), EnsembleStrategy("rank_sum"), 3, 0)
+        old = os.umask(0o022)
+        try:
+            save_ensemble(e, str(tmp_path / "model.json"))
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "model.json").st_mode) == 0o666 & ~0o022
+        assert os.listdir(tmp_path) == ["model.json"]
 
     def test_tampered_payload_fails_checksum(self, tmp_path, rng):
         d = small_dataset(rng)
