@@ -293,7 +293,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _utf8_output() -> None:
+    """Make standard output and error UTF-8, as the CLI's files are, whatever
+    the locale; each keeps its error handler. A stream without
+    ``reconfigure``, such as an ``io.StringIO``, takes text as it is."""
+    for stream in (sys.stdout, sys.stderr):
+        reconfigure = getattr(stream, "reconfigure", None)
+        if reconfigure is not None:
+            reconfigure(encoding="utf-8", errors=stream.errors)
+
+
 def main(argv=None) -> int:
+    _utf8_output()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

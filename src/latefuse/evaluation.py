@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -89,6 +90,41 @@ def five_strategies(meta_spec: classifiers.ClassifierSpec) -> list[ensemble.Ense
     ]
 
 
+# The key and the GroupFits of the last _group_fits call: one entry, so that
+# compare_strategies then ablate on one training set fit its groups once.
+_last_fits: Optional[tuple[tuple, tuple[pipeline.GroupFit, ...]]] = None
+
+
+def _training_digest(train: MultiViewDataset) -> bytes:
+    """sha256 of what ``fit_groups`` reads from ``train`` besides its label
+    space: the labels, and each group's name, shape and features."""
+    h = hashlib.sha256(train.labels.data)
+    for g in train.groups:
+        h.update(repr((g.name, g.features.shape)).encode("utf-8"))
+        h.update(g.features.data)
+    return h.digest()
+
+
+def _group_fits(
+    train: MultiViewDataset, spec: classifiers.ClassifierSpec, k: int, seed: int
+) -> tuple[pipeline.GroupFit, ...]:
+    """``pipeline.fit_groups(train, spec, k, seed)``, or the previous call's
+    fits when its training content, label space, spec, k and seed were equal.
+    ``fit_groups`` is deterministic in exactly these, and its fits are
+    read-only, so sharing them changes no result."""
+    global _last_fits
+    # k and seed read as make_folds reads them, so that seed=True, which it
+    # rejects, cannot match a key of seed=1
+    key = (_training_digest(train), train.label_space, spec, integer(k, "k", 2),
+           integer(seed, "seed", 0))
+    last = _last_fits
+    if last is not None and last[0] == key:
+        return last[1]
+    fits = tuple(pipeline.fit_groups(train, spec, k, seed))
+    _last_fits = (key, fits)
+    return fits
+
+
 def _score(fits, strategies, train, test) -> list[tuple[str, float]]:
     """The label and ``test`` accuracy of each strategy, assembled over the
     ``pipeline.GroupFit``s that ``fit_groups`` made from ``train``."""
@@ -107,8 +143,10 @@ def compare_strategies(
 ) -> list[tuple[str, float]]:
     """Accuracy of all five strategies sharing one set of per-group
     classifiers and priorities; naive stacking's meta model is of ``spec``
-    too."""
-    return _score(pipeline.fit_groups(train, spec, k, seed), five_strategies(spec), train, test)
+    too. The group fits are those of the previous ``compare_strategies`` or
+    ``ablate`` call when its training content, spec, k and seed were equal;
+    otherwise each group's classifier is fit k+1 times."""
+    return _score(_group_fits(train, spec, k, seed), five_strategies(spec), train, test)
 
 
 def compare_classifiers(
@@ -165,7 +203,9 @@ def ablate(
 
     Training is deterministic and groups train independently, so a group's
     fitted classifier, priority and out-of-fold rows are identical in every
-    subset containing it; they are computed once and reused.
+    subset containing it; they are computed once and reused. They are also
+    those of the previous ``compare_strategies`` or ``ablate`` call when its
+    training content, spec, k and seed were equal.
     """
     names = train.group_names
     for subset in subset_plan or []:
@@ -176,7 +216,7 @@ def ablate(
                 raise UnknownGroupName(f"unknown group {g!r} in subset plan")
             if g in subset[:i]:
                 raise UnknownGroupName(f"group {g!r} named twice in one subset")
-    fits = dict(zip(names, pipeline.fit_groups(train, spec, k, seed)))
+    fits = dict(zip(names, _group_fits(train, spec, k, seed)))
     if subset_plan is None:
         subset_plan = nested_subsets(
             sorted(names, key=lambda n: (-fits[n].model.priority, n))

@@ -110,7 +110,8 @@ def _checksum(payload: dict) -> str:
 class GroupFit:
     """One group's training-time fit: its deployable model, plus the
     standardized training features and their out-of-fold probabilities that
-    stacking's meta-classifier may train on."""
+    stacking's meta-classifier may train on. Both arrays are read-only, so a
+    fit can be shared."""
 
     model: GroupModel
     X: np.ndarray
@@ -128,8 +129,10 @@ def fit_groups(
     for g in train.groups:
         s = standardize_fit(g.features, f"group {g.name!r}")
         X = standardize_apply(s, g.features)
+        X.setflags(write=False)
         model = classifiers.train(spec, X, y, labels)
         priority, oof = crossval.group_priority(spec, X, y, labels, plan)
+        oof.setflags(write=False)
         fits.append(GroupFit(GroupModel(g.name, s, model, priority), X, oof))
     return fits
 

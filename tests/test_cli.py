@@ -131,10 +131,11 @@ def tiny_config(tmp_path, labels, classifier=None, k=2):
 
 def fresh_python(*args, flags=(), **env):
     """``python [flags] args`` in a fresh interpreter that imports this latefuse,
-    with ``env`` added to the environment; stdout and stderr are bytes."""
+    with ``env`` added to the environment (a None value removes the variable);
+    stdout and stderr are bytes."""
     src = os.path.dirname(os.path.dirname(latefuse.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path, **env}
+    env = {k: v for k, v in {**os.environ, "PYTHONPATH": path, **env}.items() if v is not None}
     return subprocess.run([sys.executable, *flags, *args], env=env, capture_output=True)
 
 
@@ -146,10 +147,10 @@ def test_importing_the_package_and_cli_loads_no_scipy():
     assert proc.stdout.strip() == b"[]"
 
 
-# an ASCII locale for files: no UTF-8 mode and no coercion of the C locale;
-# stdout stays UTF-8 so that evaluate can print the class names
+# an ASCII locale: no UTF-8 mode, no coercion of the C locale and no
+# PYTHONIOENCODING, so only latefuse itself can make its files and output UTF-8
 ASCII_LOCALE = {
-    "PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONIOENCODING": "utf-8"
+    "PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONIOENCODING": None
 }
 
 
@@ -181,6 +182,22 @@ class TestFileEncoding:
         assert ascii_run == cli_flow(tmp_path / "utf8", PYTHONUTF8="1")
         preds, report = ascii_run
         assert "café".encode() in preds and "class thé".encode() in report
+
+    def test_output_is_utf8_under_an_ascii_locale(self, tmp_path):
+        _, report = cli_flow(tmp_path, **ASCII_LOCALE)
+        assert "class café accuracy".encode() in report
+        data = {"labels": str(tmp_path / "labels.csv"),
+                "groups": [{"name": "vué", "path": str(tmp_path / "g.csv")}]}
+        cfg = tmp_path / "named.json"
+        cfg.write_text(json.dumps({"k": 2, "data": data, "test_data": data}))
+        for argv, line in (
+            (["train", "--model", str(tmp_path / "m.json")], "group vué priority"),
+            (["ablate"], "vué,confidence_sum_weighted,"),
+            (["compare"], "stacking_naive,"),
+        ):
+            proc = fresh_python("-m", "latefuse.cli", *argv, "--config", str(cfg), **ASCII_LOCALE)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            assert line in proc.stdout.decode("utf-8")
 
     def test_no_file_is_opened_in_the_locale_encoding(self, tmp_path):
         # an open() without an encoding warns, and the warning is an error

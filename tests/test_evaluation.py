@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
+from latefuse import dataio, evaluation, pipeline
 from latefuse.classifiers import ClassifierSpec
 from latefuse.ensemble import EnsembleStrategy
 from latefuse.pipeline import predict, train_ensemble
-from latefuse.errors import BadSpec, DimensionMismatch, UnknownGroupName, UnknownLabel
+from latefuse.errors import (
+    BadSpec,
+    DimensionMismatch,
+    TooFewSamplesPerClass,
+    UnknownGroupName,
+    UnknownLabel,
+)
 from latefuse.evaluation import (
     AblationReport,
     ablate,
@@ -39,6 +46,22 @@ def hard_three_view_data(seed, n_per_class=12, m=3):
 OUT_OF_FOLD = EnsembleStrategy(
     "stacking", stacking_mode="out_of_fold", stacking_meta_spec=ClassifierSpec("logreg")
 )
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """Start with no remembered group fits; the arguments of every
+    ``pipeline.fit_groups`` call."""
+    monkeypatch.setattr(evaluation, "_last_fits", None)
+    calls = []
+    fit_groups = pipeline.fit_groups
+
+    def counted(*args):
+        calls.append(args)
+        return fit_groups(*args)
+
+    monkeypatch.setattr(pipeline, "fit_groups", counted)
+    return calls
 
 
 class TestEvaluate:
@@ -166,10 +189,11 @@ class TestCompare:
         ]
         assert all(0.0 <= acc <= 1.0 for _, acc in rows)
 
-    def test_deterministic(self, rng):
+    def test_deterministic(self, rng, monkeypatch):
         train = two_view_data(rng)
         test = two_view_data(np.random.default_rng(11))
         r1 = compare_strategies(train, test, ClassifierSpec("logreg"), 3, 5)
+        monkeypatch.setattr(evaluation, "_last_fits", None)  # fit again
         r2 = compare_strategies(train, test, ClassifierSpec("logreg"), 3, 5)
         assert r1 == r2
 
@@ -252,6 +276,95 @@ class TestAblate:
 
     def test_nested_subsets_helper(self):
         assert nested_subsets(["x", "y"]) == [("x",), ("x", "y")]
+
+
+def edited(d, relabel=False, rename=None, bump=False, class_names=None):
+    """``d`` rebuilt with the label of row 0 moved to the next class, its
+    last group renamed to ``rename``, feature [0, 0] of its first group
+    raised by 1, or other class names."""
+    labels = d.labels.copy()
+    if relabel:
+        labels[0] = (labels[0] + 1) % d.label_space.m
+    groups = [(g.name, g.features.copy()) for g in d.groups]
+    if rename:
+        groups[-1] = (rename, groups[-1][1])
+    if bump:
+        groups[0][1][0, 0] += 1.0
+    return make_dataset(groups, labels, class_names)
+
+
+class TestGroupFitReuse:
+    """compare_strategies and ablate share the last call's group fits when
+    the training content, label space, spec, k and seed are equal."""
+
+    SPEC = ClassifierSpec("logreg")
+
+    def setup_method(self):
+        self.train, self.test = hard_three_view_data(5), hard_three_view_data(6)
+
+    def both(self, train, test, spec=SPEC, k=3, seed=4):
+        """compare_strategies then ablate, as a sweep runs them."""
+        rows = compare_strategies(train, test, spec, k, seed)
+        return rows, ablate(train, test, spec, [OUT_OF_FOLD], None, k, seed)
+
+    def test_compare_then_ablate_fit_once(self, fit_calls):
+        self.both(self.train, self.test)
+        assert len(fit_calls) == 1
+
+    def test_a_dataset_read_back_from_csv_fits_once(self, fit_calls, tmp_path):
+        dataio.write_dataset(self.train, str(tmp_path))
+        loaded = dataio.load_dataset(
+            str(tmp_path / "labels.csv"),
+            [(n, str(tmp_path / f"{n}.csv")) for n in self.train.group_names],
+        )
+        assert loaded is not self.train
+        compare_strategies(self.train, self.test, self.SPEC, 3, 4)
+        ablate(loaded, self.test, self.SPEC, [OUT_OF_FOLD], None, 3, 4)
+        assert len(fit_calls) == 1
+
+    @pytest.mark.parametrize(
+        "edit, args",
+        [
+            ({}, {"spec": ClassifierSpec("logreg", lam=1e-2)}),
+            ({}, {"k": 4}),
+            ({}, {"seed": 5}),
+            ({"bump": True}, {}),
+            ({"relabel": True}, {}),
+            ({"rename": "noise2"}, {}),
+            ({"class_names": ["x", "y", "z"]}, {}),
+        ],
+        ids=["spec", "k", "seed", "feature", "label", "group_name", "class_names"],
+    )
+    def test_any_change_refits(self, fit_calls, edit, args):
+        compare_strategies(self.train, self.test, self.SPEC, 3, 4)
+        test = edited(self.test, rename=edit["rename"]) if "rename" in edit else self.test
+        self.both(edited(self.train, **edit), test, **args)
+        assert len(fit_calls) == 2
+
+    def test_one_entry_only(self, fit_calls):
+        for seed in (4, 5, 4):
+            compare_strategies(self.train, self.test, self.SPEC, 3, seed)
+        assert [args[3] for args in fit_calls] == [4, 5, 4]
+
+    def test_a_failed_fit_is_not_remembered(self, fit_calls):
+        with pytest.raises(TooFewSamplesPerClass):
+            compare_strategies(self.train, self.test, self.SPEC, 20, 4)
+        assert evaluation._last_fits is None
+        compare_strategies(self.train, self.test, self.SPEC, 3, 4)
+        with pytest.raises(TooFewSamplesPerClass):
+            ablate(self.train, self.test, self.SPEC, [OUT_OF_FOLD], None, 20, 4)
+        compare_strategies(self.train, self.test, self.SPEC, 3, 4)
+        assert [args[2] for args in fit_calls] == [20, 3, 20]
+
+    def test_rows_match_a_cold_run(self, fit_calls, monkeypatch):
+        warm = self.both(self.train, self.test)
+        cold = []
+        for call in (compare_strategies, ablate):
+            monkeypatch.setattr(evaluation, "_last_fits", None)
+            args = (self.SPEC, [OUT_OF_FOLD], None) if call is ablate else (self.SPEC,)
+            cold.append(call(self.train, self.test, *args, 3, 4))
+        assert len(fit_calls) == 3
+        assert warm == tuple(cold)
 
 
 class TestFormatRows:

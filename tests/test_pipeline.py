@@ -314,6 +314,13 @@ class TestTrainEnsemble:
             assert e.meta is not None
             assert e.meta.input_dim == 2 * 3
 
+    def test_group_fits_are_read_only(self, rng):
+        for fit in pipeline.fit_groups(small_dataset(rng), ClassifierSpec("logreg"), 3, 0):
+            for a in (fit.X, fit.oof):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, 0] = 1.0
+
 
 class TestPredict:
     def test_single_group_degeneracy(self, rng):
