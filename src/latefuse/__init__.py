@@ -21,6 +21,7 @@ from .ensemble import EnsembleStrategy, assign_ranks, confidence_sum, decide, ra
 from .evaluation import ablate, compare_strategies, evaluate, evaluate_ensemble
 from .pipeline import (
     Prediction,
+    PredictionBatch,
     TrainedEnsemble,
     load_ensemble,
     predict,
@@ -54,6 +55,7 @@ __all__ = [
     "evaluate",
     "evaluate_ensemble",
     "Prediction",
+    "PredictionBatch",
     "TrainedEnsemble",
     "load_ensemble",
     "predict",

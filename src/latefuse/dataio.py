@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Optional, Sequence, TypeVar
 import numpy as np
 
 from .core import GroupView, LabelSpace, MultiViewDataset
-from .errors import DataError, MisalignedGroup, NonFiniteFeature
+from .errors import DataError, DimensionMismatch, MisalignedGroup, NonFiniteFeature
 
 T = TypeVar("T")
 
@@ -137,8 +137,8 @@ def _read_plain_features(path: str) -> Optional[tuple[list[str], np.ndarray]]:
     both readers give the same ids and the same bits.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except (OSError, UnicodeDecodeError):
         return None
     if any(c in text for c in _NOT_PLAIN):
@@ -236,15 +236,27 @@ def csv_field(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if quoted else text
 
 
-def _write_csv(path: str, header: Sequence[str], texts: Iterable, matrix: np.ndarray, fmt: str) -> None:
-    """csv.writer's text for ``header`` and each ``texts`` row, then its ``matrix`` row in ``fmt``."""
+def _csv_column(texts: Sequence[str]) -> Sequence[str]:
+    """A text column's fields as csv.writer prints them; the column is
+    scanned once, and only a column that needs quoting goes through
+    ``csv_field`` cell by cell."""
+    joined = "".join(texts)
+    quoted = "," in joined or '"' in joined or "\r" in joined or "\n" in joined
+    return list(map(csv_field, texts)) if quoted else texts
+
+
+def _write_csv(
+    path: str, header: Sequence[str], columns: Sequence[Sequence[str]], matrix: np.ndarray, fmt: str
+) -> None:
+    """csv.writer's text for ``header``, then per row the row's cell of each
+    text column in ``columns`` and its ``matrix`` row in ``fmt``."""
     numbers = ("," + fmt) * matrix.shape[1] + "\r\n"
+    fields = [_csv_column(c) for c in columns]
+    texts = fields[0] if len(fields) == 1 else map(",".join, zip(*fields))
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(map(csv_field, header)) + "\r\n")
-            fh.writelines(
-                ",".join(map(csv_field, t)) + numbers % tuple(v) for t, v in zip(texts, matrix.tolist())
-            )
+            fh.writelines(t + numbers % tuple(v) for t, v in zip(texts, matrix.tolist()))
     except OSError as exc:
         raise DataError(f"cannot write {path!r}: {exc}") from exc
 
@@ -267,25 +279,29 @@ def write_dataset(d: MultiViewDataset, out_dir: str) -> None:
     _write_csv(
         os.path.join(out_dir, "labels.csv"),
         ["sample_id", "label"],
-        zip(d.sample_ids, [names[y] for y in d.labels.tolist()]), np.empty((d.n, 0)), "",
+        [d.sample_ids, [names[y] for y in d.labels.tolist()]], np.empty((d.n, 0)), "",
     )
     for g in d.groups:
         _write_csv(
             os.path.join(out_dir, f"{g.name}.csv"),
             ["sample_id"] + [f"f{j}" for j in range(g.dim)],
-            zip(d.sample_ids), g.features, "%.17g",
+            [d.sample_ids], g.features, "%.17g",
         )
 
 
-def write_predictions(preds: Sequence, class_names: Sequence[str], path: str) -> None:
-    """One row per prediction (anything with ``sample_id``, ``scores`` and
-    ``decided``, as ``pipeline.predict`` returns): id, decided class name,
-    then the m score columns printed with 6 significant digits."""
-    scores = np.array([p.scores for p in preds], dtype=np.float64).reshape(len(preds), len(class_names))
+def write_predictions(preds, class_names: Sequence[str], path: str) -> None:
+    """Write a ``pipeline.PredictionBatch`` (as ``pipeline.predict`` returns)
+    from its columns: per row the id, the decided class name, then the m
+    score columns printed with 6 significant digits. DimensionMismatch
+    unless the batch has one score column per class name."""
+    if preds.scores.shape[1] != len(class_names):
+        raise DimensionMismatch(
+            f"{preds.scores.shape[1]} score columns for {len(class_names)} class names"
+        )
     _write_csv(
         path,
         ["sample_id", "predicted"] + [f"score_{c}" for c in class_names],
-        [(p.sample_id, class_names[p.decided]) for p in preds], scores, "%.6g",
+        [preds.sample_ids, [class_names[d] for d in preds.decided.tolist()]], preds.scores, "%.6g",
     )
 
 

@@ -27,6 +27,8 @@ from .core import (
     LabelSpace,
     MultiViewDataset,
     Standardizer,
+    class_indices,
+    frozen_array,
     integer,
     persisted_array,
     real,
@@ -37,6 +39,7 @@ from .errors import (
     BadSpec,
     CorruptModel,
     DataError,
+    DimensionMismatch,
     GroupSchemaMismatch,
     MisalignedGroup,
     VersionMismatch,
@@ -98,6 +101,60 @@ class Prediction:
     scores: np.ndarray
     decided: int
     per_group_probs: tuple[np.ndarray, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class PredictionBatch(Sequence[Prediction]):
+    """n predictions held by column: the ``sample_ids`` (str), the (n, m)
+    fused ``scores``, the n ``decided`` class indices, and one (n, m)
+    probability matrix per group in ``per_group_probs``. Every array is
+    read-only. Indexing and iteration give ``Prediction``s, row i of each
+    column; a slice gives a batch."""
+
+    sample_ids: tuple[str, ...]
+    scores: np.ndarray
+    decided: np.ndarray
+    per_group_probs: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        ids = tuple(map(str, self.sample_ids))
+        scores = frozen_array(self.scores)
+        if scores.ndim != 2 or scores.shape[0] != len(ids):
+            raise DimensionMismatch(f"scores of shape {scores.shape} for {len(ids)} sample ids")
+        decided = class_indices(self.decided, "decided class", scores.shape[1])
+        if decided.shape != (len(ids),):
+            raise DimensionMismatch(f"decided of shape {decided.shape} for {len(ids)} sample ids")
+        decided.setflags(write=False)
+        probs = tuple(map(frozen_array, self.per_group_probs))
+        if not probs or any(p.shape != scores.shape for p in probs):
+            raise DimensionMismatch(
+                f"per_group_probs must be one or more matrices of shape {scores.shape}, "
+                f"got {[p.shape for p in probs]}"
+            )
+        object.__setattr__(self, "sample_ids", ids)
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "decided", decided)
+        object.__setattr__(self, "per_group_probs", probs)
+
+    def __len__(self) -> int:
+        return len(self.sample_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PredictionBatch(
+                self.sample_ids[i], self.scores[i], self.decided[i],
+                tuple(p[i] for p in self.per_group_probs),
+            )
+        return Prediction(
+            self.sample_ids[i], self.scores[i], int(self.decided[i]),
+            tuple(p[i] for p in self.per_group_probs),
+        )
+
+    def __iter__(self):
+        return map(
+            Prediction, self.sample_ids, self.scores, self.decided.tolist(),
+            zip(*self.per_group_probs),
+        )
 
 
 def _checksum(payload: dict) -> str:
@@ -189,9 +246,10 @@ def check_group_schema(schema: Sequence[tuple[str, int]], groups: Sequence[Group
 
 def predict_groups(
     e: TrainedEnsemble, groups: Sequence[GroupView], sample_ids: Sequence[str]
-) -> list[Prediction]:
+) -> PredictionBatch:
     """Predict from raw feature groups (labels not required), one row of each
-    per sample id; MisalignedGroup names a group with another row count."""
+    per sample id (made a str); MisalignedGroup names a group with another
+    row count."""
     check_group_schema([(gm.name, gm.classifier.input_dim) for gm in e.per_group], groups)
     for g in groups:
         if g.n != len(sample_ids):
@@ -211,12 +269,10 @@ def predict_groups(
             else ensemble.rank_sum
         )
         scores = combine(group_probs, e.priority_values, e.strategy.weighted)
-    decided = ensemble.decide(scores).tolist()
-    rows = zip(map(str, sample_ids), scores, decided, zip(*group_probs))
-    return [Prediction(*row) for row in rows]
+    return PredictionBatch(sample_ids, scores, ensemble.decide(scores), tuple(group_probs))
 
 
-def predict(e: TrainedEnsemble, test: MultiViewDataset) -> list[Prediction]:
+def predict(e: TrainedEnsemble, test: MultiViewDataset) -> PredictionBatch:
     """Predict every test sample; requires the training group schema."""
     return predict_groups(e, test.groups, test.sample_ids)
 

@@ -1,3 +1,4 @@
+import csv
 import warnings
 
 import numpy as np
@@ -43,6 +44,16 @@ def cross_val_accuracy(train_fn, X, y, plan):
         predict = train_fn(X[~held], y[~held])
         accuracies.append(float((np.asarray(predict(X[held])) == y[held]).mean()))
     return float(np.mean(accuracies))
+
+
+def reference_predictions(preds, class_names, path):
+    """The predictions file that csv.writer prints for ``preds``, one
+    ``Prediction`` at a time, each score in format ".6g"."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["sample_id", "predicted"] + [f"score_{c}" for c in class_names])
+        for p in preds:
+            w.writerow([p.sample_id, class_names[p.decided]] + [format(v, ".6g") for v in p.scores])
 
 
 def make_dataset(groups, labels, class_names=None):

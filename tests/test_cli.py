@@ -7,14 +7,16 @@ import sys
 import pytest
 
 import latefuse
-from latefuse import pipeline
+from latefuse import dataio, pipeline
 from latefuse.cli import main
+from latefuse.core import MultiViewDataset
 
 from conftest import (
     drop_last_weight_column,
     inf_logreg_weight,
     nan_adaboost_alpha,
     nan_standardizer_mean,
+    reference_predictions,
     shorten_standardizer,
 )
 
@@ -415,6 +417,45 @@ class TestTrainPredictEvaluate:
         cfg = tiny_config(tmp_path, ["x", "y", "x", "y"],
                           classifier={"kind": "linear_svm_ovr", "seed": 0}, k=2)
         assert main(["train", "--config", str(cfg)]) == 0
+
+
+class TestPredictionsFile:
+    """`latefuse predict` writes, byte for byte, what csv.writer prints for
+    the library's predict_groups on the same files."""
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            {"kind": "confidence_sum", "weighted": True},
+            {"kind": "confidence_sum", "weighted": False},
+            {"kind": "rank_sum", "weighted": True},
+            {"kind": "stacking", "stacking_mode": "out_of_fold",
+             "stacking_meta_spec": {"kind": "logreg", "seed": 0}},
+        ],
+        ids=["confidence_sum_weighted", "confidence_sum", "rank_sum_weighted", "stacking_oof"],
+    )
+    def test_file_matches_the_reference_writer(self, workdir, strategy):
+        assert main(["train", "--config", str(write_config(workdir, strategy=strategy))]) == 0
+        test = dataio.load_dataset(
+            str(workdir / "data/test/labels.csv"),
+            [(n, str(workdir / f"data/test/{n}.csv")) for n in ("sig", "noise")],
+        )
+        # the first id holds a comma, so its field alone is quoted
+        ids = ("a,b", *test.sample_ids[1:])
+        dataio.write_dataset(
+            MultiViewDataset(test.label_space, test.labels, test.groups, ids), str(workdir / "data/comma")
+        )
+        got = workdir / "got.csv"
+        assert main(["predict", "--model", str(workdir / "model.json"),
+                     "--config", str(predict_config(workdir, "comma")), "--out", str(got)]) == 0
+        e = pipeline.load_ensemble(str(workdir / "model.json"))
+        groups, read_ids = dataio.load_groups(
+            [(n, str(workdir / f"data/comma/{n}.csv")) for n in ("sig", "noise")]
+        )
+        want = workdir / "want.csv"
+        reference_predictions(pipeline.predict_groups(e, groups, read_ids), e.label_space.class_names, want)
+        assert got.read_bytes() == want.read_bytes()
+        assert b'\r\n"a,b",' in got.read_bytes()
 
 
 class TestCompareAndAblate:

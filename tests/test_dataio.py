@@ -28,11 +28,11 @@ from latefuse.dataio import (
     write_dataset,
     write_predictions,
 )
-from latefuse.errors import DataError, MisalignedGroup
-from latefuse.pipeline import Prediction
+from latefuse.errors import DataError, DimensionMismatch, MisalignedGroup
+from latefuse.pipeline import PredictionBatch
 from latefuse.synthdata import default_benchmark
 
-from conftest import DETERMINISTIC
+from conftest import DETERMINISTIC, reference_predictions
 
 FEATURES = "sample_id,f0,f1\na,1,2\nb,3,4\nc,5,6\n"
 LABELS = "sample_id,label\na,x\nb,y\nc,x\n"
@@ -307,14 +307,6 @@ FLOATS = st.one_of(st.floats(), EDGES)
 FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), EDGES)
 
 
-def reference_predictions(preds, class_names, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample_id", "predicted"] + [f"score_{c}" for c in class_names])
-        for p in preds:
-            w.writerow([p.sample_id, class_names[p.decided]] + [format(v, ".6g") for v in p.scores])
-
-
 def reference_dataset(d, out_dir):
     out_dir.mkdir()
     with open(out_dir / "labels.csv", "w", newline="") as fh:
@@ -330,23 +322,36 @@ def reference_dataset(d, out_dir):
                 w.writerow([sid] + [format(v, ".17g") for v in row])
 
 
-@settings(DETERMINISTIC, max_examples=100)
-@given(
-    ids=st.lists(NAMES, max_size=5),
-    class_names=st.lists(NAMES, min_size=2, max_size=3, unique=True),
-    data=st.data(),
-)
-def test_write_predictions_prints_each_value_as_format(tmp_path_factory, ids, class_names, data):
+@st.composite
+def prediction_rows(draw):
+    """Class names, and per row an id, one score per class and a decided index."""
+    class_names = draw(st.lists(NAMES, min_size=2, max_size=3, unique=True))
     m = len(class_names)
-    preds = [
-        Prediction(sid, np.array(data.draw(st.lists(FLOATS, min_size=m, max_size=m))),
-                   data.draw(st.integers(0, m - 1)), ())
-        for sid in ids
-    ]
+    row = st.tuples(NAMES, st.lists(FLOATS, min_size=m, max_size=m), st.integers(0, m - 1))
+    return class_names, draw(st.lists(row, max_size=5))
+
+
+@settings(DETERMINISTIC, max_examples=100)
+@given(case=prediction_rows())
+# one id of several and one class name need quoting: the other columns stay bare
+@example(case=(["x", "y,z"], [("a", [0.25, 0.75], 1), ('b"c', [0.5, 0.5], 0), ("d", [1.0, 0.0], 0)]))
+def test_write_predictions_prints_each_value_as_format(tmp_path_factory, case):
+    class_names, rows = case
+    ids = [sid for sid, _, _ in rows]
+    scores = np.array([s for _, s, _ in rows], dtype=np.float64).reshape(len(rows), len(class_names))
+    preds = PredictionBatch(ids, scores, [d for _, _, d in rows], (scores,))
     out = tmp_path_factory.mktemp("preds")
     write_predictions(preds, class_names, str(out / "got.csv"))
     reference_predictions(preds, class_names, str(out / "want.csv"))
     assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+
+def test_write_predictions_needs_one_score_column_per_class(tmp_path):
+    scores = np.full((2, 2), 0.5)
+    preds = PredictionBatch(["a", "b"], scores, [0, 1], (scores,))
+    with pytest.raises(DimensionMismatch, match="2 score columns for 3 class names"):
+        write_predictions(preds, ["x", "y", "z"], str(tmp_path / "p.csv"))
+    assert not (tmp_path / "p.csv").exists()
 
 
 @settings(DETERMINISTIC, max_examples=60)

@@ -5,6 +5,7 @@ The traced benchmark wraps library functions by module attribute name
 test catches that in the ordinary test run.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -75,4 +76,30 @@ def test_traced_calls_reach_every_counted_layer(monkeypatch):
         "evaluation.ablate_s",
     ]
     assert sorted(specs) == sorted(classifiers.KINDS)
+    assert [name for name in names if not metrics[name][0] > 0] == []
+
+
+def test_traced_predict_reaches_its_counted_layers(monkeypatch, tmp_path):
+    """A tiny traced `latefuse predict` gives the bytes read and written and
+    the predict_groups time values above 0, so a wrapper whose signature no
+    longer matches the call it wraps fails here, not only in the smoke run."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import spans
+    from latefuse import classifiers, cli, dataio, ensemble, pipeline, synthdata
+
+    views = (synthdata.ViewSpec("a", 3, 0.9), synthdata.ViewSpec("b", 2, 0.5))
+    data = synthdata.generate(synthdata.SynthSpec(3, 8, views, seed=1))
+    weighted = ensemble.EnsembleStrategy("confidence_sum", weighted=True)
+    e = pipeline.train_ensemble(data, classifiers.ClassifierSpec("logreg"), weighted, 2, 0)
+    pipeline.save_ensemble(e, str(tmp_path / "model.json"))
+    dataio.write_dataset(data, str(tmp_path / "data"))
+    groups = [{"name": v.name, "path": str(tmp_path / "data" / f"{v.name}.csv")} for v in views]
+    (tmp_path / "predict.json").write_text(json.dumps({"data": {"groups": groups}}))
+    argv = ["predict", "--model", str(tmp_path / "model.json"),
+            "--config", str(tmp_path / "predict.json"), "--out", str(tmp_path / "p.csv")]
+    tracer = spans.Tracer("predict")
+    with tracer.installed():
+        assert cli.main(argv) == 0
+    metrics = spans.layer_metrics(tracer)
+    names = ["dataio.read_bytes", "dataio.write_bytes", "pipeline.predict_groups_s"]
     assert [name for name in names if not metrics[name][0] > 0] == []

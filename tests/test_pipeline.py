@@ -14,12 +14,16 @@ from latefuse.errors import (
     BadSpec,
     CorruptModel,
     DataError,
+    DimensionMismatch,
     GroupSchemaMismatch,
     MisalignedGroup,
     NonFiniteFeature,
+    UnknownLabel,
     VersionMismatch,
 )
 from latefuse.pipeline import (
+    Prediction,
+    PredictionBatch,
     TrainedEnsemble,
     load_ensemble,
     predict,
@@ -422,6 +426,85 @@ class TestPredict:
         for name, P in zip(e.group_names, per_group):
             assert (P > 0).all(), name
             assert all(len(set(row)) == len(row) for row in P.tolist()), name
+
+
+def assert_same_prediction(got, want):
+    """Field by field, with today's types; scores and probabilities bit for bit."""
+    assert type(got.sample_id) is str and got.sample_id == want.sample_id
+    assert type(got.decided) is int and got.decided == want.decided
+    assert type(got.scores) is np.ndarray and got.scores.tobytes() == want.scores.tobytes()
+    assert type(got.per_group_probs) is tuple
+    assert [p.tobytes() for p in got.per_group_probs] == [p.tobytes() for p in want.per_group_probs]
+
+
+class TestPredictionBatch:
+    """A batch is a read-only sequence of the Predictions the columns hold."""
+
+    def columns(self, rng, n=7, m=3, groups=2):
+        ids = [f"s{i}" for i in range(n)]
+        probs = tuple(rng.dirichlet(np.ones(m), size=n) for _ in range(groups))
+        scores = sum(probs)
+        return ids, scores, scores.argmax(axis=1), probs
+
+    def test_rows_match_an_eager_zip(self, rng):
+        ids, scores, decided, probs = self.columns(rng)
+        batch = PredictionBatch(ids, scores, decided, probs)
+        eager = [Prediction(*row) for row in zip(ids, scores, decided.tolist(), zip(*probs))]
+        assert len(batch) == len(eager) == 7
+        for got, want in zip(batch, eager):
+            assert_same_prediction(got, want)
+        for i in (0, 3, -1, -7):
+            assert_same_prediction(batch[i], eager[i])
+        with pytest.raises(IndexError):
+            batch[7]
+        part = batch[1:6:2]
+        assert isinstance(part, PredictionBatch) and len(part) == 3
+        for got, want in zip(part, eager[1:6:2]):
+            assert_same_prediction(got, want)
+
+    def test_predict_returns_a_batch_of_its_fusion(self, rng):
+        d = small_dataset(rng)
+        e = train_ensemble(d, ClassifierSpec("logreg"), EnsembleStrategy("rank_sum"), 3, 0)
+        batch = predict(e, d)
+        assert isinstance(batch, PredictionBatch) and batch.sample_ids == d.sample_ids
+        assert batch.scores.shape == (d.n, 3) and len(batch.per_group_probs) == 2
+        assert batch.decided.tolist() == [p.decided for p in batch]
+
+    def test_ids_become_str(self, rng):
+        _, scores, decided, probs = self.columns(rng)
+        batch = PredictionBatch(range(7), scores, decided, probs)
+        assert batch.sample_ids == tuple(map(str, range(7)))
+        assert [p.sample_id for p in batch] == [str(i) for i in range(7)]
+
+    def test_arrays_are_read_only_and_the_callers_stay_writeable(self, rng):
+        ids, scores, decided, probs = self.columns(rng)
+        batch = PredictionBatch(ids, scores, decided, probs)
+        for a in (batch.scores, batch.decided, *batch.per_group_probs, batch[0].scores):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+        assert all(a.flags.writeable for a in (scores, decided, *probs))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: {**c, "scores": c["scores"][:-1]},
+            lambda c: {**c, "scores": c["scores"][0]},
+            lambda c: {**c, "decided": c["decided"][:-1]},
+            lambda c: {**c, "per_group_probs": ()},
+            lambda c: {**c, "per_group_probs": (c["scores"][:, :2],)},
+        ],
+    )
+    def test_columns_of_other_shapes_are_rejected(self, rng, edit):
+        ids, scores, decided, probs = self.columns(rng)
+        c = {"sample_ids": ids, "scores": scores, "decided": decided, "per_group_probs": probs}
+        with pytest.raises(DimensionMismatch):
+            PredictionBatch(**edit(c))
+
+    def test_decided_outside_the_classes_is_rejected(self, rng):
+        ids, scores, decided, probs = self.columns(rng)
+        with pytest.raises(UnknownLabel, match="decided class index 3"):
+            PredictionBatch(ids, scores, np.full(7, 3), probs)
 
 
 class TestTrainedEnsembleChecks:
