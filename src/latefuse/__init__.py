@@ -20,7 +20,6 @@ from .crossval import group_priority, make_folds
 from .ensemble import EnsembleStrategy, assign_ranks, confidence_sum, decide, rank_sum
 from .evaluation import ablate, compare_strategies, evaluate, evaluate_ensemble
 from .pipeline import (
-    Prediction,
     PredictionBatch,
     TrainedEnsemble,
     load_ensemble,
@@ -54,7 +53,6 @@ __all__ = [
     "compare_strategies",
     "evaluate",
     "evaluate_ensemble",
-    "Prediction",
     "PredictionBatch",
     "TrainedEnsemble",
     "load_ensemble",

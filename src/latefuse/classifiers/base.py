@@ -2,8 +2,8 @@
 
 Every classifier kind trains from (spec, X, y, label_space) and yields a
 fitted model whose ``predict_proba`` returns a valid per-class probability
-vector for any finite input of the trained width. Fitted models are immutable
-and safe to use concurrently.
+vector for each row of any finite (n, d) matrix of the trained width d.
+Fitted models are immutable and safe to use concurrently.
 """
 
 from __future__ import annotations
@@ -97,22 +97,17 @@ class FittedClassifier:
     def _proba_matrix(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def predict_proba(self, x) -> np.ndarray:
-        """Validated, read-only per-class probabilities; 1-D input gives a
-        vector, 2-D a matrix. InvalidProbabilities when the parameters, such
-        as huge weights read from a model file, make a row non-finite."""
-        X = np.asarray(x, dtype=np.float64)
-        one_row = X.ndim == 1
-        X = feature_matrix(X[None, :] if one_row else X, "prediction input", self.input_dim)
+    def predict_proba(self, X) -> np.ndarray:
+        """Validated, read-only (n, m) probabilities of an (n, d) matrix (a 1-D
+        row is a DimensionMismatch). InvalidProbabilities when the parameters,
+        such as huge weights read from a model file, make a row non-finite."""
+        X = feature_matrix(X, "prediction input", self.input_dim)
         with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
             P = self._proba_matrix(X)
-        P = probability_vector(P)
-        return P[0] if one_row else P
+        return probability_vector(P)
 
-    def predict(self, x):
-        P = self.predict_proba(x)
-        pred = np.argmax(P, axis=-1)
-        return int(pred) if P.ndim == 1 else pred
+    def predict(self, X) -> np.ndarray:
+        return np.argmax(self.predict_proba(X), axis=1)
 
     # persistence hooks; subclasses return/accept plain-JSON state
     def state(self) -> dict:

@@ -93,14 +93,19 @@ def label_space_of(labels_path: str, names: Iterable[str]) -> LabelSpace:
         raise DataError(f"labels file {labels_path!r}: {exc}") from exc
 
 
+def _read_names(path: str, what: str, column: str) -> dict[str, str]:
+    """Each sample id's stripped ``column`` value; a blank one is a DataError naming the row."""
+    ids, fields = _read_table(path, what, ("sample_id", column))
+    names = {sid: row[0].strip() for sid, row in zip(ids, fields)}
+    for i, name in enumerate(names.values(), start=2):
+        if not name:
+            raise DataError(f"{what} {path!r} row {i}: blank {column}")
+    return names
+
+
 def read_labels(path: str) -> dict[str, str]:
     """Each sample id's stripped label; a blank label is a DataError naming the row."""
-    ids, fields = _read_table(path, "labels file", ("sample_id", "label"))
-    labels = {sid: row[0].strip() for sid, row in zip(ids, fields)}
-    for i, label in enumerate(labels.values(), start=2):
-        if not label:
-            raise DataError(f"labels file {path!r} row {i}: blank label")
-    return labels
+    return _read_names(path, "labels file", "label")
 
 
 def _read_checked_features(path: str) -> tuple[list[str], np.ndarray]:
@@ -306,6 +311,5 @@ def write_predictions(preds, class_names: Sequence[str], path: str) -> None:
 
 
 def read_predictions(path: str) -> dict[str, str]:
-    """Map sample_id to the decided class name from a predictions file."""
-    ids, fields = _read_table(path, "predictions file", ("sample_id", "predicted"))
-    return {sid: row[0].strip() for sid, row in zip(ids, fields)}
+    """Each sample id's stripped predicted class; a blank one is a DataError naming the row."""
+    return _read_names(path, "predictions file", "predicted")

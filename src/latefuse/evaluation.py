@@ -39,15 +39,15 @@ class EvaluationReport:
 
 
 def evaluate(preds, truth, m: Optional[int] = None) -> EvaluationReport:
-    """Score predictions (``Prediction``s or class indices) against true
-    class indices, each an integer in [0, m); UnknownLabel otherwise, naming
-    the first index outside that range. Without ``m``, the classes are 0 to
-    the largest index given."""
+    """Score predictions (a ``PredictionBatch``, read by its ``decided``
+    column, or class indices) against true class indices, each an integer in
+    [0, m); UnknownLabel otherwise, naming the first index outside that
+    range. Without ``m``, the classes are 0 to the largest index given."""
     if m is not None:
         m = integer(m, "m", 0)
-    decided = class_indices(
-        [p.decided if hasattr(p, "decided") else p for p in preds], "predicted class", m
-    )
+    if isinstance(preds, pipeline.PredictionBatch):
+        preds = preds.decided
+    decided = class_indices(preds, "predicted class", m)
     truth = class_indices(truth, "true class", m)
     if truth.ndim != 1 or decided.shape != truth.shape:
         raise DimensionMismatch(

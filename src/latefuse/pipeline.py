@@ -17,7 +17,7 @@ import json
 import os
 import secrets
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -104,12 +104,12 @@ class Prediction:
 
 
 @dataclass(frozen=True, eq=False)
-class PredictionBatch(Sequence[Prediction]):
+class PredictionBatch:
     """n predictions held by column: the ``sample_ids`` (str), the (n, m)
     fused ``scores``, the n ``decided`` class indices, and one (n, m)
     probability matrix per group in ``per_group_probs``. Every array is
-    read-only. Indexing and iteration give ``Prediction``s, row i of each
-    column; a slice gives a batch."""
+    read-only. ``len`` is n; iteration yields row i of each column as a
+    ``Prediction``, and there is no indexing."""
 
     sample_ids: tuple[str, ...]
     scores: np.ndarray
@@ -139,18 +139,7 @@ class PredictionBatch(Sequence[Prediction]):
     def __len__(self) -> int:
         return len(self.sample_ids)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return PredictionBatch(
-                self.sample_ids[i], self.scores[i], self.decided[i],
-                tuple(p[i] for p in self.per_group_probs),
-            )
-        return Prediction(
-            self.sample_ids[i], self.scores[i], int(self.decided[i]),
-            tuple(p[i] for p in self.per_group_probs),
-        )
-
-    def __iter__(self):
+    def __iter__(self) -> Iterator[Prediction]:
         return map(
             Prediction, self.sample_ids, self.scores, self.decided.tolist(),
             zip(*self.per_group_probs),

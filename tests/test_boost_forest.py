@@ -190,7 +190,7 @@ class TestAdaBoost:
         y = np.array([0, 1, 0, 1])
         model = train_adaboost(ClassifierSpec("adaboost_stumps", rounds=10), X, y, LABELS2)
         assert len(model.alphas) == 0 and all(len(a) == 0 for a in model.nodes.values())
-        assert model.predict_proba(np.zeros(1)).tolist() == [0.5, 0.5]
+        assert model.predict_proba(np.zeros((1, 1))).tolist() == [[0.5, 0.5]]
 
     def test_kept_rounds_have_positive_alpha(self, rng):
         X, y = gaussian_blobs(rng, 30, [[0, 0], [1.5, 0], [0, 1.5]])

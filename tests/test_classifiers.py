@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latefuse.classifiers import ClassifierSpec, LinearModel, train
+from latefuse.classifiers import KINDS, ClassifierSpec, LinearModel, train
 from latefuse.classifiers import logreg, svm
 from latefuse.classifiers.logreg import train_logreg
 from latefuse.classifiers.svm import svm_objective, train_binary_svm
@@ -245,13 +245,13 @@ class TestLogReg:
 
     def test_zero_weights_predict_uniform(self):
         model = LinearModel(ClassifierSpec("logreg"), LABELS3, 4, np.zeros((5, 3)))
-        np.testing.assert_allclose(model.predict_proba(np.ones(4)), np.full(3, 1 / 3))
+        np.testing.assert_allclose(model.predict_proba(np.ones((1, 4))), np.full((1, 3), 1 / 3))
 
     def test_predict_proba_width_check(self, rng):
         X, y = gaussian_blobs(rng, 10, [[0, 0], [3, 3]])
         model = train_logreg(ClassifierSpec("logreg"), X, y, LABELS2)
         with pytest.raises(DimensionMismatch):
-            model.predict_proba(np.ones(5))
+            model.predict_proba(np.ones((1, 5)))
 
 
 class TestLinearSvm:
@@ -628,9 +628,17 @@ class TestProbabilityContract:
             P = model.predict_proba(probe)
             assert np.all(P >= 0)
             np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-9)
-            single = model.predict_proba(probe[0])
-            assert single.shape == (m,) and abs(single.sum() - 1) <= 1e-9
+            single = model.predict_proba(probe[:1])
+            assert single.shape == (1, m) and abs(single.sum() - 1) <= 1e-9
             assert not P.flags.writeable and not single.flags.writeable
-            np.testing.assert_array_equal(single, model.predict_proba(probe[:1])[0])
-            assert model.predict(probe[0]) == int(np.argmax(single))
+            np.testing.assert_allclose(single[0], P[0], rtol=0, atol=1e-12)
+            assert model.predict(probe[:1]).tolist() == [int(np.argmax(single))]
             np.testing.assert_array_equal(model.predict(probe), np.argmax(P, axis=1))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_flat_row_is_not_a_prediction_input(self, rng, kind):
+        X, y = gaussian_blobs(rng, 10, [[0, 0], [3, 3]])
+        model = train(ClassifierSpec(kind, c_grid=(1.0,), rounds=3, trees=3), X, y, LABELS2)
+        for method in (model.predict_proba, model.predict):
+            with pytest.raises(DimensionMismatch, match="prediction input"):
+                method(np.zeros(2))

@@ -413,6 +413,17 @@ class TestTrainPredictEvaluate:
         assert main(["evaluate", "--predictions", str(preds), "--labels", str(labels)]) == 1
         assert str(labels) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("blank", ["", "  "])
+    def test_blank_predicted_class_exit_1(self, tmp_path, capsys, blank):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("sample_id,label\na,x\nb,y\nc,x\n")
+        preds = tmp_path / "preds.csv"
+        preds.write_text(f"sample_id,predicted,score_x,score_y\na,x,0.9,0.1\nb,{blank},0.5,0.5\n"
+                         "c,x,0.6,0.4\n")
+        assert main(["evaluate", "--predictions", str(preds), "--labels", str(labels)]) == 1
+        out, err = capsys.readouterr()
+        assert repr(str(preds)) in err and "row 3:" in err and out == ""
+
     def test_svm_with_one_sample_per_class_per_fold(self, tmp_path):
         cfg = tiny_config(tmp_path, ["x", "y", "x", "y"],
                           classifier={"kind": "linear_svm_ovr", "seed": 0}, k=2)

@@ -56,6 +56,8 @@ SINGLE_FAULTS = {
     "predictions_blank_id": (read_predictions, "sample_id,predicted\n  ,x\n", DataError, 2),
     "labels_blank_label": (read_labels, "sample_id,label\na,x\nb,\nc,y\n", DataError, 3),
     "labels_whitespace_label": (read_labels, "sample_id,label\n\na,x\nb, \t\n", DataError, 3),
+    "predictions_blank_predicted": (read_predictions, "sample_id,predicted\na,x\nb,\n", DataError, 3),
+    "predictions_whitespace_predicted": (read_predictions, "sample_id,predicted\na, \n", DataError, 2),
     "feature_unparsable_value": (read_feature_file, "sample_id,f0,f1\na,1,2\nb,3,4x\n", DataError, 3),
     "feature_empty_value": (read_feature_file, "sample_id,f0,f1\na,,2\n", DataError, 2),
     "feature_no_data_rows": (read_feature_file, "sample_id,f0,f1\n", DataError, None),

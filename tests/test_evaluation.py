@@ -127,6 +127,19 @@ class TestEvaluate:
             assert rep.accuracy == evaluate(decided, truth, m=3).accuracy
             assert rep.accuracy == evaluate(decided.tolist(), truth).accuracy
 
+    def test_a_batch_is_read_by_its_decided_column(self, rng, monkeypatch):
+        d = two_view_data(rng)
+        e = train_ensemble(d, ClassifierSpec("logreg"), EnsembleStrategy("rank_sum"), 3, 0)
+        batch = predict(e, d)
+
+        def no_rows(*_args):
+            raise AssertionError("evaluate built a Prediction")
+
+        monkeypatch.setattr(pipeline, "Prediction", no_rows)
+        rep = evaluate(batch, d.labels, m=3)
+        want = evaluate(batch.decided, d.labels, m=3)
+        assert rep.lines() == want.lines() and rep.n_test == d.n
+
     def test_conservation_on_random_predictions(self, rng):
         for _ in range(25):
             n = int(rng.integers(5, 60))

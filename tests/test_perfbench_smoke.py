@@ -74,6 +74,8 @@ def test_traced_calls_reach_every_counted_layer(monkeypatch):
         "ensemble.fuse_calls",
         "evaluation.compare_s",
         "evaluation.ablate_s",
+        "evaluation.evaluate_s",
+        "classifiers.predict_proba_s",
     ]
     assert sorted(specs) == sorted(classifiers.KINDS)
     assert [name for name in names if not metrics[name][0] > 0] == []

@@ -337,11 +337,8 @@ class TestPredict:
         ):
             e = train_ensemble(d, ClassifierSpec("logreg"), strategy, 3, 0)
             gm = e.per_group[0]
-            for p, g_feats in zip(predict(e, d), d.groups[0].features):
-                solo = gm.classifier.predict(
-                    (g_feats - gm.standardizer.mean) * gm.standardizer.scale
-                )
-                assert p.decided == solo
+            X = (d.groups[0].features - gm.standardizer.mean) * gm.standardizer.scale
+            np.testing.assert_array_equal(predict(e, d).decided, gm.classifier.predict(X))
 
     def test_unexpected_group_named(self, rng):
         d = small_dataset(rng)
@@ -438,7 +435,7 @@ def assert_same_prediction(got, want):
 
 
 class TestPredictionBatch:
-    """A batch is a read-only sequence of the Predictions the columns hold."""
+    """A batch is read-only columns; iterating yields the Predictions they hold."""
 
     def columns(self, rng, n=7, m=3, groups=2):
         ids = [f"s{i}" for i in range(n)]
@@ -451,15 +448,11 @@ class TestPredictionBatch:
         batch = PredictionBatch(ids, scores, decided, probs)
         eager = [Prediction(*row) for row in zip(ids, scores, decided.tolist(), zip(*probs))]
         assert len(batch) == len(eager) == 7
-        for got, want in zip(batch, eager):
-            assert_same_prediction(got, want)
-        for i in (0, 3, -1, -7):
-            assert_same_prediction(batch[i], eager[i])
-        with pytest.raises(IndexError):
-            batch[7]
-        part = batch[1:6:2]
-        assert isinstance(part, PredictionBatch) and len(part) == 3
-        for got, want in zip(part, eager[1:6:2]):
+        rows = list(batch)
+        assert len(rows) == 7
+        with pytest.raises(TypeError):
+            batch[0]
+        for got, want in zip(rows, eager):
             assert_same_prediction(got, want)
 
     def test_predict_returns_a_batch_of_its_fusion(self, rng):
@@ -479,7 +472,7 @@ class TestPredictionBatch:
     def test_arrays_are_read_only_and_the_callers_stay_writeable(self, rng):
         ids, scores, decided, probs = self.columns(rng)
         batch = PredictionBatch(ids, scores, decided, probs)
-        for a in (batch.scores, batch.decided, *batch.per_group_probs, batch[0].scores):
+        for a in (batch.scores, batch.decided, *batch.per_group_probs, next(iter(batch)).scores):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0

@@ -4,7 +4,7 @@ config and gen-data spec examples, so a field they use cannot be renamed or
 dropped either. Its "Errors" table lists exactly the exception classes, each
 with its exit code; the model format it states is the one that is written
 and read; and its model-file paragraph names every key of every kind's
-state."""
+state. Every name in ``latefuse.__all__`` appears in it."""
 
 import inspect
 import pathlib
@@ -12,6 +12,7 @@ import re
 
 import numpy as np
 
+import latefuse
 from latefuse import errors
 from latefuse.classifiers import KINDS, ClassifierSpec, train
 from latefuse.core import LabelSpace
@@ -95,3 +96,12 @@ def test_model_file_paragraph_names_every_state_key():
         spec = ClassifierSpec(kind, c_grid=(1.0,), rounds=2, trees=2)
         state = train(spec, X, y, LabelSpace(("a", "b", "c"))).state()
         assert state and all(f"`{key}`" in paragraph for key in state), (kind, list(state))
+
+
+def test_every_public_name_is_documented():
+    text = README.read_text()
+    missing = [
+        name for name in latefuse.__all__
+        if not re.search(rf"(`|\blf\.){re.escape(name)}\b", text)
+    ]
+    assert missing == []
