@@ -32,7 +32,7 @@ from .errors import (
 
 PROB_SUM_TOL = 1e-9
 INDEX_LIMIT = 2**63  # class indices are int64
-DEGENERATE_STD = 1e-12
+DEGENERATE_SHARE = 2.0**-40  # of a column's largest |value|; see Standardizer
 
 
 def integer(value, what: str, least: int) -> int:
@@ -340,10 +340,11 @@ def fold_assignments(y: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
 class Standardizer:
     """Per-column z-score statistics learned from training data.
 
-    Columns whose training stddev is below DEGENERATE_STD map to all zeros so
-    constant features cannot blow up downstream classifiers. ``mean`` and
-    ``scale`` are finite 1-D arrays of one length; BadSpec naming the field
-    otherwise.
+    A column whose training stddev is at most DEGENERATE_SHARE of its largest
+    |value| (rounding noise, or none) maps to all zeros, so constant features
+    cannot blow up downstream classifiers, at any scale of the features.
+    ``mean`` and ``scale`` are finite 1-D arrays of one length; BadSpec
+    naming the field otherwise.
     """
 
     mean: np.ndarray
@@ -381,7 +382,8 @@ def standardize_fit(train_features: np.ndarray, what: str = "train_features") ->
         if not np.all(np.isfinite(values)):
             col = int(np.argmin(np.isfinite(values)))
             raise NonFiniteFeature(f"{what} column {col} has a {stat} beyond the float range")
-    scale = np.where(std < DEGENERATE_STD, 0.0, 1.0 / np.where(std == 0, 1.0, std))
+    degenerate = std <= DEGENERATE_SHARE * np.abs(X).max(axis=0)
+    scale = np.where(degenerate, 0.0, 1.0 / np.where(degenerate, 1.0, std))
     return Standardizer(mean=mean, scale=scale)
 
 

@@ -159,7 +159,7 @@ def stack_meta_features(groups_probs: Sequence[np.ndarray]) -> np.ndarray:
     """Concatenate per-group probability rows into the meta-learner's input
     of width G*m."""
     mats = _first_layer(groups_probs, "first-layer outputs to stack")
-    return np.hstack([np.atleast_2d(mat) for mat in mats])
+    return np.hstack(mats)
 
 
 def train_stacking(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import pickle
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -92,34 +93,24 @@ def five_strategies(meta_spec: classifiers.ClassifierSpec) -> list[ensemble.Ense
 
 # The key and the GroupFits of the last _group_fits call: one entry, so that
 # compare_strategies then ablate on one training set fit its groups once.
-_last_fits: Optional[tuple[tuple, tuple[pipeline.GroupFit, ...]]] = None
-
-
-def _training_digest(train: MultiViewDataset) -> bytes:
-    """sha256 of what ``fit_groups`` reads from ``train`` besides its label
-    space: the labels, and each group's name, shape and features."""
-    h = hashlib.sha256(train.labels.data)
-    for g in train.groups:
-        h.update(repr((g.name, g.features.shape)).encode("utf-8"))
-        h.update(g.features.data)
-    return h.digest()
+_last_fits: Optional[tuple[bytes, tuple[pipeline.GroupFit, ...]]] = None
 
 
 def _group_fits(
     train: MultiViewDataset, spec: classifiers.ClassifierSpec, k: int, seed: int
 ) -> tuple[pipeline.GroupFit, ...]:
     """``pipeline.fit_groups(train, spec, k, seed)``, or the previous call's
-    fits when its training content, label space, spec, k and seed were equal.
-    ``fit_groups`` is deterministic in exactly these, and its fits are
-    read-only, so sharing them changes no result."""
+    fits when its arguments pickled equal: the same values of the same types
+    (so ``seed=True`` misses ``seed=1``), sample ids included. ``fit_groups``
+    is deterministic in them and its fits are read-only, so sharing them
+    changes no result. Arguments that do not pickle are not remembered."""
     global _last_fits
-    # k and seed read as make_folds reads them, so that seed=True, which it
-    # rejects, cannot match a key of seed=1
-    key = (_training_digest(train), train.label_space, spec, integer(k, "k", 2),
-           integer(seed, "seed", 0))
-    last = _last_fits
-    if last is not None and last[0] == key:
-        return last[1]
+    try:
+        key = hashlib.sha256(pickle.dumps((train, spec, k, seed))).digest()
+    except (pickle.PicklingError, TypeError, AttributeError):  # a lambda for k, say
+        return tuple(pipeline.fit_groups(train, spec, k, seed))
+    if _last_fits is not None and _last_fits[0] == key:
+        return _last_fits[1]
     fits = tuple(pipeline.fit_groups(train, spec, k, seed))
     _last_fits = (key, fits)
     return fits
@@ -144,8 +135,8 @@ def compare_strategies(
     """Accuracy of all five strategies sharing one set of per-group
     classifiers and priorities; naive stacking's meta model is of ``spec``
     too. The group fits are those of the previous ``compare_strategies`` or
-    ``ablate`` call when its training content, spec, k and seed were equal;
-    otherwise each group's classifier is fit k+1 times."""
+    ``ablate`` call when its ``train``, spec, k and seed pickled equal (see
+    ``_group_fits``); otherwise each group's classifier is fit k+1 times."""
     return _score(_group_fits(train, spec, k, seed), five_strategies(spec), train, test)
 
 
@@ -162,8 +153,8 @@ def compare_classifiers(
         specs = [classifiers.ClassifierSpec(kind, seed=seed) for kind in classifiers.KINDS]
     rows = []
     for spec in specs:
-        e = pipeline.train_ensemble(train, spec, strategy, k, seed)
-        rows.append((spec.kind, evaluate_ensemble(e, test).accuracy))
+        [(_, accuracy)] = _score(pipeline.fit_groups(train, spec, k, seed), [strategy], train, test)
+        rows.append((spec.kind, accuracy))
     return rows
 
 
@@ -205,7 +196,7 @@ def ablate(
     fitted classifier, priority and out-of-fold rows are identical in every
     subset containing it; they are computed once and reused. They are also
     those of the previous ``compare_strategies`` or ``ablate`` call when its
-    training content, spec, k and seed were equal.
+    ``train``, spec, k and seed pickled equal (see ``_group_fits``).
     """
     names = train.group_names
     for subset in subset_plan or []:

@@ -226,6 +226,23 @@ class TestStandardizer:
         out = standardize_apply(s, np.array([[5.0], [123.0]]))
         np.testing.assert_array_equal(out, [[0.0], [0.0]])
 
+    def test_constant_column_at_a_large_magnitude_maps_to_zero(self):
+        # rounding leaves this column a std of 2.3e-10: noise, not spread
+        X = np.column_stack([np.full(360, 1234567.1), np.arange(360.0)])
+        s = standardize_fit(X)
+        assert s.scale[0] == 0.0 and s.scale[1] > 0.0
+        out = standardize_apply(s, [[1234567.2, 0.0], [1234567.1000001, 0.0]])
+        np.testing.assert_array_equal(out[:, 0], [0.0, 0.0])
+
+    @pytest.mark.parametrize("k", [-500, -200, -60, -40, 100, 500])
+    def test_power_of_two_units_change_no_z_score(self, rng, k):
+        X = rng.standard_normal((30, 4)) * [1.0, 0.5, 4.0, 0.0] + [0.0, 5.0, -7.0, 3.0]
+        s = standardize_fit(X)
+        assert s.scale[3] == 0.0 and np.all(s.scale[:3] > 0.0)
+        scaled = X * 2.0**k
+        Z = standardize_apply(standardize_fit(scaled), scaled)
+        assert Z.tobytes() == standardize_apply(s, X).tobytes()
+
     def test_dimension_mismatch(self, rng):
         s = standardize_fit(rng.standard_normal((10, 4)))
         with pytest.raises(DimensionMismatch):

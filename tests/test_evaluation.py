@@ -3,6 +3,7 @@ import pytest
 
 from latefuse import dataio, evaluation, pipeline
 from latefuse.classifiers import ClassifierSpec
+from latefuse.core import MultiViewDataset
 from latefuse.ensemble import EnsembleStrategy
 from latefuse.pipeline import predict, train_ensemble
 from latefuse.errors import (
@@ -202,6 +203,22 @@ class TestCompare:
         ]
         assert all(0.0 <= acc <= 1.0 for _, acc in rows)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ClassifierSpec("logreg"),
+            ClassifierSpec("linear_svm_ovr", c_grid=(1.0,)),
+            ClassifierSpec("adaboost_stumps", rounds=10),
+            ClassifierSpec("random_forest", trees=3),
+        ],
+        ids=lambda spec: spec.kind,
+    )
+    def test_classifier_row_equals_train_ensemble(self, spec):
+        train, test = hard_three_view_data(7), hard_three_view_data(8)
+        rows = compare_classifiers(train, test, OUT_OF_FOLD, 3, 4, [spec])
+        e = train_ensemble(train, spec, OUT_OF_FOLD, 3, 4)
+        assert rows == [(spec.kind, evaluate_ensemble(e, test).accuracy)]
+
     def test_deterministic(self, rng, monkeypatch):
         train = two_view_data(rng)
         test = two_view_data(np.random.default_rng(11))
@@ -308,7 +325,7 @@ def edited(d, relabel=False, rename=None, bump=False, class_names=None):
 
 class TestGroupFitReuse:
     """compare_strategies and ablate share the last call's group fits when
-    the training content, label space, spec, k and seed are equal."""
+    the training set, spec, k and seed pickle equal."""
 
     SPEC = ClassifierSpec("logreg")
 
@@ -368,6 +385,31 @@ class TestGroupFitReuse:
             ablate(self.train, self.test, self.SPEC, [OUT_OF_FOLD], None, 20, 4)
         compare_strategies(self.train, self.test, self.SPEC, 3, 4)
         assert [args[2] for args in fit_calls] == [20, 3, 20]
+
+    @pytest.mark.parametrize(
+        "warm, bad",
+        [((3, 1), (3, True)), ((3, 4), (3.0, 4)), ((3, 4), (True, 4)), ((3, 4), (lambda: 3, 4))],
+        ids=["seed_true", "k_float", "k_true", "k_lambda"],
+    )
+    def test_a_bad_k_or_seed_raises_and_keeps_the_entry(self, fit_calls, warm, bad):
+        compare_strategies(self.train, self.test, self.SPEC, *warm)
+        kept = evaluation._last_fits
+        with pytest.raises(BadSpec, match="must be an integer"):
+            compare_strategies(self.train, self.test, self.SPEC, *bad)
+        assert evaluation._last_fits is kept
+        calls = len(fit_calls)
+        compare_strategies(self.train, self.test, self.SPEC, *warm)
+        assert len(fit_calls) == calls
+
+    def test_other_sample_ids_give_the_rows_of_a_cold_run(self, fit_calls, monkeypatch):
+        self.both(self.train, self.test)
+        renamed = MultiViewDataset(
+            self.train.label_space, self.train.labels, self.train.groups,
+            tuple("r" + sid for sid in self.train.sample_ids),
+        )
+        warm = self.both(renamed, self.test)
+        monkeypatch.setattr(evaluation, "_last_fits", None)
+        assert warm == self.both(renamed, self.test)
 
     def test_rows_match_a_cold_run(self, fit_calls, monkeypatch):
         warm = self.both(self.train, self.test)

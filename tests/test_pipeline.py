@@ -8,7 +8,7 @@ import pytest
 from latefuse import classifiers, pipeline, synthdata
 from latefuse.classifiers import ClassifierSpec, FittedClassifier
 from latefuse.cli import main
-from latefuse.core import GroupView, LabelSpace, Standardizer, standardize_fit
+from latefuse.core import GroupView, LabelSpace, MultiViewDataset, Standardizer, standardize_fit
 from latefuse.ensemble import EnsembleStrategy
 from latefuse.errors import (
     BadSpec,
@@ -584,6 +584,46 @@ def test_overflowing_statistics_name_the_group(rng, train):
     d = make_dataset([("ok", rng.standard_normal((12, 2))), ("wide", wide)], np.tile([0, 1], 6))
     with pytest.raises(NonFiniteFeature, match="^group 'wide' column 0 has a variance beyond"):
         train(d)
+
+
+def rescaled(d, factor=1.0, first_column=None):
+    """``d`` with every feature multiplied by ``factor``, and column 0 of its
+    first group set to ``first_column`` when that is given."""
+    groups = [(g.name, g.features * factor) for g in d.groups]
+    if first_column is not None:
+        groups[0][1][:, 0] = first_column
+    return MultiViewDataset(
+        d.label_space, d.labels, tuple(GroupView(n, X) for n, X in groups), d.sample_ids
+    )
+
+
+class TestFeatureUnits:
+    """A column is judged degenerate against its own magnitude, so the units
+    of the features change no result."""
+
+    WEIGHTED = EnsembleStrategy("confidence_sum", weighted=True)
+
+    @pytest.fixture(scope="class")
+    def logreg_run(self):
+        train, test = synthdata.default_benchmark(0)
+        e = train_ensemble(train, ClassifierSpec("logreg"), self.WEIGHTED, 5, 0)
+        return train, test, e, predict(e, test)
+
+    @pytest.mark.parametrize("k", [-500, -200, -60, -40, 100, 500])
+    def test_power_of_two_units_change_no_priority_or_score(self, logreg_run, k):
+        train, test, e, preds = logreg_run
+        scaled = train_ensemble(rescaled(train, 2.0**k), ClassifierSpec("logreg"), self.WEIGHTED, 5, 0)
+        assert scaled.priority_values == e.priority_values
+        assert predict(scaled, rescaled(test, 2.0**k)).scores.tobytes() == preds.scores.tobytes()
+
+    def test_a_constant_column_at_a_large_magnitude_changes_no_prediction(self, logreg_run):
+        train, test, _, _ = logreg_run
+        e = train_ensemble(
+            rescaled(train, first_column=1234567.1), ClassifierSpec("logreg"), self.WEIGHTED, 5, 0
+        )
+        assert e.per_group[0].standardizer.scale[0] == 0.0
+        at, near = (predict(e, rescaled(test, first_column=v)) for v in (1234567.1, 1234567.2))
+        assert near.scores.tobytes() == at.scores.tobytes()
 
 
 class TestPersistence:
