@@ -18,7 +18,10 @@ from typing import Optional
 
 from . import classifiers, dataio, ensemble, evaluation, pipeline, synthdata
 from .core import MultiViewDataset, SplitSpec, integer, json_object, stratified_split
-from .errors import BadSpec, ConfigError, CorruptModel, InvalidProbabilities, LateFuseError, UnknownGroupName
+from .errors import (
+    BadSpec, ConfigError, CorruptModel, InvalidProbabilities, LateFuseError, NonFiniteFeature,
+    UnknownGroupName,
+)
 
 
 Block = tuple[Optional[str], list[tuple[str, str]]]  # labels path, (name, path) groups
@@ -145,6 +148,8 @@ def cmd_predict(args) -> int:
         preds = pipeline.predict_groups(e, groups, ids)
     except InvalidProbabilities as exc:
         raise CorruptModel(f"model file {args.model!r} gives invalid probabilities: {exc}") from exc
+    except NonFiniteFeature as exc:  # the groups are finite, so their z-scores overflowed
+        raise CorruptModel(f"model file {args.model!r} gives non-finite z-scores: {exc}") from exc
     dataio.write_predictions(preds, e.label_space.class_names, out_path)
     print(f"wrote {len(preds)} predictions to {out_path}")
     return 0

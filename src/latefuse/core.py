@@ -387,13 +387,21 @@ def standardize_fit(train_features: np.ndarray, what: str = "train_features") ->
     return Standardizer(mean=mean, scale=scale)
 
 
-def standardize_apply(s: Standardizer, features: np.ndarray) -> np.ndarray:
+def standardize_apply(s: Standardizer, features: np.ndarray, what: str = "features") -> np.ndarray:
     """``features``, an (n, d) matrix of the standardizer's width d, in
-    z-scores; DimensionMismatch for any other shape."""
+    z-scores; DimensionMismatch for any other shape, and NonFiniteFeature
+    naming ``what`` and the row and column of the first z-score beyond the
+    float range, or NaN."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != s.dim:
         raise DimensionMismatch(f"standardizer expects an (n, {s.dim}) matrix, got {X.shape}")
-    return (X - s.mean) * s.scale
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        Z = (X - s.mean) * s.scale
+    finite = np.isfinite(Z)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise NonFiniteFeature(f"{what} standardized beyond the float range at row {row}, col {col}")
+    return Z
 
 
 def probability_vector(p) -> np.ndarray:

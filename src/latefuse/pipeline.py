@@ -174,7 +174,7 @@ def fit_groups(
     fits = []
     for g in train.groups:
         s = standardize_fit(g.features, f"group {g.name!r}")
-        X = standardize_apply(s, g.features)
+        X = standardize_apply(s, g.features, f"group {g.name!r}")
         X.setflags(write=False)
         model = classifiers.train(spec, X, y, labels)
         priority, oof = crossval.group_priority(spec, X, y, labels, plan)
@@ -245,7 +245,7 @@ def predict_groups(
             raise MisalignedGroup(f"group {g.name!r} has {g.n} rows, expected {len(sample_ids)}")
     group_probs = []
     for gm, g in zip(e.per_group, groups):
-        X = standardize_apply(gm.standardizer, g.features)
+        X = standardize_apply(gm.standardizer, g.features, f"group {g.name!r}")
         group_probs.append(gm.classifier.predict_proba(X))
 
     if e.strategy.kind == "stacking":
@@ -284,7 +284,9 @@ def _concat(names, standardizers, groups: Sequence[GroupView]) -> np.ndarray:
     GroupSchemaMismatch unless they are the named groups in that order, of
     the standardizers' widths."""
     check_group_schema([(name, s.dim) for name, s in zip(names, standardizers)], groups)
-    return np.hstack([standardize_apply(s, g.features) for s, g in zip(standardizers, groups)])
+    return np.hstack([
+        standardize_apply(s, g.features, f"group {g.name!r}") for s, g in zip(standardizers, groups)
+    ])
 
 
 def train_concat_baseline(

@@ -1,4 +1,5 @@
 import csv
+import os
 import warnings
 
 import numpy as np
@@ -101,6 +102,19 @@ def nan_adaboost_alpha(group):
 def nan_standardizer_mean(group):
     """Model-file edit: a NaN in a group standardizer's mean."""
     group["standardizer"]["mean"][0] = float("nan")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # this process has no child
+        return
+    pytest.fail(f"the test left a child process behind ({pid or 'still running'})")
 
 
 @pytest.fixture

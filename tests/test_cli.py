@@ -67,15 +67,22 @@ def write_config(tmp_path, **overrides):
     return path
 
 
-def predict_with_edited_model(workdir, capsys, edit, **overrides):
-    """Train, apply ``edit`` to the first group of the saved model, re-checksum
-    it, then predict; returns the exit code and stderr."""
+def train_edited_model(workdir, edit, **overrides):
+    """Train, apply ``edit`` to the first group of the saved model and
+    re-checksum it; returns the model's path."""
     assert main(["train", "--config", str(write_config(workdir, **overrides))]) == 0
     model = workdir / "model.json"
     doc = json.loads(model.read_text())
     edit(doc["payload"]["groups"][0])
     doc["checksum"] = pipeline._checksum(doc["payload"])
     model.write_text(json.dumps(doc))
+    return model
+
+
+def predict_with_edited_model(workdir, capsys, edit, **overrides):
+    """Train, apply ``edit`` to the first group of the saved model, re-checksum
+    it, then predict; returns the exit code and stderr."""
+    model = train_edited_model(workdir, edit, **overrides)
     capsys.readouterr()
     rc = main(["predict", "--model", str(model),
                "--config", str(predict_config(workdir)), "--out", str(workdir / "p.csv")])
@@ -94,6 +101,11 @@ def huge_svm_hyperplanes(group):
     group, of opposite sign near the float maximum, so the margins overflow."""
     group["state"]["weights"][0][0] = 1e308
     group["state"]["weights"][0][1] = -1e308
+
+
+def huge_standardizer_scale(group):
+    """Model-file edit: a finite standardizer scale so large that a z-score overflows."""
+    group["standardizer"]["scale"][0] = 1e308
 
 
 def predict_config(tmp_path, split="test", groups=("sig", "noise")):
@@ -321,6 +333,22 @@ class TestTrainPredictEvaluate:
         assert rc == 1
         assert str(workdir / "model.json") in err and "non-finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("classifier", [
+        {"kind": "logreg", "seed": 0},
+        {"kind": "linear_svm_ovr", "seed": 0, "c_grid": [1.0]},
+        {"kind": "adaboost_stumps", "seed": 0, "rounds": 5},
+        {"kind": "random_forest", "seed": 0, "trees": 3},
+    ], ids=lambda c: c["kind"])
+    def test_checksummed_model_with_overflowing_z_scores_exit_1(self, workdir, classifier):
+        # a fresh interpreter, so a numpy warning would reach stderr rather than raise
+        model = train_edited_model(workdir, huge_standardizer_scale, classifier=classifier)
+        proc = fresh_python("-m", "latefuse.cli", "predict", "--model", str(model),
+                            "--config", str(predict_config(workdir)), "--out", str(workdir / "p.csv"))
+        err = proc.stderr.decode()
+        assert proc.returncode == 1, err
+        assert repr(str(model)) in err and "group 'sig'" in err and "col 0" in err
+        assert "Warning" not in err and "Traceback" not in err
 
     def test_unwritable_predictions_exit_1(self, workdir, capsys):
         assert main(["train", "--config", str(write_config(workdir))]) == 0

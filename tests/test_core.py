@@ -254,6 +254,15 @@ class TestStandardizer:
         with pytest.raises(DimensionMismatch, match=r"expects an \(n, 4\) matrix"):
             standardize_apply(s, rng.standard_normal(shape))
 
+    @pytest.mark.parametrize("mean, scale", [(0.0, 1e308), (-1e308, 0.0)], ids=["scale", "offset"])
+    def test_overflowing_z_score_names_what_row_and_column(self, mean, scale):
+        # an inf, or inf * 0 = NaN for a zeroed column, with no numpy warning
+        s = Standardizer(mean=np.array([0.0, mean]), scale=np.array([1.0, scale]))
+        X = np.array([[1.0, 1.0], [2.0, 1.7e308]])
+        message = r"^group 'g' standardized beyond the float range at row 1, col 1$"
+        with pytest.raises(NonFiniteFeature, match=message):
+            standardize_apply(s, X, "group 'g'")
+
     def test_fit_statistics_property(self, rng):
         for _ in range(20):
             X = rng.standard_normal((30, 5)) * rng.uniform(0.1, 50) + rng.uniform(-10, 10)

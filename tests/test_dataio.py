@@ -5,15 +5,23 @@ agrees with the checked reader, every file the writers print is what
 csv.writer prints with a per-value format, and written feature files take the
 C parse."""
 
+import contextlib
 import csv
 import io
+import json
+import os
+import pickle
 import re
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latefuse import dataio
 from latefuse.cli import main
 from latefuse.core import GroupView, LabelSpace, MultiViewDataset
 from latefuse.dataio import (
@@ -28,7 +36,7 @@ from latefuse.dataio import (
     write_dataset,
     write_predictions,
 )
-from latefuse.errors import DataError, DimensionMismatch, MisalignedGroup
+from latefuse.errors import DataError, DimensionMismatch, MisalignedGroup, NonFiniteFeature
 from latefuse.pipeline import PredictionBatch
 from latefuse.synthdata import default_benchmark
 
@@ -91,6 +99,17 @@ def test_rows_may_come_in_any_order(tmp_path):
     groups, ids = load_groups([("g", path)])
     assert ids == ["a", "b", "c"]
     np.testing.assert_array_equal(groups[0].features, [[1, 2], [3, 4], [5, 6]])
+
+
+def test_a_shuffled_file_and_a_sorted_file_give_equal_groups(tmp_path):
+    rows = [f"s{i:02d},{i * 0.1!r},{-i}" for i in range(40)]
+    shuffled = [rows[i] for i in np.random.default_rng(4).permutation(len(rows))]
+    a = write(tmp_path, "a.csv", "\n".join(["sample_id,f0,f1"] + rows) + "\n")
+    b = write(tmp_path, "b.csv", "\n".join(["sample_id,f0,f1"] + shuffled) + "\n")
+    (ga, gb), ids = load_groups([("a", a), ("b", b)])
+    assert ids == sorted(ids) and load_groups([("b", b)])[1] == ids
+    assert ga.features.tobytes() == gb.features.tobytes()
+    assert not ga.features.flags.writeable and not gb.features.flags.writeable
 
 
 def test_unparsable_value_keeps_the_float_message(tmp_path):
@@ -171,6 +190,285 @@ def test_write_then_load_round_trip(tmp_path, seed):
         assert back.group_names == d.group_names
         for got, want in zip(back.groups, d.groups):
             assert np.array_equal(got.features, want.features[order])
+
+
+# -- a large batch read by forked processes, against the serial read ----------
+# Each test lowers PARALLEL_READ_BYTES so that its small files take the forked
+# path wherever this process can fork readers; file 0 is always the parent's.
+
+BATCH = 4
+BATCH_ROWS = 30
+BATCH_IDS = [f"s{i:05d}" for i in range(BATCH_ROWS)]
+BAD_FILES = {
+    "unparsable": "sample_id,f0\ns00,1x\n",
+    "no_data_rows": "sample_id,f0\n",
+    "missing": None,
+    "non_finite": "sample_id,f0\n" + "".join(f"{sid},nan\n" for sid in BATCH_IDS),
+    "misaligned": "sample_id,f0\ns00,1\n",
+}
+
+
+def batch_files(tmp_path, bad=None, rows=BATCH_ROWS):
+    """(name, path) of BATCH feature files over the first ``rows`` ids, each
+    file in its own row order; file 1 quotes its ids, so the checked reader
+    reads it, and file 2 ends its lines with CRLF. ``bad`` maps a position
+    to the text of a file that fails there, or None for no file at all."""
+    rng = np.random.default_rng(7)
+    ids = [f"s{i:05d}" for i in range(rows)]
+    groups = []
+    for k in range(BATCH):
+        path = tmp_path / f"g{k}.csv"
+        groups.append((f"g{k}", str(path)))
+        if bad is not None and k in bad:
+            if bad[k] is not None:
+                path.write_text(bad[k])
+            continue
+        order = rng.permutation(len(ids)) if k else range(len(ids))
+        X = rng.standard_normal((len(ids), k + 1))
+        lines = ["sample_id," + ",".join(f"f{j}" for j in range(k + 1))]
+        for i in order:
+            sid = f'"{ids[i]}"' if k == 1 else ids[i]
+            lines.append(",".join([sid] + [repr(v) for v in X[i].tolist()]))
+        eol = "\r\n" if k == 2 else "\n"
+        with open(path, "w", newline="") as fh:
+            fh.write(eol.join(lines) + eol)
+    return groups
+
+
+def load_outcome(group_paths):
+    """The ids and each group's name and feature bytes, or the error's type and message."""
+    try:
+        groups, ids = load_groups(group_paths)
+    except DataError as exc:
+        return type(exc), str(exc)
+    return ids, [(g.name, g.features.tobytes()) for g in groups]
+
+
+def serial_and_forked(monkeypatch, read):
+    """``read()`` with every batch read serially, then with every batch of
+    two or more files read by forked processes where this process can."""
+    monkeypatch.setattr(dataio, "PARALLEL_READ_BYTES", float("inf"))
+    serial = read()
+    monkeypatch.setattr(dataio, "PARALLEL_READ_BYTES", 0)
+    return serial, read()
+
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+FORKS = pytest.mark.skipif(not hasattr(os, "fork") or CPUS < 2, reason="needs os.fork and 2 CPUs")
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once it has run ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@FORKS
+def test_a_large_batch_is_read_by_forked_processes(tmp_path, monkeypatch):
+    paths = [path for _, path in batch_files(tmp_path)]
+    size = sum(os.path.getsize(p) for p in paths)
+    monkeypatch.setattr(dataio, "PARALLEL_READ_BYTES", size)
+    workers = dataio._reader_count(paths)
+    assert workers == min(CPUS, BATCH)
+    log = tmp_path / "readers.log"
+    real = dataio.read_feature_file
+
+    def logged(path):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(path)
+
+    monkeypatch.setattr(dataio, "read_feature_file", logged)
+    load_groups([("g", p) for p in paths])
+    pids = log.read_text().split()
+    assert len(pids) == BATCH and len(set(pids)) == workers and str(os.getpid()) in pids
+    log.unlink()
+    monkeypatch.setattr(dataio, "PARALLEL_READ_BYTES", size + 1)  # one byte short
+    load_groups([("g", p) for p in paths])
+    assert log.read_text().split() == [str(os.getpid())] * BATCH
+
+
+def test_a_batch_stays_serial_where_forking_is_not_safe(tmp_path, monkeypatch):
+    paths = [path for _, path in batch_files(tmp_path)]
+    monkeypatch.setattr(dataio, "PARALLEL_READ_BYTES", 0)
+    assert dataio._reader_count(paths[:1]) == 1
+    if hasattr(os, "sched_getaffinity"):
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            assert dataio._reader_count(paths) == 1
+    assert dataio._reader_count(paths + [str(tmp_path / "missing.csv")]) == 1
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10,))
+    other.start()
+    try:
+        assert dataio._reader_count(paths) == 1
+    finally:
+        release.set()
+        other.join(10)
+    assert not other.is_alive()
+
+
+def test_a_forked_read_equals_the_serial_read(tmp_path, monkeypatch):
+    groups = batch_files(tmp_path)
+    labels = write(tmp_path, "labels.csv", "sample_id,label\n" + "".join(
+        f"{sid},{'xy'[i % 2]}\n" for i, sid in enumerate(BATCH_IDS)
+    ))
+    paths = [path for _, path in groups]
+    assert _read_plain_features(paths[1]) is None  # the checked reader, in a child
+
+    def read():
+        tables = dataio._read_feature_files(paths)
+        d = load_dataset(labels, groups)
+        return (
+            [(ids, m.tobytes()) for ids, m in tables], load_outcome(groups),
+            d.sample_ids, d.labels.tobytes(), [g.features.tobytes() for g in d.groups],
+        )
+
+    serial, forked = serial_and_forked(monkeypatch, read)
+    assert forked == serial
+
+
+@pytest.mark.parametrize("position", range(BATCH))
+@pytest.mark.parametrize("bad", sorted(BAD_FILES))
+def test_a_bad_file_fails_as_in_the_serial_read(tmp_path, monkeypatch, bad, position):
+    groups = batch_files(tmp_path, {position: BAD_FILES[bad]})
+    serial, forked = serial_and_forked(monkeypatch, lambda: load_outcome(groups))
+    # ids missing from file 0 are blamed on the file that has them
+    blamed = groups[1 if (bad, position) == ("misaligned", 0) else position][1]
+    assert issubclass(serial[0], DataError) and repr(blamed) in serial[1]
+    assert forked == serial
+
+
+@pytest.mark.parametrize("first, second", [(1, 2), (0, 1), (2, 3)])
+def test_the_first_bad_file_in_config_order_wins(tmp_path, monkeypatch, first, second):
+    # both files exist: a missing file keeps the whole batch serial
+    groups = batch_files(tmp_path, {first: BAD_FILES["unparsable"], second: BAD_FILES["no_data_rows"]})
+    serial, forked = serial_and_forked(monkeypatch, lambda: load_outcome(groups))
+    assert serial[0] is DataError and repr(groups[first][1]) in serial[1]
+    assert forked == serial
+
+
+def in_a_child(monkeypatch, act):
+    """Make ``read_feature_file`` call ``act()`` first in any process but this one."""
+    parent, real = os.getpid(), dataio.read_feature_file
+
+    def read(path):
+        if os.getpid() != parent:
+            act()
+        return real(path)
+
+    monkeypatch.setattr(dataio, "read_feature_file", read)
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("this error cannot be pickled")
+
+
+def raise_unpicklable():
+    raise Unpicklable("read failed")
+
+
+class GarbledPickle:
+    """The pickle module, but what a child dumps is no pickle."""
+
+    HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
+    load = staticmethod(pickle.load)
+
+    @staticmethod
+    def dump(obj, out, protocol):
+        out.write(b"no pickle")
+
+
+NO_DELIVERY = {
+    "exit_1": lambda mp: in_a_child(mp, lambda: os._exit(1)),
+    "killed": lambda mp: in_a_child(mp, lambda: os.kill(os.getpid(), signal.SIGKILL)),
+    "unpicklable_result": lambda mp: in_a_child(mp, raise_unpicklable),
+    "bad_pickle": lambda mp: mp.setattr(dataio, "pickle", GarbledPickle),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(NO_DELIVERY))
+def test_a_child_that_does_not_deliver_leaves_its_files_to_the_parent(tmp_path, monkeypatch, failure):
+    groups = batch_files(tmp_path)
+    serial = load_outcome(groups)
+    NO_DELIVERY[failure](monkeypatch)
+    monkeypatch.setattr(dataio, "PARALLEL_READ_BYTES", 0)
+    assert load_outcome(groups) == serial
+
+
+@FORKS
+def test_an_interrupt_in_the_parents_share_leaves_no_child(tmp_path, monkeypatch):
+    # each child's results outgrow the pipe, so a child that has read its
+    # share blocks writing them until the interrupted parent closes the pipe
+    groups = batch_files(tmp_path, rows=3000)
+    monkeypatch.setattr(dataio, "PARALLEL_READ_BYTES", 0)
+    workers = dataio._reader_count([path for _, path in groups])
+    child_reads = BATCH - len(range(0, BATCH, workers))
+    log = tmp_path / "child-reads.log"
+    parent, real = os.getpid(), dataio.read_feature_file
+
+    def read(path):
+        if os.getpid() != parent:
+            table = real(path)
+            with open(log, "a") as fh:
+                fh.write("read\n")
+            return table
+        while not log.exists() or len(log.read_text().split()) < child_reads:
+            time.sleep(0.01)
+        time.sleep(0.1)  # for the children to reach the write
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(dataio, "read_feature_file", read)
+    with time_limit(30), pytest.raises(KeyboardInterrupt):
+        load_groups(groups)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_error_in_the_parents_share_leaves_no_child(tmp_path, monkeypatch):
+    groups = batch_files(tmp_path, {0: BAD_FILES["unparsable"]})
+    monkeypatch.setattr(dataio, "PARALLEL_READ_BYTES", 0)
+    with pytest.raises(DataError, match="row 2"):
+        load_groups(groups)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_predict_writes_the_same_file_from_a_forked_read(tmp_path, monkeypatch):
+    train, test = default_benchmark(3)
+    write_dataset(train, str(tmp_path / "train"))
+    write_dataset(test, str(tmp_path / "test"))
+
+    def data(part):
+        return {"labels": str(tmp_path / part / "labels.csv"), "groups": [
+            {"name": g.name, "path": str(tmp_path / part / f"{g.name}.csv")} for g in test.groups
+        ]}
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data": data("train"), "test_data": data("test")}))
+    model = str(tmp_path / "model.json")
+    assert main(["train", "--config", str(config), "--model", model]) == 0
+
+    def predict():
+        # the test split is the batch, so "data" names its files
+        (tmp_path / "predict.json").write_text(json.dumps({"data": data("test")}))
+        out = tmp_path / "predictions.csv"
+        assert main(["predict", "--model", model, "--config", str(tmp_path / "predict.json"),
+                     "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    serial, forked = serial_and_forked(monkeypatch, predict)
+    assert forked == serial
 
 
 # -- the C parse of plain feature files against the checked reader ----------
