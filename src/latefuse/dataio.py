@@ -23,13 +23,11 @@ from __future__ import annotations
 
 import csv
 import os
-import pickle
-import threading
-import warnings
 from typing import Iterable, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
+from ._fork import fork_map, worker_count
 from .core import GroupView, LabelSpace, MultiViewDataset
 from .errors import DataError, DimensionMismatch, MisalignedGroup, NonFiniteFeature
 
@@ -202,122 +200,21 @@ def read_feature_file(path: str) -> tuple[list[str], np.ndarray]:
 PARALLEL_READ_BYTES = 2 << 20
 
 
-def _attempts(paths: Sequence[str]) -> list[tuple[bool, object]]:
-    """``(True, read_feature_file(path))`` for each path up to the first that
-    raises, which gives ``(False, its exception)`` and ends the list."""
-    outcomes: list[tuple[bool, object]] = []
-    for path in paths:
-        try:
-            outcomes.append((True, read_feature_file(path)))
-        except Exception as exc:  # handed back to be raised in config order
-            outcomes.append((False, exc))
-            break
-    return outcomes
-
-
 def _reader_count(paths: Sequence[str]) -> int:
-    """How many processes should read ``paths``: one per usable CPU, up to
-    one per file, if this process can fork safely (no other Python thread)
-    and the files hold at least PARALLEL_READ_BYTES in total; else 1."""
-    if not hasattr(os, "fork") or threading.active_count() != 1 or len(paths) < 2:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    if cpus < 2:
-        return 1
+    """How many processes should read ``paths``: ``_fork.worker_count`` of
+    one task per file, whose work is the files' total size in bytes, against
+    PARALLEL_READ_BYTES; 1 when a file's size cannot be read."""
     try:
         size = sum(os.path.getsize(path) for path in paths)
     except OSError:  # the serial read reports it
         return 1
-    return min(cpus, len(paths)) if size >= PARALLEL_READ_BYTES else 1
-
-
-def _fork_reader(paths: Sequence[str], inherited: Sequence) -> tuple[int, object]:
-    """Fork a child that pickles ``_attempts(paths)`` into a pipe and exits;
-    the child's pid and the pipe's read end. The child first closes the
-    ``inherited`` read ends of earlier children's pipes."""
-    r, w = os.pipe()
-    try:
-        # Python 3.12 and later warn on a fork beside any native thread, such
-        # as BLAS's pool, which is fork-safe; the child only parses and exits.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            for reader in inherited:
-                reader.close()
-            with open(w, "wb") as out:
-                pickle.dump(_attempts(paths), out, protocol=pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            os._exit(code)  # no atexit handler or inherited buffer runs here
-    os.close(w)
-    return pid, open(r, "rb")
-
-
-def _delivered(reader) -> Optional[list]:
-    """The outcomes a child pickled into ``reader``, or None for none."""
-    try:
-        return pickle.load(reader)
-    except Exception:  # EOF or a broken stream: the child did not finish
-        return None
-
-
-def _read_forked(paths: Sequence[str], workers: int) -> list[tuple[bool, object]]:
-    """``_attempts`` over ``paths`` by ``workers`` processes: worker j reads
-    files j, j + workers, ...; this process is worker 0, and also reads the
-    share of any child that could not be forked or did not deliver. A
-    position after its worker's first failure is None, so every position
-    before the first failure in order is filled."""
-    children: list[tuple[int, object]] = []
-    try:
-        for j in range(1, workers):
-            try:
-                children.append(_fork_reader(paths[j::workers], [r for _, r in children]))
-            except OSError:  # no process to spare: this one reads the rest
-                break
-        own = _attempts(paths[0::workers])
-        delivered = [_delivered(r) for _, r in children]
-    finally:
-        # closed first, so a child blocked on a full pipe fails instead of waiting
-        for _, reader in children:
-            reader.close()
-        for pid, _ in children:
-            try:
-                os.waitpid(pid, 0)
-            except ChildProcessError:  # reaped already, as under SIGCHLD set to SIG_IGN
-                pass
-    shares = [own] + delivered + [None] * (workers - 1 - len(delivered))
-    outcomes: list = [None] * len(paths)
-    for j, share in enumerate(shares):
-        if share is None:
-            share = _attempts(paths[j::workers])
-        for i, outcome in zip(range(j, len(paths), workers), share):
-            outcomes[i] = outcome
-    return outcomes
+    return worker_count(len(paths), size, PARALLEL_READ_BYTES)
 
 
 def _read_feature_files(paths: Sequence[str]) -> list[tuple[list[str], np.ndarray]]:
     """``read_feature_file`` of each path, in order, raising the first
     error in that order. A large batch is read by forked processes."""
-    workers = _reader_count(paths)
-    if workers == 1:
-        return [read_feature_file(path) for path in paths]
-    tables = []
-    for ok, value in _read_forked(paths, workers):
-        if not ok:
-            raise value
-        tables.append(value)
-    return tables
+    return fork_map(read_feature_file, paths, _reader_count(paths))
 
 
 def load_groups(group_paths: Sequence[tuple[str, str]]) -> tuple[list[GroupView], list[str]]:

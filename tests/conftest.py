@@ -1,5 +1,6 @@
 import csv
 import os
+import pickle
 import warnings
 
 import numpy as np
@@ -102,6 +103,22 @@ def nan_adaboost_alpha(group):
 def nan_standardizer_mean(group):
     """Model-file edit: a NaN in a group standardizer's mean."""
     group["standardizer"]["mean"][0] = float("nan")
+
+
+# the forked paths run only where this process can fork and has 2 usable CPUs
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+FORKS = pytest.mark.skipif(not hasattr(os, "fork") or CPUS < 2, reason="needs os.fork and 2 CPUs")
+
+
+class GarbledPickle:
+    """The pickle module, but what a child dumps is no pickle."""
+
+    HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
+    load = staticmethod(pickle.load)
+
+    @staticmethod
+    def dump(obj, out, protocol):
+        out.write(b"no pickle")
 
 
 @pytest.fixture(autouse=True)

@@ -10,7 +10,6 @@ import csv
 import io
 import json
 import os
-import pickle
 import re
 import signal
 import threading
@@ -21,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latefuse import dataio
+from latefuse import _fork, dataio
 from latefuse.cli import main
 from latefuse.core import GroupView, LabelSpace, MultiViewDataset
 from latefuse.dataio import (
@@ -40,7 +39,7 @@ from latefuse.errors import DataError, DimensionMismatch, MisalignedGroup, NonFi
 from latefuse.pipeline import PredictionBatch
 from latefuse.synthdata import default_benchmark
 
-from conftest import DETERMINISTIC, reference_predictions
+from conftest import CPUS, DETERMINISTIC, FORKS, GarbledPickle, reference_predictions
 
 FEATURES = "sample_id,f0,f1\na,1,2\nb,3,4\nc,5,6\n"
 LABELS = "sample_id,label\na,x\nb,y\nc,x\n"
@@ -253,10 +252,6 @@ def serial_and_forked(monkeypatch, read):
     return serial, read()
 
 
-CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-FORKS = pytest.mark.skipif(not hasattr(os, "fork") or CPUS < 2, reason="needs os.fork and 2 CPUs")
-
-
 @contextlib.contextmanager
 def time_limit(seconds):
     """Raise TimeoutError in the block once it has run ``seconds``."""
@@ -378,22 +373,11 @@ def raise_unpicklable():
     raise Unpicklable("read failed")
 
 
-class GarbledPickle:
-    """The pickle module, but what a child dumps is no pickle."""
-
-    HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
-    load = staticmethod(pickle.load)
-
-    @staticmethod
-    def dump(obj, out, protocol):
-        out.write(b"no pickle")
-
-
 NO_DELIVERY = {
     "exit_1": lambda mp: in_a_child(mp, lambda: os._exit(1)),
     "killed": lambda mp: in_a_child(mp, lambda: os.kill(os.getpid(), signal.SIGKILL)),
     "unpicklable_result": lambda mp: in_a_child(mp, raise_unpicklable),
-    "bad_pickle": lambda mp: mp.setattr(dataio, "pickle", GarbledPickle),
+    "bad_pickle": lambda mp: mp.setattr(_fork, "pickle", GarbledPickle),
 }
 
 
